@@ -8,13 +8,12 @@ with a single machine-parseable line ``error: <Category>: <detail>``.
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 
 from . import dataio, synth
-from .errors import ConfigError, GrasslvqError, ModelNotFound
+from .errors import ConfigError, GrasslvqError, ModelNotFound, RankDeficient
 from .manifold import (
     image_contribution,
     principal_decomposition,
@@ -63,10 +62,13 @@ _FLOAT_KEYS = ("eta", "gamma")
 
 
 def _coerce(key, value):
-    if key in _INT_KEYS:
-        return int(value)
-    if key in _FLOAT_KEYS:
-        return float(value)
+    try:
+        if key in _INT_KEYS:
+            return int(value)
+        if key in _FLOAT_KEYS:
+            return float(value)
+    except ValueError:
+        raise ConfigError(f"config key {key!r}: {value!r} is not a number") from None
     return value
 
 
@@ -187,12 +189,6 @@ def _load_model(path):
     return dataio.load_model(path)
 
 
-def _threads(args):
-    if args.threads is not None:
-        return args.threads
-    return int(os.environ.get("GRLGQ_THREADS", "1"))
-
-
 def _eval_dataset(args, model):
     if args.images and args.labels:
         images, labels, _, _ = dataio.read_idx_dataset(args.images, args.labels)
@@ -207,22 +203,7 @@ def _eval_dataset(args, model):
 def cmd_eval(args):
     model = _load_model(args.model)
     dataset, kind = _eval_dataset(args, model)
-    threads = _threads(args)
-    if threads > 1:
-        # distance evaluations are pure reads; fan out across a thread pool
-        predict = predict_vector if kind == "vectors" else predict_set
-        samples = [s.subspace if hasattr(s, "subspace") else s for s, _ in dataset]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            preds = list(pool.map(lambda s: predict(model, s)[0], samples))
-        truths = [int(y) for _, y in dataset]
-        labels = sorted(set(model.labels) | set(truths))
-        index = {lab: i for i, lab in enumerate(labels)}
-        confusion = np.zeros((len(labels), len(labels)), dtype=np.int64)
-        for t, p in zip(truths, preds):
-            confusion[index[t], index[p]] += 1
-        accuracy = float(np.trace(confusion) / max(confusion.sum(), 1))
-    else:
-        accuracy, confusion = evaluate(model, dataset, kind)
+    accuracy, confusion = evaluate(model, dataset, kind)
     print(f"accuracy={accuracy!r}")
     if args.confusion_out:
         with open(args.confusion_out, "w") as f:
@@ -234,9 +215,9 @@ def cmd_eval(args):
 def cmd_predict(args):
     model = _load_model(args.model)
     if args.image:
-        img = dataio.read_pgm(args.image)
-        vec = img.astype(np.float64).ravel() / 255.0
-        vec /= np.linalg.norm(vec)
+        vec = dataio.normalize_pixels(dataio.read_pgm(args.image).reshape(1, -1))[0]
+        if not vec.any():
+            raise RankDeficient(f"{args.image}: all-black image has rank 0 < 1")
         label, angles = predict_vector(model, vec)
         print(f"label={label}")
         for i, angle in enumerate(angles):
@@ -245,17 +226,7 @@ def cmd_predict(args):
         return 0
     if not args.set:
         raise ConfigError("predict requires --set <dir> or --image <pgm>")
-    frames = sorted(e for e in os.listdir(args.set) if e.endswith(".pgm"))
-    if not frames:
-        raise ConfigError(f"{args.set}: no .pgm frames")
-    columns = []
-    dims = None
-    for frame in frames:
-        img = dataio.read_pgm(os.path.join(args.set, frame))
-        dims = dims or img.shape
-        vec = img.astype(np.float64).ravel() / 255.0
-        columns.append(vec / np.linalg.norm(vec))
-    X = np.column_stack(columns)
+    X, (height, width) = dataio.read_set(args.set)
     factors = subspace_from_set(X, model.subspace_dim)
     label, dists = predict_set(model, factors.subspace)
     print(f"label={label}")
@@ -268,7 +239,6 @@ def cmd_predict(args):
         winner = int(np.argmin(dists))
         pd = principal_decomposition(factors.subspace,
                                      model.prototypes[winner].subspace)
-        height, width = dims
         for k in range(model.subspace_dim):
             dataio.export_pixel_influence(
                 pd, k, width, height,
@@ -349,8 +319,7 @@ def build_parser():
     p.add_argument("--labels", help="IDX label file")
     p.add_argument("--confusion-out")
     p.add_argument("--threads", type=int,
-                   help="worker threads for distance evaluation "
-                        "(env GRLGQ_THREADS, default 1)")
+                   help="accepted for compatibility; ignored")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="predict one image set or one image")

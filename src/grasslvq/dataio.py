@@ -7,11 +7,13 @@ File formats:
   * a versioned binary model file (header line, length-prefixed float64
     little-endian payload, trailing CRC32).
 
-Ingested image vectors are scaled to [0, 1] and then L2-normalized, so every
-column entering a subspace construction has unit norm.
+Ingested image vectors are scaled to [0, 1] and then L2-normalized by one
+helper, ``normalize_pixels``, so every column entering a subspace
+construction has unit norm, except that an all-black image stays zero.
 """
 
 import os
+import re
 import struct
 import zlib
 
@@ -19,6 +21,7 @@ import numpy as np
 
 from .errors import (
     BadMagic,
+    ConfigError,
     CorruptModel,
     CountMismatch,
     EmptySet,
@@ -41,6 +44,10 @@ IDX_LABELS_MAGIC = 0x00000801
 MODEL_MAGIC = "GRASSLVQ"
 MODEL_VERSION = 1
 
+# P5 magic, then width, height and maxval as whitespace-separated tokens with
+# '#' comments running to end of line, then one whitespace byte before pixels.
+_PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+([^\s#]\S*)" * 3 + rb"\s")
+
 
 # ---------------------------------------------------------------- IDX
 
@@ -59,10 +66,18 @@ def read_idx_images(path) -> np.ndarray:
             raise BadMagic(f"{path}: magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
         raw = _read_exact(f, count * rows * cols, path)
     images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
-    images = images.astype(np.float64) / 255.0
+    return normalize_pixels(images), rows, cols
+
+
+def normalize_pixels(pixels) -> np.ndarray:
+    """Scale (n, D) 8-bit pixel rows to [0, 1], then L2-normalize each row.
+
+    An all-zero (black) row stays zero, so it adds no direction to a subspace.
+    """
+    images = pixels.astype(np.float64) / 255.0
     norms = np.linalg.norm(images, axis=1)
     norms[norms == 0] = 1.0
-    return images / norms[:, None], rows, cols
+    return images / norms[:, None]
 
 
 def read_idx_labels(path) -> np.ndarray:
@@ -94,29 +109,15 @@ def read_pgm(path) -> np.ndarray:
         data = f.read()
     if not data.startswith(b"P5"):
         raise UnsupportedFormat(f"{path}: not a binary PGM (P5) file")
-    # header: magic, width, height, maxval as whitespace-separated tokens,
-    # '#' comments allowed through the end of line
-    tokens, pos = [], 2
-    while len(tokens) < 3:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos:pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise TruncatedFile(f"{path}: header ends early")
-        tokens.append(data[start:pos])
-    pos += 1  # single whitespace after maxval
-    try:
-        width, height, maxval = (int(t) for t in tokens)
-    except ValueError:
-        raise UnsupportedFormat(f"{path}: malformed PGM header") from None
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise TruncatedFile(f"{path}: header ends early")
+    if not all(t.isdigit() for t in header.groups()):
+        raise UnsupportedFormat(f"{path}: malformed PGM header")
+    width, height, maxval = (int(t) for t in header.groups())
     if maxval != 255:
         raise UnsupportedFormat(f"{path}: only 8-bit PGM supported (maxval={maxval})")
+    pos = header.end()
     pixels = data[pos:pos + width * height]
     if len(pixels) != width * height:
         raise TruncatedFile(f"{path}: expected {width * height} pixels, got {len(pixels)}")
@@ -134,13 +135,36 @@ def write_pgm(path, image: np.ndarray) -> None:
 
 # ---------------------------------------------------------------- image-set dirs
 
+def read_set(set_dir):
+    """Read one image-set directory of PGM frames into a D x m data matrix.
+
+    Frames are taken in sorted file-name order, one column each, scaled and
+    L2-normalized by ``normalize_pixels`` (an all-black frame becomes a zero
+    column). Returns (X, (height, width)).
+    """
+    frames = sorted(e for e in os.listdir(set_dir) if e.endswith(".pgm"))
+    if not frames:
+        raise EmptySet(f"{set_dir}: no .pgm frames")
+    rows, dims = [], None
+    for frame in frames:
+        img = read_pgm(os.path.join(set_dir, frame))
+        if dims is None:
+            dims = img.shape
+        elif img.shape != dims:
+            raise InconsistentDims(
+                f"{set_dir}/{frame}: {img.shape} differs from {dims}"
+            )
+        rows.append(img.ravel())
+    return normalize_pixels(np.array(rows)).T, dims
+
+
 def read_imageset_dirs(root):
     """Read the root/<class>/<set>/<frame>.pgm layout into labeled data matrices.
 
     Returns (sets, width, height) where sets is a list of (D x m matrix, label)
-    with unit-norm columns. Class ids follow sorted class-directory order
-    (1-based); a ``labels.txt`` manifest at the root ("<class_dir> <label>"
-    per line) overrides them.
+    with unit-norm columns (see ``read_set``). Class ids follow sorted
+    class-directory order (1-based); a ``labels.txt`` manifest at the root
+    ("<class_dir> <label>" per line) overrides them.
     """
     class_dirs = sorted(
         e for e in os.listdir(root) if os.path.isdir(os.path.join(root, e))
@@ -151,11 +175,15 @@ def read_imageset_dirs(root):
     manifest = os.path.join(root, "labels.txt")
     if os.path.isfile(manifest):
         with open(manifest) as f:
-            for line in f:
+            for lineno, line in enumerate(f, 1):
                 line = line.strip()
                 if line and not line.startswith("#"):
-                    name, lab = line.split()
-                    labels[name] = int(lab)
+                    try:
+                        name, lab = line.split()
+                        labels[name] = int(lab)
+                    except ValueError:
+                        raise ConfigError(f"{manifest}:{lineno}: expected "
+                                          "'<class-dir> <integer>'") from None
 
     sets, dims = [], None
     for class_dir in class_dirs:
@@ -166,22 +194,16 @@ def read_imageset_dirs(root):
         )
         for set_dir in set_dirs:
             set_path = os.path.join(class_path, set_dir)
-            frames = sorted(e for e in os.listdir(set_path) if e.endswith(".pgm"))
-            if not frames:
-                raise EmptySet(f"{set_path}: no .pgm frames")
-            columns = []
-            for frame in frames:
-                img = read_pgm(os.path.join(set_path, frame))
-                if dims is None:
-                    dims = img.shape
-                elif img.shape != dims:
-                    raise InconsistentDims(
-                        f"{set_path}/{frame}: {img.shape} differs from {dims}"
-                    )
-                vec = img.astype(np.float64).ravel() / 255.0
-                norm = np.linalg.norm(vec)
-                columns.append(vec / norm if norm > 0 else vec)
-            sets.append((np.column_stack(columns), labels[class_dir]))
+            X, set_dims = read_set(set_path)
+            if dims is None:
+                dims = set_dims
+            elif set_dims != dims:
+                raise InconsistentDims(
+                    f"{set_path}: frames {set_dims} differ from {dims}"
+                )
+            sets.append((X, labels[class_dir]))
+    if not sets:
+        raise EmptySet(f"{root}: no image-set directories")
     height, width = dims
     return sets, width, height
 
@@ -193,10 +215,9 @@ def build_classwise_subspace_dataset(images, labels, d, m, sets_per_class, seed)
 
     For each class, draws ``sets_per_class`` independent groups of ``m`` images
     (without replacement within a group) and converts each group to a
-    d-dimensional subspace. Deterministic under the seed.
+    d-dimensional subspace. Returns (Subspace, label) pairs; deterministic
+    under the seed.
     """
-    if m < d:
-        raise ValueError(f"m={m} must be >= d={d}")
     rng = np.random.default_rng(seed)
     dataset = []
     for label in np.unique(labels):
@@ -208,16 +229,19 @@ def build_classwise_subspace_dataset(images, labels, d, m, sets_per_class, seed)
         for _ in range(sets_per_class):
             pick = rng.choice(idx, size=m, replace=False)
             X = images[pick].T  # D x m
-            dataset.append((subspace_from_set(X, d), int(label)))
+            dataset.append((subspace_from_set(X, d).subspace, int(label)))
     return dataset
 
 
 def build_per_set_subspace_dataset(sets, d):
-    """One d-dimensional subspace per image set (for image-set classification)."""
+    """One d-dimensional subspace per image set (for image-set classification).
+
+    Returns (Subspace, label) pairs; errors name the offending set.
+    """
     dataset = []
     for i, (X, label) in enumerate(sets):
         try:
-            dataset.append((subspace_from_set(X, d), int(label)))
+            dataset.append((subspace_from_set(X, d).subspace, int(label)))
         except Exception as exc:
             exc.args = (f"set {i} (label {label}): {exc}",)
             raise
@@ -257,10 +281,13 @@ def load_model(path) -> ModelState:
             raise CorruptModel(f"{path}: unrecognized header")
         if fields[1] != f"v{MODEL_VERSION}":
             raise VersionMismatch(f"{path}: format {fields[1]}, expected v{MODEL_VERSION}")
-        meta = dict(field.split("=", 1) for field in fields[2:])
-        mode = meta["mode"]
-        D, d = int(meta["D"]), int(meta["d"])
-        labels = [int(t) for t in meta["labels"].split(",")]
+        try:
+            meta = dict(field.split("=", 1) for field in fields[2:])
+            mode = meta["mode"]
+            D, d = int(meta["D"]), int(meta["d"])
+            labels = [int(t) for t in meta["labels"].split(",")]
+        except (KeyError, ValueError):
+            raise CorruptModel(f"{path}: malformed header {header!r}") from None
         raw = f.read()
     if len(raw) < 8:
         raise CorruptModel(f"{path}: missing length prefix")
@@ -342,7 +369,7 @@ def export_distance_matrix_csv(model: ModelState, dataset, path) -> None:
     the header names each column. External embedding tools (e.g. t-SNE)
     consume this matrix directly.
     """
-    subspaces = [s.subspace if hasattr(s, "subspace") else s for s, _ in dataset]
+    subspaces = [s for s, _ in dataset]
     names = [f"sample_{i + 1}" for i in range(len(subspaces))]
     subspaces += [p.subspace for p in model.prototypes]
     names += [f"prototype_{i + 1}" for i in range(len(model.prototypes))]

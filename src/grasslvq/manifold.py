@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficient, SingularFactor
+from .errors import ConfigError, InsufficientImages, RankDeficient, SingularFactor
 
 ORTHO_TOL = 1e-8
 RANK_TOL = 1e-12
@@ -114,12 +114,15 @@ def subspace_from_set(X, d: int) -> SubspaceWithFactors:
 
     X is a D x m data matrix (one image per column). The subspace is the span
     of the first d left singular vectors; singular values and right factors
-    are kept for the image-contribution computation.
+    are kept for the image-contribution computation. Raises
+    InsufficientImages when X has fewer than d columns.
     """
     X = _as_f64(X)
     D, m = X.shape
-    if d < 1 or d > min(D, m):
-        raise ValueError(f"d={d} must satisfy 1 <= d <= min(D, m) = {min(D, m)}")
+    if m < d:
+        raise InsufficientImages(f"{m} frames < d={d}")
+    if d < 1 or d > D:
+        raise ConfigError(f"d={d} must satisfy 1 <= d <= D = {D}")
     u, s, vt = np.linalg.svd(X, full_matrices=False)
     if s[0] == 0.0 or s[d - 1] <= RANK_TOL * s[0]:
         raise RankDeficient(f"set of {m} columns has numerical rank < {d}")

@@ -236,18 +236,17 @@ def init_prototypes(dataset, d: int, strategy: str, rng,
       * ``pca``     -- top-d left singular vectors of all class images
         concatenated; requires ``class_matrices`` mapping label -> D x n matrix.
     """
-    items = [(_subspace_of(s), y) for s, y in dataset]
-    if not items:
+    if not dataset:
         raise ConfigError("dataset is empty")
-    D = items[0][0].ambient_dim
-    labels = sorted({y for _, y in items})
+    D = dataset[0][0].ambient_dim
+    labels = sorted({y for _, y in dataset})
     protos: list[Prototype] = []
     for label in labels:
         for _ in range(prototypes_per_class):
             if strategy == "random":
                 basis = orthonormalize_columns(rng.standard_normal((D, d)))
             elif strategy == "example":
-                pool = [s for s, y in items if y == label]
+                pool = [s for s, y in dataset if y == label]
                 basis = Subspace(pool[rng.integers(len(pool))].basis.copy())
             elif strategy == "pca":
                 if class_matrices is None or label not in class_matrices:
@@ -274,7 +273,7 @@ def fit(dataset, config: TrainConfig, init: str = "random",
     deterministic. Epoch stats are (epoch, mean pre-update cost, training
     accuracy); a sample counts as correct when its pre-update mu < 0.
     """
-    items = [(_subspace_of(s), int(y)) for s, y in dataset]
+    items = [(s, int(y)) for s, y in dataset]
     if not items:
         raise ConfigError("dataset is empty")
     rng = np.random.default_rng(config.seed)
@@ -332,7 +331,7 @@ def evaluate(model: ModelState, dataset, kind: str = "sets"):
     confusion = np.zeros((len(labels), len(labels)), dtype=np.int64)
     for sample, y in dataset:
         if kind == "sets":
-            pred, _ = predict_set(model, _subspace_of(sample))
+            pred, _ = predict_set(model, sample)
         elif kind == "vectors":
             pred, _ = predict_vector(model, sample)
         else:
@@ -341,6 +340,3 @@ def evaluate(model: ModelState, dataset, kind: str = "sets"):
     accuracy = float(np.trace(confusion) / max(confusion.sum(), 1))
     return accuracy, confusion
 
-
-def _subspace_of(item) -> Subspace:
-    return item.subspace if hasattr(item, "subspace") else item

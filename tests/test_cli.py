@@ -1,10 +1,21 @@
 """End-to-end tests that drive the console entry point via main(argv)."""
 
+import shutil
+
 import numpy as np
 import pytest
 
-from grasslvq import dataio, principal_decomposition, subspace_from_set
+from grasslvq import (
+    dataio,
+    predict_set,
+    principal_decomposition,
+    subspace_from_set,
+)
 from grasslvq.cli import main
+
+
+# synth --ambient 12 without --width/--height writes one-row frames
+FRAME_SHAPE = (1, 12)
 
 
 def tree_bytes(root):
@@ -249,6 +260,28 @@ class TestPredict:
         assert rc == 1
         assert "error: ConfigError" in capsys.readouterr().err
 
+    def test_black_frame_matches_eval_path(self, workspace, tmp_path, capsys):
+        # predict --set and eval --data share one frame loader, so a set with
+        # an all-black frame gets the same subspace and distances from both
+        _, data, model, _ = workspace
+        root = tmp_path / "tree"
+        set_dir = root / "class_01" / "set_black"
+        source = next(iter(sorted((data / "test" / "class_01").iterdir())))
+        shutil.copytree(source, set_dir)
+        dataio.write_pgm(set_dir / "zz_black.pgm", np.zeros(FRAME_SHAPE, np.uint8))
+        capsys.readouterr()
+        rc = main(["predict", "--model", str(model), "--set", str(set_dir)])
+        assert rc == 0
+        out = capsys.readouterr().out.splitlines()
+        loaded = dataio.load_model(model)
+        sets, _, _ = dataio.read_imageset_dirs(root)
+        [(sample, _)] = dataio.build_per_set_subspace_dataset(
+            sets, loaded.subspace_dim)
+        label, dists = predict_set(loaded, sample)
+        assert out[0] == f"label={label}"
+        assert [float(line.rsplit("=", 1)[1]) for line in out[1:]] == \
+            dists.tolist()
+
 
 class TestInspect:
     def test_relevance_export(self, workspace, tmp_path):
@@ -282,3 +315,90 @@ class TestInspect:
         mat = np.array([[float(v) for v in line.split(",")]
                         for line in lines[1:]])
         assert np.allclose(mat, mat.T)
+
+
+def _black_frames(directory, count):
+    directory.mkdir(parents=True, exist_ok=True)
+    for i in range(count):
+        dataio.write_pgm(directory / f"frame_{i}.pgm",
+                         np.zeros(FRAME_SHAPE, dtype=np.uint8))
+    return directory
+
+
+def _eval(model, data_root):
+    return ["eval", "--model", str(model), "--data", str(data_root)]
+
+
+def _with_header(data, model, tmp, header):
+    raw = model.read_bytes()
+    bad = tmp / "bad.bin"
+    bad.write_bytes(header + raw[raw.index(b"\n"):])
+    return _eval(bad, data / "test")
+
+
+def _with_manifest(data, model, tmp, text):
+    root = tmp / "tree"
+    shutil.copytree(data / "test", root)
+    (root / "labels.txt").write_text(text)
+    return _eval(model, root)
+
+
+def _train(data, tmp, *flags):
+    return ["train", "--data", str(data / "train"), "--epochs", "1",
+            "--model-out", str(tmp / "m.bin"), *flags]
+
+
+def _with_config(data, tmp, text):
+    config = tmp / "run.conf"
+    config.write_text(text)
+    return _train(data, tmp, "--config", str(config))
+
+
+# case -> (error category, detail fragment, argv from (data, model, tmp dir))
+MALFORMED_INPUTS = {
+    "black-image": ("RankDeficient", "rank 0 < 1", lambda data, model, tmp: [
+        "predict", "--model", str(model), "--image",
+        str(_black_frames(tmp / "img", 1) / "frame_0.pgm")]),
+    "black-set": ("RankDeficient", "rank", lambda data, model, tmp: [
+        "predict", "--model", str(model),
+        "--set", str(_black_frames(tmp / "set", 3))]),
+    "empty-predict-set": ("EmptySet", "no .pgm frames", lambda data, model, tmp: [
+        "predict", "--model", str(model),
+        "--set", str(_black_frames(tmp / "set", 0))]),
+    "header-field-without-equals": (
+        "CorruptModel", "malformed header", lambda data, model, tmp: _with_header(
+            data, model, tmp, b"GRASSLVQ v1 mode=grlgq D=12 d=2 labels=1,2 x")),
+    "header-missing-mode": (
+        "CorruptModel", "malformed header", lambda data, model, tmp: _with_header(
+            data, model, tmp, b"GRASSLVQ v1 D=12 d=2 labels=1,2")),
+    "header-non-integer": (
+        "CorruptModel", "malformed header", lambda data, model, tmp: _with_header(
+            data, model, tmp, b"GRASSLVQ v1 mode=grlgq D=twelve d=2 labels=1,2")),
+    "config-non-numeric": ("ConfigError", "'epochs'", lambda data, model, tmp:
+                           _with_config(data, tmp, "epochs = abc\n")),
+    "d-above-frames": ("InsufficientImages", "set 0 (label 1): 6 frames < d=7",
+                       lambda data, model, tmp: _train(data, tmp, "--d", "7")),
+    "d-below-one": ("ConfigError", "d=0",
+                    lambda data, model, tmp: _train(data, tmp, "--d", "0")),
+    "manifest-one-field": ("ConfigError", "labels.txt:2", lambda data, model, tmp:
+                           _with_manifest(data, model, tmp, "class_01 1\nclass_02\n")),
+    "manifest-non-integer": ("ConfigError", "labels.txt:1", lambda data, model, tmp:
+                             _with_manifest(data, model, tmp, "class_01 one\n")),
+    "class-without-sets": ("EmptySet", "no image-set directories",
+                           lambda data, model, tmp: _eval(
+                               model, _black_frames(tmp / "root" / "c1", 0).parent)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_with_one_error_line(case, workspace, tmp_path,
+                                                   capsys):
+    _, data, model, _ = workspace
+    category, fragment, build = MALFORMED_INPUTS[case]
+    argv = build(data, model, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith(f"error: {category}: "), lines[0]
+    assert fragment in lines[0]

@@ -105,6 +105,18 @@ class TestPgm:
         with pytest.raises(TruncatedFile):
             dataio.read_pgm(path)
 
+    @pytest.mark.parametrize("data, error", [
+        (b"P5\n2 2", TruncatedFile),
+        (b"P5\n2 2\n# comment without end", TruncatedFile),
+        (b"P5\n2 x\n255\n\x00\x01", UnsupportedFormat),
+        (b"P5\n-2 -2\n255\n\x00\x01\x02\x03", UnsupportedFormat),
+    ])
+    def test_malformed_header(self, tmp_path, data, error):
+        path = tmp_path / "h.pgm"
+        path.write_bytes(data)
+        with pytest.raises(error):
+            dataio.read_pgm(path)
+
 
 def build_imageset_fixture(root, classes=2, sets=2, frames=3, shape=(2, 3)):
     rng = np.random.default_rng(0)
@@ -147,6 +159,17 @@ class TestImagesetDirs:
         with pytest.raises(EmptySet):
             dataio.read_imageset_dirs(tmp_path)
 
+    def test_read_set_black_frame_is_zero_column(self, tmp_path):
+        build_imageset_fixture(tmp_path, classes=1, sets=1, frames=2)
+        set_dir = tmp_path / "class1" / "set1"
+        dataio.write_pgm(set_dir / "frame0.pgm", np.zeros((2, 3), np.uint8))
+        X, dims = dataio.read_set(set_dir)
+        assert dims == (2, 3)
+        assert X.shape == (6, 3)
+        # sorted frame order puts the black frame0 first
+        assert np.allclose(np.linalg.norm(X, axis=0), [0.0, 1.0, 1.0],
+                           atol=1e-12)
+
 
 class TestSubspaceDatasets:
     def test_classwise_determinism(self):
@@ -159,7 +182,7 @@ class TestSubspaceDatasets:
         assert len(a) == len(b) == 6
         for (fa, la), (fb, lb) in zip(a, b):
             assert la == lb
-            assert np.array_equal(fa.subspace.basis, fb.subspace.basis)
+            assert np.array_equal(fa.basis, fb.basis)
 
     def test_insufficient_images(self):
         images = np.eye(4)
@@ -178,7 +201,7 @@ class TestSubspaceDatasets:
         frame = np.eye(4)[:, 0]
         X = np.column_stack([frame] * 3)
         dataset = dataio.build_per_set_subspace_dataset([(X, 1)], 1)
-        assert np.allclose(np.abs(dataset[0][0].subspace.basis[:, 0]), frame)
+        assert np.allclose(np.abs(dataset[0][0].basis[:, 0]), frame)
 
 
 class TestModelPersistence:
