@@ -10,6 +10,7 @@ from .manifold import (
     image_contribution,
     orthonormalize_columns,
     pixel_influence,
+    principal_angles_to_stack,
     principal_decomposition,
     single_vector_angle,
     squared_geodesic_distance,
@@ -38,7 +39,7 @@ __all__ = [
     "PrincipalDecomposition", "Subspace", "SubspaceWithFactors",
     "adaptive_squared_distance", "g_matrix_diagonal", "geodesic_distance",
     "image_contribution", "orthonormalize_columns", "pixel_influence",
-    "principal_decomposition", "single_vector_angle",
+    "principal_angles_to_stack", "principal_decomposition", "single_vector_angle",
     "squared_geodesic_distance", "subspace_from_set",
     "ModelState", "Prototype", "SampleOutcome", "TrainConfig",
     "apply_prototype_update", "apply_relevance_update", "evaluate",

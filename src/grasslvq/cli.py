@@ -221,7 +221,7 @@ def cmd_predict(args):
         label, angles = predict_vector(model, vec)
         print(f"label={label}")
         for i, angle in enumerate(angles):
-            print(f"prototype_{i + 1} label={model.prototypes[i].label} "
+            print(f"prototype_{i + 1} label={model.labels[i]} "
                   f"theta1={float(angle)!r}")
         return 0
     if not args.set:
@@ -231,14 +231,13 @@ def cmd_predict(args):
     label, dists = predict_set(model, factors.subspace)
     print(f"label={label}")
     for i, dist in enumerate(dists):
-        print(f"prototype_{i + 1} label={model.prototypes[i].label} "
+        print(f"prototype_{i + 1} label={model.labels[i]} "
               f"distance={float(dist)!r}")
     if args.explain:
         out_dir = args.out_dir or "."
         os.makedirs(out_dir, exist_ok=True)
         winner = int(np.argmin(dists))
-        pd = principal_decomposition(factors.subspace,
-                                     model.prototypes[winner].subspace)
+        pd = principal_decomposition(factors.subspace, model.subspace(winner))
         for k in range(model.subspace_dim):
             dataio.export_pixel_influence(
                 pd, k, width, height,
@@ -258,7 +257,7 @@ def cmd_inspect(args):
     if args.prototype_dir:
         if not args.width or not args.height:
             raise ConfigError("--prototype-dir requires --width and --height")
-        for i in range(len(model.prototypes)):
+        for i in range(len(model.labels)):
             dataio.export_prototype_images(model, i, args.width, args.height,
                                            args.prototype_dir)
     if args.distance_out:
@@ -368,8 +367,9 @@ def main(argv=None) -> int:
     except GrasslvqError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
-        print(f"error: FileNotFound: {exc}", file=sys.stderr)
+    except OSError as exc:
+        category = type(exc).__name__.removesuffix("Error")
+        print(f"error: {category}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -31,12 +31,7 @@ from .errors import (
     UnsupportedFormat,
     VersionMismatch,
 )
-from .manifold import (
-    Subspace,
-    adaptive_squared_distance,
-    principal_decomposition,
-    subspace_from_set,
-)
+from .manifold import Subspace, principal_angles_to_stack, subspace_from_set
 from .model import ModelState, Prototype
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -261,10 +256,10 @@ def save_model(model: ModelState, path) -> None:
     header = (
         f"{MODEL_MAGIC} v{MODEL_VERSION} mode={model.mode} "
         f"D={model.ambient_dim} d={model.subspace_dim} "
-        f"labels={','.join(str(p.label) for p in model.prototypes)}\n"
+        f"labels={','.join(str(label) for label in model.labels)}\n"
     )
-    parts = [p.subspace.basis for p in model.prototypes] + [model.relevance]
-    payload = np.concatenate([a.ravel() for a in parts]).astype("<f8").tobytes()
+    payload = np.concatenate([model.stack.ravel(),
+                              model.relevance]).astype("<f8").tobytes()
     with open(path, "wb") as f:
         f.write(header.encode())
         f.write(struct.pack("<Q", len(payload) // 8))
@@ -332,15 +327,15 @@ def export_prototype_images(model: ModelState, proto_index, width, height, out_d
     The per-image rescaling intervals are documented in a ``rescale.txt``
     sidecar so pixel values can be mapped back.
     """
-    proto = model.prototypes[proto_index]
     if width * height != model.ambient_dim:
-        raise ValueError("width*height must equal the ambient dimension")
+        raise ConfigError(f"width {width} x height {height} = {width * height} "
+                          f"pixels, but the model has D = {model.ambient_dim}")
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "rescale.txt"), "w") as sidecar:
-        sidecar.write(f"prototype {proto_index} label {proto.label}\n")
+        sidecar.write(f"prototype {proto_index} label {model.labels[proto_index]}\n")
         sidecar.write("pixel = min + raw/255 * (max - min)\n")
         for k in range(model.subspace_dim):
-            column = proto.subspace.basis[:, k]
+            column = model.stack[proto_index, :, k]
             img, lo, hi = _rescale_full_range(column)
             name = f"prototype_{proto_index}_vector_{k + 1}.pgm"
             write_pgm(os.path.join(out_dir, name), img.reshape(height, width))
@@ -369,16 +364,19 @@ def export_distance_matrix_csv(model: ModelState, dataset, path) -> None:
     the header names each column. External embedding tools (e.g. t-SNE)
     consume this matrix directly.
     """
-    subspaces = [s for s, _ in dataset]
-    names = [f"sample_{i + 1}" for i in range(len(subspaces))]
-    subspaces += [p.subspace for p in model.prototypes]
-    names += [f"prototype_{i + 1}" for i in range(len(model.prototypes))]
-    n = len(subspaces)
+    shape = model.stack.shape[1:]
+    for i, (s, _) in enumerate(dataset):
+        if s.basis.shape != shape:
+            raise InconsistentDims(f"sample {i + 1}: basis shape {s.basis.shape} "
+                                   f"differs from the prototypes' {shape}")
+    bases = np.array([s.basis for s, _ in dataset] + list(model.stack))
+    names = ([f"sample_{i + 1}" for i in range(len(dataset))]
+             + [f"prototype_{i + 1}" for i in range(len(model.labels))])
+    n = len(bases)
     dist = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            pd = principal_decomposition(subspaces[i], subspaces[j])
-            dist[i, j] = dist[j, i] = adaptive_squared_distance(pd, model.relevance)
+    for i in range(n - 1):
+        row = principal_angles_to_stack(bases[i], bases[i + 1:]) ** 2 @ model.relevance
+        dist[i, i + 1:] = dist[i + 1:, i] = row
     with open(path, "w") as f:
         f.write(",".join(names) + "\n")
         for row in dist:

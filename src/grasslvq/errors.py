@@ -46,7 +46,8 @@ class CountMismatch(GrasslvqError):
 
 
 class InconsistentDims(GrasslvqError):
-    """Frames within one image set have different pixel dimensions."""
+    """Pixel dimensions disagree: between the frames of one image set, between
+    image sets, or between the data and the model's ambient dimension D."""
 
 
 class EmptySet(GrasslvqError):

@@ -10,7 +10,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InsufficientImages, RankDeficient, SingularFactor
+from .errors import (
+    ConfigError,
+    InconsistentDims,
+    InsufficientImages,
+    RankDeficient,
+    SingularFactor,
+)
 
 ORTHO_TOL = 1e-8
 RANK_TOL = 1e-12
@@ -185,17 +191,46 @@ def adaptive_squared_distance(pd: PrincipalDecomposition, weights) -> float:
     return float(np.sum(weights * pd.angles ** 2))
 
 
+def principal_angles_to_stack(basis, stack) -> np.ndarray:
+    """Principal angles between span(basis) and every subspace of a stack.
+
+    ``basis`` is a D x k orthonormal matrix, or a length-D unit vector (k = 1),
+    which is checked to be finite and of unit norm; ``stack`` is a (P, D, d)
+    array of orthonormal bases. All P products basis^T W_p come from one
+    batched matmul. Returns a (P, min(k, d)) array of ascending angles.
+
+    For k > 1 the cosines are singular values only (no singular vectors) and
+    the angles their arccosines. arccos is ill-conditioned near 1, but theta^2
+    is not: d(theta^2)/dc -> -2 as theta -> 0, so squared angles, and every
+    distance built from them, are accurate to about 2 eps each. For k = 1 the
+    cosine is the norm of the coefficient vector c, and where it exceeds 0.9
+    the angle comes from the projection residual, arcsin ||x - W c||, which
+    keeps small angles accurate too. Raises InconsistentDims when D differs.
+    """
+    basis = np.asarray(basis, dtype=np.float64)
+    if basis.ndim == 1:
+        basis = _as_f64(basis)
+        if abs(np.linalg.norm(basis) - 1.0) > 1e-8:
+            raise ValueError("x must be a unit vector")
+    if basis.shape[0] != stack.shape[1]:
+        raise InconsistentDims(
+            f"sample has D = {basis.shape[0]} pixels, prototypes have "
+            f"D = {stack.shape[1]}")
+    if basis.ndim == 1:
+        coeffs = basis @ stack  # (P, d)
+        cosines = np.linalg.norm(coeffs, axis=1)
+        angles = np.arccos(np.minimum(cosines, 1.0))
+        for p in np.flatnonzero(cosines > 0.9):
+            residual = np.linalg.norm(basis - stack[p] @ coeffs[p])
+            angles[p] = np.arcsin(min(residual, 1.0))
+        return angles[:, None]
+    cosines = np.linalg.svd(basis.T @ stack, compute_uv=False)
+    return np.arccos(np.clip(cosines, 0.0, 1.0))
+
+
 def single_vector_angle(x, w: Subspace) -> float:
     """First principal angle between span{x} (x a unit vector) and span(W)."""
-    x = _as_f64(x)
-    if abs(np.linalg.norm(x) - 1.0) > 1e-8:
-        raise ValueError("x must be a unit vector")
-    coeffs = w.basis.T @ x
-    c = np.linalg.norm(coeffs)
-    if c > 0.9:  # arccos loses precision near 1; use the projection residual
-        s = min(np.linalg.norm(x - w.basis @ coeffs), 1.0)
-        return float(np.arcsin(s))
-    return float(np.arccos(min(c, 1.0)))
+    return float(principal_angles_to_stack(x, w.basis[None])[0, 0])
 
 
 def g_matrix_diagonal(pd: PrincipalDecomposition, weights) -> np.ndarray:

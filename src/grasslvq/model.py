@@ -29,8 +29,8 @@ from .manifold import (
     adaptive_squared_distance,
     g_matrix_diagonal,
     orthonormalize_columns,
+    principal_angles_to_stack,
     principal_decomposition,
-    single_vector_angle,
     subspace_from_set,
 )
 
@@ -38,39 +38,59 @@ MODES = ("glgq", "grlgq")
 DEGENERATE_EPS = 1e-15
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Prototype:
     subspace: Subspace
     label: int
 
 
-@dataclass(eq=False)
 class ModelState:
-    """Labeled prototype subspaces plus the relevance vector."""
+    """Labeled prototype subspaces plus the relevance vector.
 
-    prototypes: list[Prototype]
-    relevance: np.ndarray
-    mode: str
-    subspace_dim: int
-    ambient_dim: int
+    The prototypes are stored in one (P, D, d) array, ``stack``, beside an
+    integer ``labels`` vector; that array is the only copy. ``prototypes``
+    returns Prototype items built on read-only views of it, so they follow
+    later training steps; assigning a list to ``prototypes`` copies it into a
+    new array.
+    """
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise ConfigError(f"unknown mode {self.mode!r}")
-        self.relevance = np.asarray(self.relevance, dtype=np.float64)
-        if self.relevance.shape != (self.subspace_dim,):
+    def __init__(self, prototypes: list[Prototype], relevance, mode: str,
+                 subspace_dim: int, ambient_dim: int):
+        if mode not in MODES:
+            raise ConfigError(f"unknown mode {mode!r}")
+        self.mode = mode
+        self.subspace_dim = subspace_dim
+        self.ambient_dim = ambient_dim
+        self.relevance = np.asarray(relevance, dtype=np.float64)
+        if self.relevance.shape != (subspace_dim,):
             raise ConfigError("relevance length must equal the subspace dimension")
         if np.any(self.relevance < 0):
             raise ConfigError("relevance weights must be nonnegative")
-        if self.mode == "glgq" and not np.all(self.relevance == 1.0):
+        if mode == "glgq" and not np.all(self.relevance == 1.0):
             raise ConfigError("glgq mode fixes the relevance vector at all-ones")
-        for p in self.prototypes:
-            if p.subspace.ambient_dim != self.ambient_dim or p.subspace.dim != self.subspace_dim:
-                raise ConfigError("prototype shape inconsistent with model dims")
+        self.prototypes = prototypes
 
     @property
-    def labels(self) -> list[int]:
-        return [p.label for p in self.prototypes]
+    def prototypes(self) -> list[Prototype]:
+        return [Prototype(self.subspace(i), int(label))
+                for i, label in enumerate(self.labels)]
+
+    @prototypes.setter
+    def prototypes(self, prototypes: list[Prototype]) -> None:
+        shape = (self.ambient_dim, self.subspace_dim)
+        stack = np.empty((len(prototypes), *shape))
+        for i, p in enumerate(prototypes):
+            if p.subspace.basis.shape != shape:
+                raise ConfigError("prototype shape inconsistent with model dims")
+            stack[i] = p.subspace.basis
+        self.stack = stack
+        self.labels = np.array([p.label for p in prototypes], dtype=np.int64)
+        self._readonly = stack.view()
+        self._readonly.flags.writeable = False
+
+    def subspace(self, index: int) -> Subspace:
+        """Prototype ``index`` as a Subspace on a read-only view of the stack."""
+        return Subspace(self._readonly[index])
 
 
 @dataclass
@@ -111,27 +131,35 @@ class SampleOutcome:
     pd_minus: PrincipalDecomposition
 
 
+def _squared_distances(model: ModelState, sample: Subspace) -> np.ndarray:
+    """Relevance-weighted squared distances from a sample to every prototype,
+    from one call of the batched kernel (accurate to about 1e-12 absolute)."""
+    if sample.dim != model.subspace_dim:
+        raise ValueError(f"sample has d = {sample.dim}, model has "
+                         f"d = {model.subspace_dim}")
+    return principal_angles_to_stack(sample.basis, model.stack) ** 2 @ model.relevance
+
+
 def find_winners(model: ModelState, sample: Subspace, label: int) -> SampleOutcome:
     """Closest same-label and closest different-label prototypes to the sample.
 
-    Distances are relevance-weighted squared distances; ties break to the
-    lowest prototype index.
+    All prototypes are ranked by the kernel's relevance-weighted squared
+    distances; ties break to the lowest prototype index. Only the two winners
+    get a full principal_decomposition, which gives d+, d-, mu and the
+    gradients.
     """
-    best_same = best_other = -1
-    d_same = d_other = np.inf
-    pd_same = pd_other = None
-    for idx, proto in enumerate(model.prototypes):
-        pd = principal_decomposition(sample, proto.subspace)
-        dist = adaptive_squared_distance(pd, model.relevance)
-        if proto.label == label:
-            if dist < d_same:
-                best_same, d_same, pd_same = idx, dist, pd
-        elif dist < d_other:
-            best_other, d_other, pd_other = idx, dist, pd
-    if best_same < 0:
+    dists = _squared_distances(model, sample)
+    same = model.labels == label
+    if not same.any():
         raise MissingClassPrototype(f"no prototype with label {label}")
-    if best_other < 0:
+    if same.all():
         raise MissingClassPrototype(f"no prototype with label != {label}")
+    best_same, best_other = (int(np.flatnonzero(mask)[np.argmin(dists[mask])])
+                             for mask in (same, ~same))
+    pd_same = principal_decomposition(sample, model.subspace(best_same))
+    pd_other = principal_decomposition(sample, model.subspace(best_other))
+    d_same = adaptive_squared_distance(pd_same, model.relevance)
+    d_other = adaptive_squared_distance(pd_other, model.relevance)
     denom = d_same + d_other
     mu = (d_same - d_other) / denom if denom >= DEGENERATE_EPS else np.nan
     return SampleOutcome(best_same, best_other, d_same, d_other, mu, pd_same, pd_other)
@@ -191,7 +219,7 @@ def apply_prototype_update(model: ModelState, outcome: SampleOutcome, eta: float
             )
         pd = outcome.pd_plus if which == "plus" else outcome.pd_minus
         updated = pd.principal_right - eta * grad
-        model.prototypes[idx].subspace = orthonormalize_columns(updated)
+        model.stack[idx] = orthonormalize_columns(updated).basis
 
 
 def apply_relevance_update(model: ModelState, grad, gamma: float) -> np.ndarray:
@@ -305,18 +333,14 @@ def fit(dataset, config: TrainConfig, init: str = "random",
 
 def predict_set(model: ModelState, sample: Subspace):
     """Nearest-prototype label for a subspace, plus distances to all prototypes."""
-    dists = np.array([
-        adaptive_squared_distance(principal_decomposition(sample, p.subspace),
-                                  model.relevance)
-        for p in model.prototypes
-    ])
-    return model.prototypes[int(np.argmin(dists))].label, dists
+    dists = _squared_distances(model, sample)
+    return int(model.labels[np.argmin(dists)]), dists
 
 
 def predict_vector(model: ModelState, x):
     """Nearest-prototype label for a single unit vector via the first principal angle."""
-    angles = np.array([single_vector_angle(x, p.subspace) for p in model.prototypes])
-    return model.prototypes[int(np.argmin(angles))].label, angles
+    angles = principal_angles_to_stack(x, model.stack)[:, 0]
+    return int(model.labels[np.argmin(angles)]), angles
 
 
 def evaluate(model: ModelState, dataset, kind: str = "sets"):
@@ -326,7 +350,7 @@ def evaluate(model: ModelState, dataset, kind: str = "sets"):
     ("vectors"); labels index the confusion matrix in sorted order of the
     union of dataset and prototype labels.
     """
-    labels = sorted(set(model.labels) | {int(y) for _, y in dataset})
+    labels = sorted(set(model.labels.tolist()) | {int(y) for _, y in dataset})
     index = {lab: i for i, lab in enumerate(labels)}
     confusion = np.zeros((len(labels), len(labels)), dtype=np.int64)
     for sample, y in dataset:

@@ -325,6 +325,16 @@ def _black_frames(directory, count):
     return directory
 
 
+def _small_frames(directory, count):
+    """Frames of 3x3 = 9 pixels, against the workspace model's D = 12."""
+    directory.mkdir(parents=True, exist_ok=True)
+    rng = np.random.default_rng(0)
+    for i in range(count):
+        dataio.write_pgm(directory / f"frame_{i}.pgm",
+                         rng.integers(1, 256, (3, 3), dtype=np.uint8))
+    return directory
+
+
 def _eval(model, data_root):
     return ["eval", "--model", str(model), "--data", str(data_root)]
 
@@ -384,6 +394,27 @@ MALFORMED_INPUTS = {
                            _with_manifest(data, model, tmp, "class_01 1\nclass_02\n")),
     "manifest-non-integer": ("ConfigError", "labels.txt:1", lambda data, model, tmp:
                              _with_manifest(data, model, tmp, "class_01 one\n")),
+    "image-size-vs-model": (
+        "InconsistentDims", "D = 9 pixels, prototypes have D = 12",
+        lambda data, model, tmp: [
+            "predict", "--model", str(model), "--image",
+            str(_small_frames(tmp / "img", 1) / "frame_0.pgm")]),
+    "set-size-vs-model": (
+        "InconsistentDims", "D = 9 pixels, prototypes have D = 12",
+        lambda data, model, tmp: [
+            "predict", "--model", str(model),
+            "--set", str(_small_frames(tmp / "set", 4))]),
+    "eval-size-vs-model": (
+        "InconsistentDims", "D = 9 pixels, prototypes have D = 12",
+        lambda data, model, tmp: _eval(
+            model, _small_frames(tmp / "root" / "c1" / "s1", 4).parent.parent)),
+    "prototype-image-size": (
+        "ConfigError", "width 5 x height 5 = 25 pixels, but the model has D = 12",
+        lambda data, model, tmp: [
+            "inspect", "--model", str(model), "--prototype-dir",
+            str(tmp / "protos"), "--width", "5", "--height", "5"]),
+    "data-is-a-file": ("NotADirectory", "model.bin",
+                       lambda data, model, tmp: _eval(model, model)),
     "class-without-sets": ("EmptySet", "no image-set directories",
                            lambda data, model, tmp: _eval(
                                model, _black_frames(tmp / "root" / "c1", 0).parent)),

@@ -9,12 +9,13 @@ from grasslvq import (
     image_contribution,
     orthonormalize_columns,
     pixel_influence,
+    principal_angles_to_stack,
     principal_decomposition,
     single_vector_angle,
     squared_geodesic_distance,
     subspace_from_set,
 )
-from grasslvq.errors import RankDeficient, SingularFactor
+from grasslvq.errors import InconsistentDims, RankDeficient, SingularFactor
 from helpers import pair_with_angles, random_orthogonal, random_subspace
 
 
@@ -234,6 +235,59 @@ class TestSingleVectorAngle:
             best = np.max(c1 * np.cos(beta) + c2 * np.sin(beta))
             oracle = np.arccos(np.clip(best, 0.0, 1.0))
             assert abs(single_vector_angle(x, w) - oracle) < 1e-3
+
+
+class TestPrincipalAnglesToStack:
+    @pytest.mark.parametrize("d", [1, 2, 12, 25])
+    def test_squared_distances_match_decomposition(self, d):
+        # prototypes around one sample span(A): generic ones, near-identical
+        # ones rotated towards span(B) by 1e-12 .. 1e-3 rad, and span(B) itself
+        rng = np.random.default_rng(40 + d)
+        D = 2 * d + 3
+        frame = random_subspace(rng, D, 2 * d).basis
+        a, b = frame[:, :d], frame[:, d:]
+        protos = [random_subspace(rng, D, d).basis for _ in range(3)]
+        for scale in (1e-12, 1e-10, 1e-8, 1e-6, 1e-4, 1e-3):
+            angles = scale * rng.uniform(0.5, 1.0, d)
+            protos.append((a * np.cos(angles) + b * np.sin(angles))
+                          @ random_orthogonal(rng, d))
+        protos.append(b @ random_orthogonal(rng, d))
+        weights = rng.dirichlet(np.ones(d))
+        sample = Subspace(a)
+        kernel = principal_angles_to_stack(a, np.array(protos)) ** 2 @ weights
+        reference = [adaptive_squared_distance(
+            principal_decomposition(sample, Subspace(w)), weights) for w in protos]
+        assert np.max(np.abs(kernel - reference)) < 1e-12
+
+    def test_shape_and_order(self):
+        rng = np.random.default_rng(50)
+        stack = np.array([random_subspace(rng, 9, 3).basis for _ in range(4)])
+        angles = principal_angles_to_stack(random_subspace(rng, 9, 2).basis, stack)
+        assert angles.shape == (4, 2)
+        assert np.all(np.diff(angles, axis=1) >= 0)
+
+    def test_in_span_vector_is_refined(self):
+        # bare arccos of a cosine that rounds just below 1 gives ~1.5e-8
+        rng = np.random.default_rng(51)
+        stack = np.array([random_subspace(rng, 50, 4).basis for _ in range(3)])
+        for _ in range(20):
+            x = stack[1] @ rng.standard_normal(4)
+            angles = principal_angles_to_stack(x / np.linalg.norm(x), stack)
+            assert angles.shape == (3, 1)
+            assert angles[1, 0] < 1e-12
+
+    def test_ambient_dimension_mismatch(self):
+        rng = np.random.default_rng(52)
+        stack = np.array([random_subspace(rng, 12, 2).basis])
+        with pytest.raises(InconsistentDims, match="D = 9.*D = 12"):
+            principal_angles_to_stack(random_subspace(rng, 9, 2).basis, stack)
+        with pytest.raises(InconsistentDims, match="D = 9.*D = 12"):
+            principal_angles_to_stack(e(0, 9), stack)
+
+    def test_vector_must_be_unit(self):
+        stack = np.eye(4)[None, :, :2]
+        with pytest.raises(ValueError):
+            principal_angles_to_stack(2 * e(0, 4), stack)
 
 
 class TestGMatrix:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from grasslvq import (
     Prototype,
     Subspace,
     TrainConfig,
+    adaptive_squared_distance,
     apply_prototype_update,
     apply_relevance_update,
     evaluate,
@@ -72,6 +75,68 @@ class TestFindWinners:
             find_winners(model, random_subspace(rng, 6, 2), 1)
         with pytest.raises(MissingClassPrototype):
             find_winners(model, random_subspace(rng, 6, 2), 9)
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_same_winners_as_brute_force(self, d):
+        rng = np.random.default_rng(30 + d)
+        for _ in range(5):
+            protos = [Prototype(random_subspace(rng, 9, d), 1 + i % 3)
+                      for i in range(7)]
+            protos.append(Prototype(protos[4].subspace, protos[4].label))
+            relevance = rng.dirichlet(np.ones(d))
+            model = ModelState(protos, relevance, "grlgq", d, 9)
+            samples = [random_subspace(rng, 9, d), protos[4].subspace]
+            for sample in samples:
+                dists = [adaptive_squared_distance(
+                    principal_decomposition(sample, p.subspace), relevance)
+                    for p in protos]
+                for label in (1, 2, 3):
+                    same = min((dist, i) for i, dist in enumerate(dists)
+                               if protos[i].label == label)
+                    other = min((dist, i) for i, dist in enumerate(dists)
+                                if protos[i].label != label)
+                    out = find_winners(model, sample, label)
+                    assert (out.winner_same, out.winner_other) == (same[1], other[1])
+                    assert abs(out.d_plus - same[0]) < 1e-12
+                    assert abs(out.d_minus - other[0]) < 1e-12
+
+
+class TestPrototypeStorage:
+    def test_views_follow_train_step(self):
+        rng = np.random.default_rng(40)
+        model = two_class_model(rng, 8, 3, mode="grlgq")
+        config = TrainConfig(eta=0.05, gamma=1e-3, epochs=1, seed=0, mode="grlgq")
+        before = model.stack.copy()
+        train_step(model, random_subspace(rng, 8, 3), 1, config)
+        assert not np.array_equal(before, model.stack)
+        for i, p in enumerate(model.prototypes):
+            b = p.subspace.basis
+            assert np.array_equal(b, model.stack[i])
+            assert np.max(np.abs(b.T @ b - np.eye(3))) < 1e-10
+
+    def test_views_are_read_only(self):
+        rng = np.random.default_rng(41)
+        model = two_class_model(rng, 8, 2)
+        proto = model.prototypes[0]
+        with pytest.raises(ValueError):
+            proto.subspace.basis[0, 0] = 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            proto.subspace = random_subspace(rng, 8, 2)
+
+    def test_constructor_copies(self):
+        rng = np.random.default_rng(42)
+        protos = [Prototype(random_subspace(rng, 8, 2), 1),
+                  Prototype(random_subspace(rng, 8, 2), 2)]
+        model = ModelState(protos, np.ones(2), "glgq", 2, 8)
+        model.stack[0] = random_subspace(rng, 8, 2).basis
+        assert not np.array_equal(protos[0].subspace.basis, model.stack[0])
+        assert model.labels.tolist() == [1, 2]
+
+    def test_wrong_shape_rejected(self):
+        rng = np.random.default_rng(43)
+        with pytest.raises(ConfigError):
+            ModelState([Prototype(random_subspace(rng, 8, 3), 1)],
+                       np.ones(2), "glgq", 2, 8)
 
 
 class TestSampleCost:
