@@ -327,7 +327,7 @@ def export_prototype_images(model: ModelState, proto_index, width, height, out_d
     The per-image rescaling intervals are documented in a ``rescale.txt``
     sidecar so pixel values can be mapped back.
     """
-    if width * height != model.ambient_dim:
+    if width <= 0 or height <= 0 or width * height != model.ambient_dim:
         raise ConfigError(f"width {width} x height {height} = {width * height} "
                           f"pixels, but the model has D = {model.ambient_dim}")
     os.makedirs(out_dir, exist_ok=True)
@@ -369,14 +369,23 @@ def export_distance_matrix_csv(model: ModelState, dataset, path) -> None:
         if s.basis.shape != shape:
             raise InconsistentDims(f"sample {i + 1}: basis shape {s.basis.shape} "
                                    f"differs from the prototypes' {shape}")
-    bases = np.array([s.basis for s, _ in dataset] + list(model.stack))
+
+    def squared(basis, stack):
+        return principal_angles_to_stack(basis, stack) ** 2 @ model.relevance
+
     names = ([f"sample_{i + 1}" for i in range(len(dataset))]
              + [f"prototype_{i + 1}" for i in range(len(model.labels))])
-    n = len(bases)
+    # the samples are compared one pair at a time and the prototypes in one
+    # call per row, so no copy of the dataset is built
+    samples = [s.basis for s, _ in dataset]
+    n, n_samples = len(names), len(samples)
     dist = np.zeros((n, n))
-    for i in range(n - 1):
-        row = principal_angles_to_stack(bases[i], bases[i + 1:]) ** 2 @ model.relevance
-        dist[i, i + 1:] = dist[i + 1:, i] = row
+    for i, basis in enumerate((samples + list(model.stack))[:-1]):
+        for j in range(i + 1, n_samples):
+            dist[i, j] = squared(basis, samples[j][None])[0]
+        first = max(i + 1, n_samples)
+        dist[i, first:] = squared(basis, model.stack[first - n_samples:])
+    dist += dist.T
     with open(path, "w") as f:
         f.write(",".join(names) + "\n")
         for row in dist:

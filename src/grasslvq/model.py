@@ -49,9 +49,9 @@ class ModelState:
 
     The prototypes are stored in one (P, D, d) array, ``stack``, beside an
     integer ``labels`` vector; that array is the only copy. ``prototypes``
-    returns Prototype items built on read-only views of it, so they follow
-    later training steps; assigning a list to ``prototypes`` copies it into a
-    new array.
+    returns Prototype items built on read-only views of it, so the items
+    change when the model trains; a caller who needs a snapshot must copy
+    the bases. Assigning a list to ``prototypes`` copies it into a new array.
     """
 
     def __init__(self, prototypes: list[Prototype], relevance, mode: str,
@@ -85,12 +85,12 @@ class ModelState:
             stack[i] = p.subspace.basis
         self.stack = stack
         self.labels = np.array([p.label for p in prototypes], dtype=np.int64)
-        self._readonly = stack.view()
-        self._readonly.flags.writeable = False
 
     def subspace(self, index: int) -> Subspace:
         """Prototype ``index`` as a Subspace on a read-only view of the stack."""
-        return Subspace(self._readonly[index])
+        view = self.stack[index].view()
+        view.flags.writeable = False
+        return Subspace(view)
 
 
 @dataclass

@@ -413,6 +413,11 @@ MALFORMED_INPUTS = {
         lambda data, model, tmp: [
             "inspect", "--model", str(model), "--prototype-dir",
             str(tmp / "protos"), "--width", "5", "--height", "5"]),
+    "prototype-image-negative-size": (
+        "ConfigError", "width -3 x height -4 = 12 pixels, but the model has D = 12",
+        lambda data, model, tmp: [
+            "inspect", "--model", str(model), "--prototype-dir",
+            str(tmp / "protos"), "--width", "-3", "--height", "-4"]),
     "data-is-a-file": ("NotADirectory", "model.bin",
                        lambda data, model, tmp: _eval(model, model)),
     "class-without-sets": ("EmptySet", "no image-set directories",

@@ -16,6 +16,7 @@ from grasslvq.errors import (
     UnsupportedFormat,
     VersionMismatch,
 )
+from grasslvq.manifold import adaptive_squared_distance, principal_decomposition
 from grasslvq.model import TrainConfig, evaluate, fit
 from helpers import random_subspace, synthetic_subspace_dataset, two_class_model
 
@@ -286,6 +287,12 @@ class TestExporters:
         assert mat.shape == (5, 5)
         assert np.allclose(np.diag(mat), 0.0)
         assert np.max(np.abs(mat - mat.T)) < 1e-10
+        items = [s for s, _ in dataset] + [p.subspace for p in model.prototypes]
+        for i, a in enumerate(items):
+            for j, b in enumerate(items):
+                expected = adaptive_squared_distance(principal_decomposition(a, b),
+                                                     model.relevance)
+                assert abs(mat[i, j] - expected) < 1e-12
 
     def test_prototype_images(self, tmp_path):
         rng = np.random.default_rng(5)

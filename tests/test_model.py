@@ -196,7 +196,8 @@ class TestPrototypeUpdate:
     def test_eta_zero_keeps_span(self):
         rng = np.random.default_rng(8)
         model = two_class_model(rng, 8, 2)
-        before = [p.subspace for p in model.prototypes]
+        # the items of model.prototypes are views that follow training
+        before = [Subspace(p.subspace.basis.copy()) for p in model.prototypes]
         sample = random_subspace(rng, 8, 2)
         out = find_winners(model, sample, 1)
         apply_prototype_update(model, out, 0.0)
