@@ -92,7 +92,12 @@ def _resolve_train_config(args):
 
 
 def _load_training_data(args, cfg):
-    """Returns (dataset, class_matrices or None, eval_kind)."""
+    """Returns (dataset, class_matrices or None).
+
+    The per-class image matrices copy every training image, so they are
+    built only for the ``pca`` init, the one that reads them.
+    """
+    pca = cfg["init"] == "pca"
     if cfg["task"] == "idx":
         if not args.images or not args.labels:
             raise ConfigError("idx task requires --images and --labels")
@@ -101,17 +106,18 @@ def _load_training_data(args, cfg):
         sets_per_class = cfg["sets_per_class"] or 50
         dataset = dataio.build_classwise_subspace_dataset(
             images, labels, cfg["d"], m, sets_per_class, cfg["seed"])
-        matrices = dataio.class_image_matrices(images, labels)
-        return dataset, matrices, "vectors"
+        matrices = dataio.class_image_matrices(images, labels) if pca else None
+        return dataset, matrices
     if not args.data:
         raise ConfigError("sets task requires --data <imageset root>")
     sets, _, _ = dataio.read_imageset_dirs(args.data)
     dataset = dataio.build_per_set_subspace_dataset(sets, cfg["d"])
-    matrices = {}
+    if not pca:
+        return dataset, None
+    grouped = {}
     for X, label in sets:
-        matrices.setdefault(label, []).append(X)
-    matrices = {lab: np.hstack(xs) for lab, xs in matrices.items()}
-    return dataset, matrices, "sets"
+        grouped.setdefault(label, []).append(X)
+    return dataset, {lab: np.hstack(xs) for lab, xs in grouped.items()}
 
 
 def _cross_validate(dataset, train_config, cfg, folds, repeats, class_matrices):
@@ -146,7 +152,7 @@ def cmd_train(args):
     train_config = TrainConfig(eta=cfg["eta"], gamma=cfg["gamma"],
                                epochs=cfg["epochs"], seed=cfg["seed"],
                                mode=cfg["mode"])
-    dataset, class_matrices, _ = _load_training_data(args, cfg)
+    dataset, class_matrices = _load_training_data(args, cfg)
     if args.folds:
         accs = _cross_validate(dataset, train_config, cfg, args.folds,
                                args.repeats or 1, class_matrices)
@@ -192,6 +198,10 @@ def _load_model(path):
 def _eval_dataset(args, model):
     if args.images and args.labels:
         images, labels, _, _ = dataio.read_idx_dataset(args.images, args.labels)
+        black = np.flatnonzero(~images.any(axis=1))
+        if black.size:
+            raise RankDeficient(f"{args.images}: image {black[0]} is all black "
+                                "(rank 0 < 1)")
         return list(zip(images, labels)), "vectors"
     if not args.data:
         raise ConfigError("eval requires --data or --images/--labels")

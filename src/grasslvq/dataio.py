@@ -296,12 +296,14 @@ def load_model(path) -> ModelState:
     values = np.frombuffer(payload, dtype="<f8")
     if count != len(labels) * D * d + d:
         raise CorruptModel(f"{path}: payload size inconsistent with header")
-    protos = []
-    for i, label in enumerate(labels):
-        basis = values[i * D * d:(i + 1) * D * d].reshape(D, d)
-        protos.append(Prototype(Subspace(basis), label))
-    relevance = values[len(labels) * D * d:].copy()
-    return ModelState(protos, relevance, mode, d, D)
+    stack = values[:len(labels) * D * d].reshape(len(labels), D, d)
+    try:
+        protos = [Prototype(Subspace(basis), label)
+                  for basis, label in zip(stack, labels)]
+        return ModelState(protos, values[len(labels) * D * d:].copy(), mode, d, D)
+    except (ValueError, ConfigError) as exc:
+        # the checksum matched, so the writer stored an invalid model
+        raise CorruptModel(f"{path}: invalid model: {exc}") from None
 
 
 # ---------------------------------------------------------------- exporters

@@ -191,41 +191,70 @@ def adaptive_squared_distance(pd: PrincipalDecomposition, weights) -> float:
     return float(np.sum(weights * pd.angles ** 2))
 
 
-def principal_angles_to_stack(basis, stack) -> np.ndarray:
-    """Principal angles between span(basis) and every subspace of a stack.
+def principal_angles_to_stack(bases, stack) -> np.ndarray:
+    """Principal angles between each sample subspace and every subspace of a stack.
 
-    ``basis`` is a D x k orthonormal matrix, or a length-D unit vector (k = 1),
-    which is checked to be finite and of unit norm; ``stack`` is a (P, D, d)
-    array of orthonormal bases. All P products basis^T W_p come from one
-    batched matmul. Returns a (P, min(k, d)) array of ascending angles.
+    ``bases`` is one sample, a D x k orthonormal matrix or a length-D unit
+    vector (a D x 1 basis), or a (B, D, k) block of B samples; ``stack`` is a
+    (P, D, d) array of orthonormal bases. All B x P products basis^T W_p come
+    from one batched matmul. Returns ascending angles, (P, min(k, d)) for one
+    sample and (B, P, min(k, d)) for a block.
 
     For k > 1 the cosines are singular values only (no singular vectors) and
     the angles their arccosines. arccos is ill-conditioned near 1, but theta^2
     is not: d(theta^2)/dc -> -2 as theta -> 0, so squared angles, and every
-    distance built from them, are accurate to about 2 eps each. For k = 1 the
-    cosine is the norm of the coefficient vector c, and where it exceeds 0.9
-    the angle comes from the projection residual, arcsin ||x - W c||, which
-    keeps small angles accurate too. Raises InconsistentDims when D differs.
+    distance built from them, are accurate to about 2 eps each. For k = 1
+    every column is checked to be finite and of unit norm; the cosine is the
+    norm of the coefficient vector c, and where it exceeds 0.9 the angle comes
+    from the projection residual, arcsin ||x - W c||, which keeps small angles
+    accurate too. Raises InconsistentDims when D differs.
     """
-    basis = np.asarray(basis, dtype=np.float64)
-    if basis.ndim == 1:
-        basis = _as_f64(basis)
-        if abs(np.linalg.norm(basis) - 1.0) > 1e-8:
-            raise ValueError("x must be a unit vector")
-    if basis.shape[0] != stack.shape[1]:
+    bases = np.asarray(bases, dtype=np.float64)
+    block = bases.ndim == 3
+    if not block:
+        bases = bases.reshape(1, bases.shape[0], -1)
+    if bases.shape[1] != stack.shape[1]:
         raise InconsistentDims(
-            f"sample has D = {basis.shape[0]} pixels, prototypes have "
+            f"sample has D = {bases.shape[1]} pixels, prototypes have "
             f"D = {stack.shape[1]}")
-    if basis.ndim == 1:
-        coeffs = basis @ stack  # (P, d)
-        cosines = np.linalg.norm(coeffs, axis=1)
-        angles = np.arccos(np.minimum(cosines, 1.0))
-        for p in np.flatnonzero(cosines > 0.9):
-            residual = np.linalg.norm(basis - stack[p] @ coeffs[p])
-            angles[p] = np.arcsin(min(residual, 1.0))
-        return angles[:, None]
-    cosines = np.linalg.svd(basis.T @ stack, compute_uv=False)
-    return np.arccos(np.clip(cosines, 0.0, 1.0))
+    if bases.shape[2] == 1:
+        angles = _vector_angles(bases[:, :, 0], stack)[:, :, None]
+    else:
+        products = np.matmul(bases.transpose(0, 2, 1)[:, None], stack)
+        cosines = np.linalg.svd(products, compute_uv=False)
+        angles = np.arccos(np.clip(cosines, 0.0, 1.0))
+    return angles if block else angles[0]
+
+
+def _vector_angles(x, stack) -> np.ndarray:
+    """(B, P) angles between the unit rows of x (B, D) and a (P, D, d) stack.
+
+    The small-angle refinement runs once per prototype, over all its flagged
+    rows at once.
+    """
+    if not np.abs(np.linalg.norm(x, axis=1) - 1.0).max(initial=0.0) <= 1e-8:
+        # a NaN or infinite entry fails the norm test too
+        if not np.all(np.isfinite(x)):
+            raise ValueError("non-finite entries")
+        raise ValueError("x must be a unit vector")
+    if len(x) == 1:
+        coeffs = np.matmul(x, stack).transpose(1, 0, 2)  # (1, P, d)
+    else:
+        # one GEMM against the stack laid out as D x (P d): twice as fast as
+        # P products for a block, but the layout copy costs more than one row
+        P, D, d = stack.shape
+        coeffs = (x @ stack.transpose(1, 0, 2).reshape(D, P * d)).reshape(-1, P, d)
+    cosines = np.linalg.norm(coeffs, axis=2)
+    angles = np.arccos(np.minimum(cosines, 1.0))
+    flagged = cosines > 0.9
+    if not flagged.any():  # the common case; skips the per-prototype scan
+        return angles
+    for p in np.flatnonzero(flagged.any(axis=0)):
+        rows = flagged[:, p]
+        residual = x[rows] - coeffs[rows, p] @ stack[p].T
+        sines = np.sqrt(np.einsum("ij,ij->i", residual, residual))
+        angles[rows, p] = np.arcsin(np.minimum(sines, 1.0))
+    return angles
 
 
 def single_vector_angle(x, w: Subspace) -> float:

@@ -1,5 +1,7 @@
 """Shared construction helpers for the test suite."""
 
+import struct
+
 import numpy as np
 
 from grasslvq import (
@@ -80,3 +82,18 @@ def synthetic_subspace_dataset(rng, classes=3, D=20, d=3, per_class=10,
                 center + noise * rng.standard_normal((D, d)))
             dataset.append((sample, c + 1))
     return dataset
+
+
+def write_idx_images(path, arrays):
+    n = len(arrays)
+    rows, cols = arrays[0].shape
+    with open(path, "wb") as f:
+        f.write(struct.pack(">iiii", 0x00000803, n, rows, cols))
+        for a in arrays:
+            f.write(a.astype(np.uint8).tobytes())
+
+
+def write_idx_labels(path, labels):
+    with open(path, "wb") as f:
+        f.write(struct.pack(">ii", 0x00000801, len(labels)))
+        f.write(bytes(labels))

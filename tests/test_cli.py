@@ -7,11 +7,13 @@ import pytest
 
 from grasslvq import (
     dataio,
+    evaluate,
     predict_set,
     principal_decomposition,
     subspace_from_set,
 )
 from grasslvq.cli import main
+from helpers import write_idx_images, write_idx_labels
 
 
 # synth --ambient 12 without --width/--height writes one-row frames
@@ -195,6 +197,35 @@ class TestEval:
         assert mat.sum() == 8  # 2 classes x 4 test sets
         assert np.trace(mat) / mat.sum() == acc
 
+    def test_idx_round_trip_matches_in_process(self, tmp_path, capsys):
+        # train --task idx, then vector-mode eval of held-out IDX images
+        rng = np.random.default_rng(9)
+        patterns = rng.uniform(0, 1, (3, 12, 2))
+        files = {}
+        for split, n in (("train", 30), ("test", 200)):
+            labels = rng.integers(0, 3, n)
+            pixels = np.einsum("nij,nj->ni", patterns[labels],
+                               rng.uniform(0, 1, (n, 2)))
+            pixels += 0.1 * rng.uniform(0, 1, (n, 12))
+            images = np.rint(np.clip(pixels, 0.01, 1.0) * 255).astype(np.uint8)
+            files[split] = (tmp_path / f"{split}-images", tmp_path / f"{split}-labels")
+            write_idx_images(files[split][0], list(images.reshape(n, 3, 4)))
+            write_idx_labels(files[split][1], labels.tolist())
+        model = tmp_path / "idx.bin"
+        assert main(["train", "--task", "idx", "--images", str(files["train"][0]),
+                     "--labels", str(files["train"][1]), "--d", "2", "--m", "5",
+                     "--sets-per-class", "4", "--epochs", "2", "--init", "pca",
+                     "--model-out", str(model)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--images",
+                     str(files["test"][0]), "--labels", str(files["test"][1])]) == 0
+        line = capsys.readouterr().out.strip().splitlines()[-1]
+        images, labels, _, _ = dataio.read_idx_dataset(*files["test"])
+        accuracy, _ = evaluate(dataio.load_model(model),
+                               list(zip(images, labels)), "vectors")
+        assert line == f"accuracy={accuracy!r}"
+        assert accuracy > 0.5
+
     def test_missing_model(self, workspace, tmp_path, capsys):
         _, data, _, _ = workspace
         rc = main(["eval", "--model", str(tmp_path / "nope.bin"),
@@ -339,6 +370,17 @@ def _eval(model, data_root):
     return ["eval", "--model", str(model), "--data", str(data_root)]
 
 
+def _idx_eval(model, tmp, black):
+    """eval --images of three 3x4 images whose image ``black`` is all zero."""
+    images = [np.full((3, 4), 40 + i, dtype=np.uint8) for i in range(3)]
+    images[black][:] = 0
+    paths = tmp / "images.idx", tmp / "labels.idx"
+    write_idx_images(paths[0], images)
+    write_idx_labels(paths[1], [1, 2, 1])
+    return ["eval", "--model", str(model), "--images", str(paths[0]),
+            "--labels", str(paths[1])]
+
+
 def _with_header(data, model, tmp, header):
     raw = model.read_bytes()
     bad = tmp / "bad.bin"
@@ -372,6 +414,9 @@ MALFORMED_INPUTS = {
     "black-set": ("RankDeficient", "rank", lambda data, model, tmp: [
         "predict", "--model", str(model),
         "--set", str(_black_frames(tmp / "set", 3))]),
+    "black-eval-image": (
+        "RankDeficient", "image 1 is all black (rank 0 < 1)",
+        lambda data, model, tmp: _idx_eval(model, tmp, black=1)),
     "empty-predict-set": ("EmptySet", "no .pgm frames", lambda data, model, tmp: [
         "predict", "--model", str(model),
         "--set", str(_black_frames(tmp / "set", 0))]),

@@ -1,4 +1,5 @@
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -18,22 +19,13 @@ from grasslvq.errors import (
 )
 from grasslvq.manifold import adaptive_squared_distance, principal_decomposition
 from grasslvq.model import TrainConfig, evaluate, fit
-from helpers import random_subspace, synthetic_subspace_dataset, two_class_model
-
-
-def write_idx_images(path, arrays):
-    n = len(arrays)
-    rows, cols = arrays[0].shape
-    with open(path, "wb") as f:
-        f.write(struct.pack(">iiii", 0x00000803, n, rows, cols))
-        for a in arrays:
-            f.write(a.astype(np.uint8).tobytes())
-
-
-def write_idx_labels(path, labels):
-    with open(path, "wb") as f:
-        f.write(struct.pack(">ii", 0x00000801, len(labels)))
-        f.write(bytes(labels))
+from helpers import (
+    random_subspace,
+    synthetic_subspace_dataset,
+    two_class_model,
+    write_idx_images,
+    write_idx_labels,
+)
 
 
 class TestIdx:
@@ -259,6 +251,27 @@ class TestModelPersistence:
         path.write_bytes(data.replace(b"GRASSLVQ v1 ", b"GRASSLVQ v2 ", 1))
         with pytest.raises(VersionMismatch):
             dataio.load_model(path)
+
+    @pytest.mark.parametrize("index, value, fragment", [
+        (0, 2.0, "columns not orthonormal"),     # first prototype entry
+        (0, np.nan, "non-finite entries"),
+        (-1, -0.5, "must be nonnegative"),       # last relevance weight
+    ], ids=["non-orthonormal-prototype", "nan-prototype", "negative-relevance"])
+    def test_invalid_payload_with_valid_checksum(self, tmp_path, index, value,
+                                                 fragment):
+        model, _ = self._trained_model()
+        path = tmp_path / "model.bin"
+        dataio.save_model(model, path)
+        data = path.read_bytes()
+        start = data.index(b"\n") + 1 + 8  # header line, then length prefix
+        values = np.frombuffer(data[start:-4], dtype="<f8").copy()
+        values[index] = value
+        payload = values.tobytes()
+        path.write_bytes(data[:start] + payload
+                         + struct.pack("<I", zlib.crc32(payload)))
+        with pytest.raises(CorruptModel, match=fragment) as info:
+            dataio.load_model(path)
+        assert str(path) in str(info.value)
 
 
 class TestExporters:

@@ -253,11 +253,19 @@ class TestPrincipalAnglesToStack:
                           @ random_orthogonal(rng, d))
         protos.append(b @ random_orthogonal(rng, d))
         weights = rng.dirichlet(np.ones(d))
-        sample = Subspace(a)
-        kernel = principal_angles_to_stack(a, np.array(protos)) ** 2 @ weights
-        reference = [adaptive_squared_distance(
-            principal_decomposition(sample, Subspace(w)), weights) for w in protos]
-        assert np.max(np.abs(kernel - reference)) < 1e-12
+        stack = np.array(protos)
+
+        def reference(basis):
+            return [adaptive_squared_distance(principal_decomposition(
+                Subspace(basis), Subspace(w)), weights) for w in protos]
+
+        kernel = principal_angles_to_stack(a, stack) ** 2 @ weights
+        assert np.max(np.abs(kernel - reference(a))) < 1e-12
+        # the same sample inside a block, beside span(B) and a generic sample
+        block = [b, a, random_subspace(rng, D, d).basis]
+        kernel = principal_angles_to_stack(np.array(block), stack) ** 2 @ weights
+        for basis, row in zip(block, kernel):
+            assert np.max(np.abs(row - reference(basis))) < 1e-12
 
     def test_shape_and_order(self):
         rng = np.random.default_rng(50)
@@ -270,11 +278,17 @@ class TestPrincipalAnglesToStack:
         # bare arccos of a cosine that rounds just below 1 gives ~1.5e-8
         rng = np.random.default_rng(51)
         stack = np.array([random_subspace(rng, 50, 4).basis for _ in range(3)])
+        block = []
         for _ in range(20):
             x = stack[1] @ rng.standard_normal(4)
-            angles = principal_angles_to_stack(x / np.linalg.norm(x), stack)
+            x /= np.linalg.norm(x)
+            angles = principal_angles_to_stack(x, stack)
             assert angles.shape == (3, 1)
             assert angles[1, 0] < 1e-12
+            block += [x, random_subspace(rng, 50, 1).basis[:, 0]]
+        angles = principal_angles_to_stack(np.array(block)[:, :, None], stack)
+        assert angles.shape == (40, 3, 1)
+        assert np.all(angles[::2, 1, 0] < 1e-12)
 
     def test_ambient_dimension_mismatch(self):
         rng = np.random.default_rng(52)

@@ -28,6 +28,7 @@ from grasslvq.errors import (
     DegenerateSample,
     MissingClassPrototype,
 )
+from grasslvq.model import EVAL_BLOCK_BYTES
 from helpers import (
     make_outcome,
     random_subspace,
@@ -398,6 +399,55 @@ class TestEvaluate:
         model, _ = fit(dataset, config, init="example")
         acc, _ = evaluate(model, shuffled, "sets")
         assert abs(acc - 1.0 / classes) < 0.1
+
+    @staticmethod
+    def _model(rng, D, d, classes=3):
+        protos = [Prototype(random_subspace(rng, D, d), c + 1)
+                  for c in range(classes)]
+        return ModelState(protos, np.full(d, 1.0 / d), "grlgq", d, D)
+
+    @staticmethod
+    def _looped_confusion(model, dataset, predict):
+        labels = sorted(set(model.labels.tolist()) | {y for _, y in dataset})
+        confusion = np.zeros((len(labels), len(labels)), dtype=np.int64)
+        for sample, y in dataset:
+            pred, _ = predict(model, sample)
+            confusion[labels.index(y), labels.index(pred)] += 1
+        return confusion
+
+    # N = 1, and one block plus one image so that a second block is made;
+    # one image lies in a prototype's span, which takes the refined path
+    @pytest.mark.parametrize("n", [1, EVAL_BLOCK_BYTES // (8 * 784) + 1])
+    def test_vectors_match_predict_vector(self, n):
+        rng = np.random.default_rng(29)
+        model = self._model(rng, 784, 3)
+        images = np.abs(rng.standard_normal((n, 784)))
+        images[n // 2] = model.stack[1] @ rng.standard_normal(3)
+        images /= np.linalg.norm(images, axis=1)[:, None]
+        dataset = [(x, int(y)) for x, y in zip(images, rng.integers(1, 5, n))]
+        acc, confusion = evaluate(model, dataset, "vectors")
+        assert np.array_equal(
+            confusion, self._looped_confusion(model, dataset, predict_vector))
+        assert acc == np.trace(confusion) / n
+        assert predict_vector(model, images[n // 2])[0] == 2
+
+    def test_sets_match_predict_set(self):
+        rng = np.random.default_rng(30)
+        D, d = 400, 25
+        model = self._model(rng, D, d)
+        n = EVAL_BLOCK_BYTES // (8 * D * d) + 1
+        dataset = [(random_subspace(rng, D, d), int(y))
+                   for y in rng.integers(1, 4, n)]
+        dataset[0] = (Subspace(model.stack[2].copy()), 1)
+        _, confusion = evaluate(model, dataset, "sets")
+        assert np.array_equal(
+            confusion, self._looped_confusion(model, dataset, predict_set))
+        assert confusion[0, 2] >= 1
+
+    def test_unknown_kind(self):
+        rng = np.random.default_rng(31)
+        with pytest.raises(ValueError, match="kind"):
+            evaluate(two_class_model(rng, 8, 2), [], "images")
 
 
 class TestConfigValidation:
