@@ -237,18 +237,12 @@ def _vector_angles(x, stack) -> np.ndarray:
         if not np.all(np.isfinite(x)):
             raise ValueError("non-finite entries")
         raise ValueError("x must be a unit vector")
-    if len(x) == 1:
-        coeffs = np.matmul(x, stack).transpose(1, 0, 2)  # (1, P, d)
-    else:
-        # one GEMM against the stack laid out as D x (P d): twice as fast as
-        # P products for a block, but the layout copy costs more than one row
-        P, D, d = stack.shape
-        coeffs = (x @ stack.transpose(1, 0, 2).reshape(D, P * d)).reshape(-1, P, d)
+    # one GEMM against the stack laid out as D x (P d)
+    P, D, d = stack.shape
+    coeffs = (x @ stack.transpose(1, 0, 2).reshape(D, P * d)).reshape(-1, P, d)
     cosines = np.linalg.norm(coeffs, axis=2)
     angles = np.arccos(np.minimum(cosines, 1.0))
     flagged = cosines > 0.9
-    if not flagged.any():  # the common case; skips the per-prototype scan
-        return angles
     for p in np.flatnonzero(flagged.any(axis=0)):
         rows = flagged[:, p]
         residual = x[rows] - coeffs[rows, p] @ stack[p].T

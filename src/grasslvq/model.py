@@ -21,6 +21,7 @@ from .errors import (
     AllZeroRelevance,
     ConfigError,
     DegenerateSample,
+    InconsistentDims,
     MissingClassPrototype,
 )
 from .manifold import (
@@ -346,6 +347,19 @@ def predict_vector(model: ModelState, x):
     return int(model.labels[np.argmin(angles)]), angles
 
 
+def _raise_shape_error(i, shape, want):
+    """Raise for sample i (from 0), whose shape is not want, (D,) for a vector
+    or (D, d) for a set: InconsistentDims when only D differs, ValueError
+    otherwise, as a single prediction does."""
+    if len(shape) == len(want) and shape[1:] == want[1:]:
+        raise InconsistentDims(f"sample {i + 1} has D = {shape[0]} pixels, "
+                               f"prototypes have D = {want[0]}")
+    if len(want) == 1:
+        raise ValueError(f"sample {i + 1} has shape {shape}, not a vector "
+                         f"of length {want[0]}")
+    raise ValueError(f"sample {i + 1} has d = {shape[-1]}, model has d = {want[1]}")
+
+
 def evaluate(model: ModelState, dataset, kind: str = "sets"):
     """Accuracy and C x C confusion matrix of nearest-prototype predictions.
 
@@ -362,14 +376,17 @@ def evaluate(model: ModelState, dataset, kind: str = "sets"):
     labels = np.array(sorted(set(model.labels.tolist())
                              | {int(y) for _, y in dataset}))
     confusion = np.zeros((len(labels), len(labels)), dtype=np.int64)
+    want = (model.ambient_dim,) if vectors else (model.ambient_dim, k)
     block = max(1, EVAL_BLOCK_BYTES // (8 * model.ambient_dim * k))
     for start in range(0, len(dataset), block):
         items = dataset[start:start + block]
-        bases = np.stack([s if vectors else s.basis for s, _ in items])
+        bases = [np.asarray(s if vectors else s.basis) for s, _ in items]
+        for i, basis in enumerate(bases, start):
+            if basis.shape != want:
+                _raise_shape_error(i, basis.shape, want)
+        bases = np.stack(bases)
         if vectors:
             bases = bases[:, :, None]
-        if bases.shape[2] != k:
-            raise ValueError(f"sample has d = {bases.shape[2]}, model has d = {k}")
         angles = principal_angles_to_stack(bases, model.stack)
         # a vector is labelled by its first principal angle alone
         scores = angles[:, :, 0] if vectors else angles ** 2 @ model.relevance

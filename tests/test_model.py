@@ -26,6 +26,7 @@ from grasslvq.errors import (
     AllZeroRelevance,
     ConfigError,
     DegenerateSample,
+    InconsistentDims,
     MissingClassPrototype,
 )
 from grasslvq.model import EVAL_BLOCK_BYTES
@@ -443,6 +444,26 @@ class TestEvaluate:
         assert np.array_equal(
             confusion, self._looped_confusion(model, dataset, predict_set))
         assert confusion[0, 2] >= 1
+
+    # one odd sample in the middle of a block; the others stack fine
+    @pytest.mark.parametrize("kind, shape, error, match", [
+        ("vectors", (783,), InconsistentDims, "sample 3 has D = 783"),
+        ("vectors", (784, 2), ValueError, "sample 3 has shape"),
+        ("sets", (783, 3), InconsistentDims, "sample 3 has D = 783"),
+        ("sets", (784, 2), ValueError, "sample 3 has d = 2, model has d = 3"),
+    ])
+    def test_odd_sample_in_block(self, kind, shape, error, match):
+        rng = np.random.default_rng(32)
+        model = self._model(rng, 784, 3)
+
+        def make(shape):
+            basis = np.linalg.qr(rng.standard_normal((*shape, 1)[:2]))[0]
+            return basis.reshape(shape) if kind == "vectors" else Subspace(basis)
+
+        good = (784,) if kind == "vectors" else (784, 3)
+        samples = [make(shape if i == 2 else good) for i in range(5)]
+        with pytest.raises(error, match=match):
+            evaluate(model, [(s, 1) for s in samples], kind)
 
     def test_unknown_kind(self):
         rng = np.random.default_rng(31)
