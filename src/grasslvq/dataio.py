@@ -7,9 +7,9 @@ File formats:
   * a versioned binary model file (header line, length-prefixed float64
     little-endian payload, trailing CRC32).
 
-Ingested image vectors are scaled to [0, 1] and then L2-normalized by one
-helper, ``normalize_pixels``, so every column entering a subspace
-construction has unit norm, except that an all-black image stays zero.
+Ingested image vectors are L2-normalized by one helper, ``normalize_pixels``,
+so every column entering a subspace construction has unit norm, except that
+an all-black image stays zero.
 """
 
 import os
@@ -31,7 +31,7 @@ from .errors import (
     UnsupportedFormat,
     VersionMismatch,
 )
-from .manifold import Subspace, principal_angles_to_stack, subspace_from_set
+from .manifold import Subspace, pixel_influence, principal_angles_to_stack, subspace_from_set
 from .model import ModelState, Prototype
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -65,14 +65,13 @@ def read_idx_images(path) -> np.ndarray:
 
 
 def normalize_pixels(pixels) -> np.ndarray:
-    """Scale (n, D) 8-bit pixel rows to [0, 1], then L2-normalize each row.
-
-    An all-zero (black) row stays zero, so it adds no direction to a subspace.
-    """
-    images = pixels.astype(np.float64) / 255.0
-    norms = np.linalg.norm(images, axis=1)
+    """L2-normalize (n, D) 8-bit pixel rows in one new float64 array (a /255
+    pass would be undone). An all-zero (black) row stays zero, so it adds no
+    direction to a subspace."""
+    images = pixels.astype(np.float64)
+    norms = np.sqrt(np.einsum("ij,ij->i", images, images))
     norms[norms == 0] = 1.0
-    return images / norms[:, None]
+    return np.divide(images, norms[:, None], out=images)
 
 
 def read_idx_labels(path) -> np.ndarray:
@@ -133,7 +132,7 @@ def write_pgm(path, image: np.ndarray) -> None:
 def read_set(set_dir):
     """Read one image-set directory of PGM frames into a D x m data matrix.
 
-    Frames are taken in sorted file-name order, one column each, scaled and
+    Frames are taken in sorted file-name order, one column each,
     L2-normalized by ``normalize_pixels`` (an all-black frame becomes a zero
     column). Returns (X, (height, width)).
     """
@@ -346,8 +345,6 @@ def export_prototype_images(model: ModelState, proto_index, width, height, out_d
 
 def export_pixel_influence(pd, index, width, height, path) -> None:
     """Influence map for one principal angle, rescaled symmetrically around 0."""
-    from .manifold import pixel_influence
-
     values = pixel_influence(pd, index)
     if width * height != values.shape[0]:
         raise ValueError("width*height must equal the ambient dimension")

@@ -139,8 +139,8 @@ def subspace_from_set(X, d: int) -> SubspaceWithFactors:
     )
 
 
-def principal_decomposition(p1: Subspace, p2: Subspace) -> PrincipalDecomposition:
-    """Principal angles/vectors of two subspaces via the SVD of P1^T P2.
+def principal_decomposition(p1: Subspace, p2: Subspace, product=None) -> PrincipalDecomposition:
+    """Principal angles/vectors via the SVD of P1^T P2 (``product``, if already computed).
 
     Singular values are clamped into [0, 1] before arccos: rounding can push
     them infinitesimally above 1, and the clamp keeps the angles NaN-free.
@@ -149,7 +149,7 @@ def principal_decomposition(p1: Subspace, p2: Subspace) -> PrincipalDecompositio
     """
     if p1.basis.shape != p2.basis.shape:
         raise ValueError("subspaces must share ambient dimension and dimension")
-    q_p, s, q_w_t = np.linalg.svd(p1.basis.T @ p2.basis)
+    q_p, s, q_w_t = np.linalg.svd(p1.basis.T @ p2.basis if product is None else product)
     cosines = np.clip(s, 0.0, 1.0)
     angles = np.arccos(cosines)
     q_w = q_w_t.T
@@ -220,10 +220,14 @@ def principal_angles_to_stack(bases, stack) -> np.ndarray:
     if bases.shape[2] == 1:
         angles = _vector_angles(bases[:, :, 0], stack)[:, :, None]
     else:
-        products = np.matmul(bases.transpose(0, 2, 1)[:, None], stack)
-        cosines = np.linalg.svd(products, compute_uv=False)
-        angles = np.arccos(np.clip(cosines, 0.0, 1.0))
+        angles = angles_from_products(np.matmul(bases.transpose(0, 2, 1)[:, None], stack))
     return angles if block else angles[0]
+
+
+def angles_from_products(products) -> np.ndarray:
+    """Ascending principal angles from (..., k, d) products P^T W (values-only SVD)."""
+    cosines = np.linalg.svd(products, compute_uv=False)
+    return np.arccos(np.clip(cosines, 0.0, 1.0))
 
 
 def _vector_angles(x, stack) -> np.ndarray:

@@ -7,10 +7,10 @@ Two training modes are supported:
   prototypes with a (smaller) learning rate gamma.
 
 Training is sequential stochastic gradient descent: for each sample the two
-winning prototypes are updated in their rotated frames V = W Q_W and then
-re-orthonormalized; in grlgq mode the relevance vector follows its own
-gradient step, is clipped to be nonnegative, and renormalized onto the
-simplex.
+winning prototypes take a step in their rotated frames V = W Q_W, whose
+columns stay orthogonal, and are re-orthonormalized by a column rescale; in
+grlgq mode the relevance vector follows its own gradient step, is clipped to
+be nonnegative, and renormalized onto the simplex.
 """
 
 from dataclasses import dataclass
@@ -23,11 +23,14 @@ from .errors import (
     DegenerateSample,
     InconsistentDims,
     MissingClassPrototype,
+    RankDeficient,
 )
 from .manifold import (
+    RANK_TOL,
     PrincipalDecomposition,
     Subspace,
     adaptive_squared_distance,
+    angles_from_products,
     g_matrix_diagonal,
     orthonormalize_columns,
     principal_angles_to_stack,
@@ -108,10 +111,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}")
-        if self.eta <= 0:
-            raise ConfigError("eta must be positive")
-        if self.gamma < 0:
-            raise ConfigError("gamma must be nonnegative")
+        if not 0 < self.eta < np.inf:  # NaN fails every comparison
+            raise ConfigError(f"eta must be positive and finite, got {self.eta!r}")
+        if not 0 <= self.gamma < np.inf:
+            raise ConfigError(f"gamma must be nonnegative and finite, got {self.gamma!r}")
         if self.epochs < 1:
             raise ConfigError("epochs must be positive")
         if self.mode == "glgq" and self.gamma != 0:
@@ -135,24 +138,30 @@ class SampleOutcome:
     pd_minus: PrincipalDecomposition
 
 
-def _squared_distances(model: ModelState, sample: Subspace) -> np.ndarray:
-    """Relevance-weighted squared distances from a sample to every prototype,
-    from one call of the batched kernel (accurate to about 1e-12 absolute)."""
-    if sample.dim != model.subspace_dim:
-        raise ValueError(f"sample has d = {sample.dim}, model has "
-                         f"d = {model.subspace_dim}")
-    return principal_angles_to_stack(sample.basis, model.stack) ** 2 @ model.relevance
+def _check_shape(name: str, shape, want) -> None:
+    """Raise unless a sample's shape is want, (D,) for a vector or (D, d) for a
+    set: InconsistentDims when only D differs, ValueError otherwise."""
+    if shape == want:
+        return
+    if len(shape) == len(want) and shape[1:] == want[1:]:
+        raise InconsistentDims(f"{name} has D = {shape[0]} pixels, "
+                               f"prototypes have D = {want[0]}")
+    if len(want) == 1:
+        raise ValueError(f"{name} has shape {shape}, not a vector of length {want[0]}")
+    raise ValueError(f"{name} has d = {shape[-1]}, model has d = {want[1]}")
 
 
 def find_winners(model: ModelState, sample: Subspace, label: int) -> SampleOutcome:
     """Closest same-label and closest different-label prototypes to the sample.
 
-    All prototypes are ranked by the kernel's relevance-weighted squared
-    distances; ties break to the lowest prototype index. Only the two winners
-    get a full principal_decomposition, which gives d+, d-, mu and the
-    gradients.
+    All prototypes are ranked by relevance-weighted squared distances from one
+    batched product basis^T W_p; ties break to the lowest prototype index.
+    Only the two winners get a full principal_decomposition, of their products
+    from that batch, which gives d+, d-, mu and the gradients.
     """
-    dists = _squared_distances(model, sample)
+    _check_shape("sample", sample.basis.shape, model.stack.shape[1:])
+    products = sample.basis.T @ model.stack
+    dists = angles_from_products(products) ** 2 @ model.relevance
     same = model.labels == label
     if not same.any():
         raise MissingClassPrototype(f"no prototype with label {label}")
@@ -160,8 +169,8 @@ def find_winners(model: ModelState, sample: Subspace, label: int) -> SampleOutco
         raise MissingClassPrototype(f"no prototype with label != {label}")
     best_same, best_other = (int(np.flatnonzero(mask)[np.argmin(dists[mask])])
                              for mask in (same, ~same))
-    pd_same = principal_decomposition(sample, model.subspace(best_same))
-    pd_other = principal_decomposition(sample, model.subspace(best_other))
+    pd_same, pd_other = (principal_decomposition(sample, model.subspace(i), products[i])
+                         for i in (best_same, best_other))
     d_same = adaptive_squared_distance(pd_same, model.relevance)
     d_other = adaptive_squared_distance(pd_other, model.relevance)
     denom = d_same + d_other
@@ -212,18 +221,23 @@ def relevance_gradient(outcome: SampleOutcome) -> np.ndarray:
 def apply_prototype_update(model: ModelState, outcome: SampleOutcome, eta: float) -> None:
     """Gradient step on both winners in their rotated frames, then re-orthonormalize.
 
-    Only the two winning prototypes change; a RankDeficient error here means
-    eta is large enough to collapse a prototype.
+    Principal vectors satisfy U^T V = diag(cos theta), so the step
+    V - eta * scale * U diag(g) keeps the columns orthogonal, and dividing them
+    by their norms (the update's singular values) is a Grassmann retraction;
+    no SVD is needed. Only the two winning prototypes change; a RankDeficient error here
+    means eta is large enough to collapse a prototype.
     """
     for which, idx in (("plus", outcome.winner_same), ("minus", outcome.winner_other)):
         grad = prototype_gradient(outcome, model.relevance, which)
         if not np.all(np.isfinite(grad)):
-            raise FloatingPointError(
-                f"non-finite prototype gradient for winner {which} (index {idx})"
-            )
+            raise FloatingPointError(f"non-finite prototype gradient for winner "
+                                     f"{which} (index {idx})")
         pd = outcome.pd_plus if which == "plus" else outcome.pd_minus
         updated = pd.principal_right - eta * grad
-        model.stack[idx] = orthonormalize_columns(updated).basis
+        norms = np.linalg.norm(updated, axis=0)
+        if norms.min() <= RANK_TOL * norms.max():
+            raise RankDeficient(f"update of winner {which} (index {idx}) is rank deficient")
+        model.stack[idx] = Subspace(updated / norms).basis
 
 
 def apply_relevance_update(model: ModelState, grad, gamma: float) -> np.ndarray:
@@ -337,7 +351,8 @@ def fit(dataset, config: TrainConfig, init: str = "random",
 
 def predict_set(model: ModelState, sample: Subspace):
     """Nearest-prototype label for a subspace, plus distances to all prototypes."""
-    dists = _squared_distances(model, sample)
+    _check_shape("sample", sample.basis.shape, model.stack.shape[1:])
+    dists = principal_angles_to_stack(sample.basis, model.stack) ** 2 @ model.relevance
     return int(model.labels[np.argmin(dists)]), dists
 
 
@@ -345,19 +360,6 @@ def predict_vector(model: ModelState, x):
     """Nearest-prototype label for a single unit vector via the first principal angle."""
     angles = principal_angles_to_stack(x, model.stack)[:, 0]
     return int(model.labels[np.argmin(angles)]), angles
-
-
-def _raise_shape_error(i, shape, want):
-    """Raise for sample i (from 0), whose shape is not want, (D,) for a vector
-    or (D, d) for a set: InconsistentDims when only D differs, ValueError
-    otherwise, as a single prediction does."""
-    if len(shape) == len(want) and shape[1:] == want[1:]:
-        raise InconsistentDims(f"sample {i + 1} has D = {shape[0]} pixels, "
-                               f"prototypes have D = {want[0]}")
-    if len(want) == 1:
-        raise ValueError(f"sample {i + 1} has shape {shape}, not a vector "
-                         f"of length {want[0]}")
-    raise ValueError(f"sample {i + 1} has d = {shape[-1]}, model has d = {want[1]}")
 
 
 def evaluate(model: ModelState, dataset, kind: str = "sets"):
@@ -382,11 +384,8 @@ def evaluate(model: ModelState, dataset, kind: str = "sets"):
         items = dataset[start:start + block]
         bases = [np.asarray(s if vectors else s.basis) for s, _ in items]
         for i, basis in enumerate(bases, start):
-            if basis.shape != want:
-                _raise_shape_error(i, basis.shape, want)
-        bases = np.stack(bases)
-        if vectors:
-            bases = bases[:, :, None]
+            _check_shape(f"sample {i + 1}", basis.shape, want)
+        bases = np.stack(bases).reshape(len(items), model.ambient_dim, k)
         angles = principal_angles_to_stack(bases, model.stack)
         # a vector is labelled by its first principal angle alone
         scores = angles[:, :, 0] if vectors else angles ** 2 @ model.relevance

@@ -431,6 +431,15 @@ MALFORMED_INPUTS = {
             data, model, tmp, b"GRASSLVQ v1 mode=grlgq D=twelve d=2 labels=1,2")),
     "config-non-numeric": ("ConfigError", "'epochs'", lambda data, model, tmp:
                            _with_config(data, tmp, "epochs = abc\n")),
+    "eta-nan": ("ConfigError", "eta must be positive and finite, got nan",
+                lambda data, model, tmp: _train(data, tmp, "--eta", "nan")),
+    "eta-inf": ("ConfigError", "eta must be positive and finite, got inf",
+                lambda data, model, tmp: _train(data, tmp, "--eta", "inf")),
+    "gamma-nan": ("ConfigError", "gamma must be nonnegative and finite, got nan",
+                  lambda data, model, tmp: _train(data, tmp, "--gamma", "nan")),
+    "config-gamma-inf": (
+        "ConfigError", "gamma must be nonnegative and finite, got inf",
+        lambda data, model, tmp: _with_config(data, tmp, "gamma = inf\n")),
     "d-above-frames": ("InsufficientImages", "set 0 (label 1): 6 frames < d=7",
                        lambda data, model, tmp: _train(data, tmp, "--d", "7")),
     "d-below-one": ("ConfigError", "d=0",

@@ -37,10 +37,21 @@ class TestIdx:
         images, rows, cols = dataio.read_idx_images(path)
         assert (rows, cols) == (2, 3)
         assert images.shape == (2, 6)
-        # unit norm after [0,1] scaling
+        # unit norm; the [0, 1] scale is undone by the normalisation
         assert np.allclose(np.linalg.norm(images, axis=1), 1.0, atol=1e-10)
         raw = np.arange(6) / 255.0
         assert np.allclose(images[0], raw / np.linalg.norm(raw))
+
+    def test_normalize_pixels_matches_scaled_form(self):
+        pixels = np.random.default_rng(0).integers(0, 256, (50, 784), dtype=np.uint8)
+        pixels[7] = 0
+        out = dataio.normalize_pixels(pixels)
+        scaled = pixels / 255.0
+        norms = np.linalg.norm(scaled, axis=1)
+        norms[7] = 1.0
+        assert out.dtype == np.float64 and not np.shares_memory(out, pixels)
+        assert np.max(np.abs(out - scaled / norms[:, None])) < 1e-15
+        assert not out[7].any()
 
     def test_labels(self, tmp_path):
         path = tmp_path / "labels.idx"

@@ -92,6 +92,14 @@ class TestSubspaceFromSet:
 
 
 class TestPrincipalDecomposition:
+    def test_given_product_matches_computed(self):
+        rng = np.random.default_rng(40)
+        p1, p2 = random_subspace(rng, 9, 3), random_subspace(rng, 9, 3)
+        fresh = principal_decomposition(p1, p2)
+        given = principal_decomposition(p1, p2, p1.basis.T @ p2.basis)
+        for field in ("angles", "cosines", "principal_left", "principal_right"):
+            assert np.array_equal(getattr(fresh, field), getattr(given, field))
+
     def test_identical_subspaces(self):
         rng = np.random.default_rng(1)
         s = random_subspace(rng, 5, 2)

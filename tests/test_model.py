@@ -15,11 +15,14 @@ from grasslvq import (
     find_winners,
     fit,
     init_prototypes,
+    orthonormalize_columns,
     predict_set,
     predict_vector,
     principal_decomposition,
+    prototype_gradient,
     geodesic_distance,
     sample_cost,
+    squared_geodesic_distance,
     train_step,
 )
 from grasslvq.errors import (
@@ -28,6 +31,7 @@ from grasslvq.errors import (
     DegenerateSample,
     InconsistentDims,
     MissingClassPrototype,
+    RankDeficient,
 )
 from grasslvq.model import EVAL_BLOCK_BYTES
 from helpers import (
@@ -217,6 +221,57 @@ class TestPrototypeUpdate:
             apply_prototype_update(model, out, 1e-4)
             mu_after = find_winners(model, sample, 1).mu
             assert mu_after <= mu_before + 1e-12
+
+    @pytest.mark.parametrize("D,d,eta", [(8, 3, 0.05), (20, 5, 0.5), (784, 12, 1e-4)])
+    def test_rescale_spans_svd_orthonormalization(self, D, d, eta):
+        rng = np.random.default_rng(D)
+        for _ in range(5):
+            model = two_class_model(rng, D, d, mode="grlgq")
+            out = find_winners(model, random_subspace(rng, D, d), 1)
+            expected = {
+                idx: orthonormalize_columns(
+                    pd.principal_right
+                    - eta * prototype_gradient(out, model.relevance, which))
+                for which, idx, pd in (("plus", out.winner_same, out.pd_plus),
+                                       ("minus", out.winner_other, out.pd_minus))}
+            apply_prototype_update(model, out, eta)
+            for idx, svd_basis in expected.items():
+                pd = principal_decomposition(model.subspace(idx), svd_basis)
+                assert squared_geodesic_distance(pd) < 1e-20
+
+    def test_collapsed_column_raises(self):
+        # the sample shares w_0 with the other-label winner, so u_0 = v_0; an
+        # eta with eta * scale * g_0 = 1 removes that column entirely
+        rng = np.random.default_rng(30)
+        model = two_class_model(rng, 10, 3)
+        shared = model.stack[1][:, :1]
+        sample = orthonormalize_columns(
+            np.hstack([shared, rng.standard_normal((10, 2))]))
+        out = find_winners(model, sample, 1)
+        assert out.winner_other == 1 and out.pd_minus.angles[0] < 1e-12
+        grad = prototype_gradient(out, model.relevance, "minus")
+        eta = 1.0 / (out.pd_minus.principal_left[:, 0] @ grad[:, 0])
+        with pytest.raises(RankDeficient):
+            orthonormalize_columns(out.pd_minus.principal_right - eta * grad)
+        with pytest.raises(RankDeficient, match="winner minus"):
+            apply_prototype_update(model, out, eta)
+
+    def test_orthonormality_drift_over_many_steps(self):
+        rng = np.random.default_rng(31)
+        dataset = synthetic_subspace_dataset(rng, classes=3, D=20, d=5,
+                                             per_class=10, noise=0.3)
+        model, _ = fit(dataset[::10], TrainConfig(eta=0.05, gamma=1e-4, epochs=1,
+                                                  seed=0, mode="grlgq"),
+                       init="example")
+        config = TrainConfig(eta=0.05, gamma=1e-4, epochs=1, seed=0, mode="grlgq")
+        worst = 0.0
+        for step in range(3000):
+            sample, label = dataset[rng.integers(len(dataset))]
+            out = train_step(model, sample, label, config)
+            for idx in (out.winner_same, out.winner_other):
+                b = model.stack[idx]
+                worst = max(worst, np.max(np.abs(b.T @ b - np.eye(5))))
+        assert worst < 1e-12
 
     def test_winners_orthonormal_after_update(self):
         rng = np.random.default_rng(10)
@@ -475,6 +530,13 @@ class TestConfigValidation:
     def test_glgq_forbids_gamma(self):
         with pytest.raises(ConfigError):
             TrainConfig(eta=0.05, gamma=0.5, epochs=1, seed=0, mode="glgq")
+
+    @pytest.mark.parametrize("eta,gamma", [
+        (np.nan, 1e-4), (np.inf, 1e-4), (-np.inf, 1e-4),
+        (0.05, np.nan), (0.05, np.inf)])
+    def test_non_finite_rates_rejected(self, eta, gamma):
+        with pytest.raises(ConfigError, match="finite"):
+            TrainConfig(eta=eta, gamma=gamma, epochs=1, seed=0, mode="grlgq")
 
     def test_grlgq_requires_small_gamma(self):
         with pytest.raises(ConfigError):
