@@ -260,10 +260,8 @@ class TestPrototypeUpdate:
         rng = np.random.default_rng(31)
         dataset = synthetic_subspace_dataset(rng, classes=3, D=20, d=5,
                                              per_class=10, noise=0.3)
-        model, _ = fit(dataset[::10], TrainConfig(eta=0.05, gamma=1e-4, epochs=1,
-                                                  seed=0, mode="grlgq"),
-                       init="example")
         config = TrainConfig(eta=0.05, gamma=1e-4, epochs=1, seed=0, mode="grlgq")
+        model, _ = fit(dataset[::10], config, init="example")
         worst = 0.0
         for step in range(3000):
             sample, label = dataset[rng.integers(len(dataset))]
