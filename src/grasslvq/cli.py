@@ -9,6 +9,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
@@ -57,38 +58,35 @@ def _read_config_file(path):
     return values
 
 
-_INT_KEYS = ("d", "epochs", "seed", "prototypes_per_class", "m", "sets_per_class")
-_FLOAT_KEYS = ("eta", "gamma")
-
-
-def _coerce(key, value):
-    try:
-        if key in _INT_KEYS:
-            return int(value)
-        if key in _FLOAT_KEYS:
-            return float(value)
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: {value!r} is not a number") from None
-    return value
-
-
 def _resolve_train_config(args):
+    """Defaults, then --preset, then --config, then flags; later wins."""
     resolved = dict(TRAIN_DEFAULTS)
     if args.preset:
-        if args.preset not in PRESETS:
-            raise ConfigError(f"unknown preset {args.preset!r}")
         resolved.update(PRESETS[args.preset])
     if args.config:
-        file_values = _read_config_file(args.config)
-        for key, value in file_values.items():
-            if key not in resolved and key not in ("mode",):
+        for key, text in _read_config_file(args.config).items():
+            if key not in args.options:
                 raise ConfigError(f"unknown config key {key!r}")
-            resolved[key] = _coerce(key, value)
-    for key in resolved:
-        flag = getattr(args, key, None)
+            resolved[key] = _config_value(args.options[key], text)
+    for key in args.options:
+        flag = getattr(args, key)
         if flag is not None:
             resolved[key] = flag
     return resolved
+
+
+def _config_value(action, text):
+    """Parse one config-file value as the flag ``action`` parses its argument."""
+    key = action.dest
+    try:
+        value = action.type(text) if action.type else text
+    except ValueError:
+        raise ConfigError(f"config key {key!r}: invalid "
+                          f"{action.type.__name__} value {text!r}") from None
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(f"config key {key!r}: {value!r} is not one of "
+                          f"{', '.join(action.choices)}")
+    return value
 
 
 def _load_training_data(args, cfg):
@@ -120,7 +118,7 @@ def _load_training_data(args, cfg):
     return dataset, {lab: np.hstack(xs) for lab, xs in grouped.items()}
 
 
-def _cross_validate(dataset, train_config, cfg, folds, repeats, class_matrices):
+def _cross_validate(train, dataset, train_config, folds, repeats):
     """Repeated k-fold cross-validation over the training samples.
 
     Fold membership is a seeded permutation taken round-robin; each repeat
@@ -130,16 +128,13 @@ def _cross_validate(dataset, train_config, cfg, folds, repeats, class_matrices):
         raise ConfigError(f"--folds must be in [2, {len(dataset)}]")
     accuracies = []
     for r in range(repeats):
-        seed = cfg["seed"] + r
+        seed = train_config.seed + r
         order = np.random.default_rng(seed).permutation(len(dataset))
         for k in range(folds):
             held = set(order[k::folds].tolist())
             train_part = [s for i, s in enumerate(dataset) if i not in held]
             test_part = [dataset[i] for i in sorted(held)]
-            model, _ = fit(train_part, replace(train_config, seed=seed),
-                           init=cfg["init"],
-                           prototypes_per_class=cfg["prototypes_per_class"],
-                           class_matrices=class_matrices)
+            model, _ = train(train_part, replace(train_config, seed=seed))
             accuracy, _ = evaluate(model, test_part, "sets")
             accuracies.append(accuracy)
             print(f"repeat={r + 1} fold={k + 1} accuracy={float(accuracy)!r}",
@@ -153,25 +148,24 @@ def cmd_train(args):
                                epochs=cfg["epochs"], seed=cfg["seed"],
                                mode=cfg["mode"])
     dataset, class_matrices = _load_training_data(args, cfg)
+    train = partial(fit, init=cfg["init"],
+                    prototypes_per_class=cfg["prototypes_per_class"],
+                    class_matrices=class_matrices)
     if args.folds:
-        accs = _cross_validate(dataset, train_config, cfg, args.folds,
-                               args.repeats or 1, class_matrices)
+        accs = _cross_validate(train, dataset, train_config, args.folds,
+                               args.repeats or 1)
         print(f"cv_accuracy={float(np.mean(accs))!r}")
         print(f"cv_std={float(np.std(accs))!r}")
-    elif args.repeats and args.repeats > 1:
-        # independent restarts with consecutive seeds; the saved model below
-        # always comes from the base seed
+    model, stats = train(dataset, train_config)
+    if args.repeats and args.repeats > 1 and not args.folds:
+        # independent restarts with consecutive seeds; the saved model is run 1's
+        run_stats = stats
         for r in range(args.repeats):
-            _, run_stats = fit(dataset, replace(train_config,
-                                                seed=cfg["seed"] + r),
-                               init=cfg["init"],
-                               prototypes_per_class=cfg["prototypes_per_class"],
-                               class_matrices=class_matrices)
-            print(f"run={r + 1} seed={cfg['seed'] + r} "
+            seed = train_config.seed + r
+            if r:
+                _, run_stats = train(dataset, replace(train_config, seed=seed))
+            print(f"run={r + 1} seed={seed} "
                   f"train_accuracy={float(run_stats[-1][2])!r}")
-    model, stats = fit(dataset, train_config, init=cfg["init"],
-                       prototypes_per_class=cfg["prototypes_per_class"],
-                       class_matrices=class_matrices)
     dataio.save_model(model, args.model_out)
     if args.log_out:
         with open(args.log_out, "w") as f:
@@ -298,20 +292,23 @@ def build_parser():
     p = sub.add_parser("train", help="train a model")
     p.add_argument("--config", help="key = value config file; flags override")
     p.add_argument("--preset", choices=sorted(PRESETS))
-    p.add_argument("--mode", choices=("glgq", "grlgq"))
-    p.add_argument("--task", choices=("idx", "sets"))
     p.add_argument("--data", help="image-set root directory (sets task)")
     p.add_argument("--images", help="IDX image file (idx task)")
     p.add_argument("--labels", help="IDX label file (idx task)")
-    p.add_argument("--d", type=int, help="subspace dimension")
-    p.add_argument("--m", type=int, help="images per sampled subspace (idx task)")
-    p.add_argument("--sets-per-class", type=int, help="subspace draws per class (idx task)")
-    p.add_argument("--eta", type=float, help="prototype learning rate")
-    p.add_argument("--gamma", type=float, help="relevance learning rate")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--init", choices=("random", "example", "pca"))
-    p.add_argument("--prototypes-per-class", type=int)
+    # one flag per TRAIN_DEFAULTS key; config-file values use its type and choices
+    options = [
+        p.add_argument("--mode", choices=("glgq", "grlgq")),
+        p.add_argument("--task", choices=("idx", "sets")),
+        p.add_argument("--d", type=int, help="subspace dimension"),
+        p.add_argument("--m", type=int, help="images per sampled subspace (idx task)"),
+        p.add_argument("--sets-per-class", type=int, help="subspace draws per class (idx task)"),
+        p.add_argument("--eta", type=float, help="prototype learning rate"),
+        p.add_argument("--gamma", type=float, help="relevance learning rate"),
+        p.add_argument("--epochs", type=int),
+        p.add_argument("--seed", type=int),
+        p.add_argument("--init", choices=("random", "example", "pca")),
+        p.add_argument("--prototypes-per-class", type=int),
+    ]
     p.add_argument("--repeats", type=int,
                    help="independent restarts with consecutive seeds")
     p.add_argument("--folds", type=int,
@@ -319,7 +316,7 @@ def build_parser():
     p.add_argument("--model-out", default="model.bin")
     p.add_argument("--log-out", help="per-epoch cost/accuracy CSV")
     p.add_argument("--summary-out", help="resolved-config text file")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, options={a.dest: a for a in options})
 
     p = sub.add_parser("eval", help="evaluate a model")
     p.add_argument("--model", required=True)

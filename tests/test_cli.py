@@ -6,18 +6,46 @@ import numpy as np
 import pytest
 
 from grasslvq import (
+    cli,
     dataio,
     evaluate,
+    fit,
     predict_set,
     principal_decomposition,
     subspace_from_set,
 )
-from grasslvq.cli import main
+from grasslvq.cli import TRAIN_DEFAULTS, main
 from helpers import write_idx_images, write_idx_labels
 
 
 # synth --ambient 12 without --width/--height writes one-row frames
 FRAME_SHAPE = (1, 12)
+
+
+def _idx_flags(tmp):
+    """--images/--labels of 40 seeded 3x4 IDX images, 20 per class."""
+    rng = np.random.default_rng(5)
+    paths = tmp / "train-images.idx", tmp / "train-labels.idx"
+    write_idx_images(paths[0], list(rng.integers(1, 256, (40, 3, 4), np.uint8)))
+    write_idx_labels(paths[1], [1, 2] * 20)
+    return ["--images", str(paths[0]), "--labels", str(paths[1])]
+
+
+# train key -> (config-file value, extra flags from the IDX flags); each value
+# differs from the default, so the summary shows that it took effect
+CONFIG_KEY_CASES = {
+    "mode": ("glgq", lambda idx: ["--gamma", "0"]),
+    "task": ("idx", lambda idx: idx),
+    "d": ("1", lambda idx: []),
+    "eta": ("0.02", lambda idx: []),
+    "gamma": ("0", lambda idx: []),
+    "epochs": ("2", lambda idx: []),
+    "seed": ("4", lambda idx: []),
+    "init": ("random", lambda idx: []),
+    "prototypes_per_class": ("2", lambda idx: []),
+    "m": ("4", lambda idx: ["--task", "idx", *idx]),
+    "sets_per_class": ("2", lambda idx: ["--task", "idx", *idx]),
+}
 
 
 def tree_bytes(root):
@@ -150,6 +178,46 @@ class TestTrain:
         assert lines[0].startswith("run=1 seed=1 train_accuracy=")
         # the saved model still comes from the base seed
         assert out.read_bytes() == model.read_bytes()
+
+    def test_repeats_trains_each_seed_once(self, workspace, tmp_path,
+                                           monkeypatch, capsys):
+        _, data, _, _ = workspace
+        seeds = []
+
+        def counting_fit(dataset, config, **kwargs):
+            seeds.append(config.seed)
+            return fit(dataset, config, **kwargs)
+
+        monkeypatch.setattr(cli, "fit", counting_fit)
+        rc = main(["train", "--data", str(data / "train"), "--d", "2",
+                   "--epochs", "2", "--seed", "5", "--repeats", "3",
+                   "--model-out", str(tmp_path / "m.bin")])
+        assert rc == 0
+        assert seeds == [5, 6, 7]
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split(" train_accuracy=")[0] for line in lines] == \
+            ["run=1 seed=5", "run=2 seed=6", "run=3 seed=7"]
+
+    @pytest.mark.parametrize("key", sorted(TRAIN_DEFAULTS))
+    def test_config_value_resolves_like_its_flag(self, key, workspace,
+                                                 tmp_path):
+        _, data, _, _ = workspace
+        value, extra = CONFIG_KEY_CASES[key]
+        argv = ["train", "--data", str(data / "train"),
+                "--model-out", str(tmp_path / "m.bin"),
+                *extra(_idx_flags(tmp_path))]
+        if key != "epochs":
+            argv += ["--epochs", "1"]
+        config = tmp_path / "run.conf"
+        config.write_text(f"{key} = {value}\n")
+        summaries = tmp_path / "file.txt", tmp_path / "flag.txt"
+        assert main(argv + ["--config", str(config),
+                            "--summary-out", str(summaries[0])]) == 0
+        assert main(argv + [f"--{key.replace('_', '-')}", value,
+                            "--summary-out", str(summaries[1])]) == 0
+        text = summaries[0].read_text()
+        assert text == summaries[1].read_text()
+        assert f"{key} = {TRAIN_DEFAULTS[key]}\n" not in text
 
     def test_summary_lists_resolved_values(self, workspace, tmp_path):
         _, data, _, _ = workspace
@@ -431,6 +499,15 @@ MALFORMED_INPUTS = {
             data, model, tmp, b"GRASSLVQ v1 mode=grlgq D=twelve d=2 labels=1,2")),
     "config-non-numeric": ("ConfigError", "'epochs'", lambda data, model, tmp:
                            _with_config(data, tmp, "epochs = abc\n")),
+    "config-task-not-a-choice": (
+        "ConfigError", "config key 'task': 'IDX' is not one of idx, sets",
+        lambda data, model, tmp: _with_config(data, tmp, "task = IDX\n")),
+    "config-init-not-a-choice": (
+        "ConfigError", "config key 'init'",
+        lambda data, model, tmp: _with_config(data, tmp, "init = nope\n")),
+    "config-mode-not-a-choice": (
+        "ConfigError", "config key 'mode'",
+        lambda data, model, tmp: _with_config(data, tmp, "mode = nope\n")),
     "eta-nan": ("ConfigError", "eta must be positive and finite, got nan",
                 lambda data, model, tmp: _train(data, tmp, "--eta", "nan")),
     "eta-inf": ("ConfigError", "eta must be positive and finite, got inf",
