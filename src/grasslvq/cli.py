@@ -72,6 +72,9 @@ def _resolve_train_config(args):
         flag = getattr(args, key)
         if flag is not None:
             resolved[key] = flag
+    for key in ("m", "sets_per_class", "prototypes_per_class"):
+        if resolved[key] is not None and resolved[key] < 1:
+            raise ConfigError(f"{key} must be at least 1, got {resolved[key]}")
     return resolved
 
 
@@ -100,8 +103,9 @@ def _load_training_data(args, cfg):
         if not args.images or not args.labels:
             raise ConfigError("idx task requires --images and --labels")
         images, labels, _, _ = dataio.read_idx_dataset(args.images, args.labels)
-        m = cfg["m"] or max(cfg["d"], 20)
-        sets_per_class = cfg["sets_per_class"] or 50
+        m = max(cfg["d"], 20) if cfg["m"] is None else cfg["m"]
+        sets_per_class = (50 if cfg["sets_per_class"] is None
+                          else cfg["sets_per_class"])
         dataset = dataio.build_classwise_subspace_dataset(
             images, labels, cfg["d"], m, sets_per_class, cfg["seed"])
         matrices = dataio.class_image_matrices(images, labels) if pca else None
@@ -310,7 +314,8 @@ def build_parser():
         p.add_argument("--prototypes-per-class", type=int),
     ]
     p.add_argument("--repeats", type=int,
-                   help="independent restarts with consecutive seeds")
+                   help="independent restarts with consecutive seeds; "
+                        "the saved model is run 1's")
     p.add_argument("--folds", type=int,
                    help="k-fold cross-validation before the final fit")
     p.add_argument("--model-out", default="model.bin")

@@ -117,6 +117,8 @@ class TrainConfig:
             raise ConfigError(f"gamma must be nonnegative and finite, got {self.gamma!r}")
         if self.epochs < 1:
             raise ConfigError("epochs must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.mode == "glgq" and self.gamma != 0:
             raise ConfigError("glgq mode requires gamma = 0")
         if self.mode == "grlgq" and self.gamma >= self.eta:

@@ -50,15 +50,28 @@ def generate(root, classes, ambient, dim, train_sets, test_sets,
 
     ``train_sets`` and ``test_sets`` count sets per class. Frame images are
     width x height PGMs with width*height = ambient (default: one row).
+    Arguments out of range raise ConfigError before anything is written.
     """
     if width is None and height is None:
         width, height = ambient, 1
-    if width * height != ambient:
-        raise ConfigError(f"width*height = {width * height} != ambient dim {ambient}")
+    if width is None or height is None:
+        raise ConfigError("width and height must be given together")
+    if width < 1 or height < 1 or width * height != ambient:
+        raise ConfigError(f"width {width} x height {height} must be positive "
+                          f"and multiply to ambient dim {ambient}")
+    if not 1 <= dim <= ambient:
+        raise ConfigError(f"dim={dim} must be in [1, ambient={ambient}]")
     if frames < dim:
         raise ConfigError(f"frames={frames} must be >= dim={dim}")
     if classes < 2:
         raise ConfigError("need at least 2 classes")
+    if train_sets < 1 or test_sets < 1:
+        raise ConfigError("sets per class must be at least 1, got "
+                          f"train_sets={train_sets}, test_sets={test_sets}")
+    if not 0 <= noise < np.inf:  # NaN fails every comparison
+        raise ConfigError(f"noise must be nonnegative and finite, got {noise!r}")
+    if seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     bases = [_class_basis(rng, ambient, dim) for _ in range(classes)]
     for split, count in (("train", train_sets), ("test", test_sets)):

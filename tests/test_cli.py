@@ -31,20 +31,20 @@ def _idx_flags(tmp):
     return ["--images", str(paths[0]), "--labels", str(paths[1])]
 
 
-# train key -> (config-file value, extra flags from the IDX flags); each value
-# differs from the default, so the summary shows that it took effect
+# train key -> (config-file value, extra flags); each value differs from the
+# default, so the summary shows that it took effect
 CONFIG_KEY_CASES = {
-    "mode": ("glgq", lambda idx: ["--gamma", "0"]),
-    "task": ("idx", lambda idx: idx),
-    "d": ("1", lambda idx: []),
-    "eta": ("0.02", lambda idx: []),
-    "gamma": ("0", lambda idx: []),
-    "epochs": ("2", lambda idx: []),
-    "seed": ("4", lambda idx: []),
-    "init": ("random", lambda idx: []),
-    "prototypes_per_class": ("2", lambda idx: []),
-    "m": ("4", lambda idx: ["--task", "idx", *idx]),
-    "sets_per_class": ("2", lambda idx: ["--task", "idx", *idx]),
+    "mode": ("glgq", ["--gamma", "0"]),
+    "task": ("idx", []),
+    "d": ("1", []),
+    "eta": ("0.02", []),
+    "gamma": ("0", []),
+    "epochs": ("2", []),
+    "seed": ("4", []),
+    "init": ("random", []),
+    "prototypes_per_class": ("2", []),
+    "m": ("4", ["--task", "idx"]),
+    "sets_per_class": ("2", ["--task", "idx"]),
 }
 
 
@@ -203,9 +203,9 @@ class TestTrain:
                                                  tmp_path):
         _, data, _, _ = workspace
         value, extra = CONFIG_KEY_CASES[key]
-        argv = ["train", "--data", str(data / "train"),
-                "--model-out", str(tmp_path / "m.bin"),
-                *extra(_idx_flags(tmp_path))]
+        # --data serves the sets task, --images/--labels the idx task
+        argv = ["train", "--data", str(data / "train"), *_idx_flags(tmp_path),
+                "--model-out", str(tmp_path / "m.bin"), *extra]
         if key != "epochs":
             argv += ["--epochs", "1"]
         config = tmp_path / "run.conf"
@@ -474,6 +474,10 @@ def _with_config(data, tmp, text):
     return _train(data, tmp, "--config", str(config))
 
 
+def _synth(tmp, *flags):
+    return ["synth", "--out", str(tmp / "synth"), *flags]
+
+
 # case -> (error category, detail fragment, argv from (data, model, tmp dir))
 MALFORMED_INPUTS = {
     "black-image": ("RankDeficient", "rank 0 < 1", lambda data, model, tmp: [
@@ -517,6 +521,42 @@ MALFORMED_INPUTS = {
     "config-gamma-inf": (
         "ConfigError", "gamma must be nonnegative and finite, got inf",
         lambda data, model, tmp: _with_config(data, tmp, "gamma = inf\n")),
+    "seed-negative": ("ConfigError", "seed must be nonnegative, got -1",
+                      lambda data, model, tmp: _train(data, tmp, "--seed", "-1")),
+    "m-negative": ("ConfigError", "m must be at least 1, got -5",
+                   lambda data, model, tmp: _train(
+                       data, tmp, "--task", "idx", *_idx_flags(tmp), "--m", "-5")),
+    "m-zero": ("ConfigError", "m must be at least 1, got 0",
+               lambda data, model, tmp: _train(
+                   data, tmp, "--task", "idx", *_idx_flags(tmp), "--m", "0")),
+    "sets-per-class-zero": (
+        "ConfigError", "sets_per_class must be at least 1, got 0",
+        lambda data, model, tmp: _train(data, tmp, "--task", "idx",
+                                        *_idx_flags(tmp), "--sets-per-class", "0")),
+    "prototypes-per-class-zero": (
+        "ConfigError", "prototypes_per_class must be at least 1, got 0",
+        lambda data, model, tmp: _train(data, tmp, "--prototypes-per-class", "0")),
+    "synth-width-without-height": (
+        "ConfigError", "width and height must be given together",
+        lambda data, model, tmp: _synth(tmp, "--width", "20")),
+    "synth-negative-frame-size": (
+        "ConfigError", "width -4 x height -5 must be positive",
+        lambda data, model, tmp: _synth(tmp, "--width", "-4", "--height", "-5")),
+    "synth-seed-negative": ("ConfigError", "seed must be nonnegative, got -1",
+                            lambda data, model, tmp: _synth(tmp, "--seed", "-1")),
+    "synth-dim-zero": ("ConfigError", "dim=0 must be in [1, ambient=20]",
+                       lambda data, model, tmp: _synth(tmp, "--dim", "0")),
+    "synth-dim-above-ambient": (
+        "ConfigError", "dim=21 must be in [1, ambient=20]",
+        lambda data, model, tmp: _synth(tmp, "--dim", "21", "--frames", "21")),
+    "synth-noise-nan": ("ConfigError", "noise must be nonnegative and finite, got nan",
+                        lambda data, model, tmp: _synth(tmp, "--noise", "nan")),
+    "synth-noise-negative": (
+        "ConfigError", "noise must be nonnegative and finite, got -0.1",
+        lambda data, model, tmp: _synth(tmp, "--noise", "-0.1")),
+    "synth-train-sets-negative": (
+        "ConfigError", "train_sets=-1",
+        lambda data, model, tmp: _synth(tmp, "--train-sets", "-1")),
     "d-above-frames": ("InsufficientImages", "set 0 (label 1): 6 frames < d=7",
                        lambda data, model, tmp: _train(data, tmp, "--d", "7")),
     "d-below-one": ("ConfigError", "d=0",
