@@ -32,6 +32,7 @@ from .model import (
     prototype_gradient,
     relevance_gradient,
     sample_cost,
+    scores,
     train_step,
 )
 
@@ -45,7 +46,7 @@ __all__ = [
     "apply_prototype_update", "apply_relevance_update", "evaluate",
     "find_winners", "fit", "init_prototypes", "predict_set",
     "predict_vector", "prototype_gradient", "relevance_gradient",
-    "sample_cost", "train_step",
+    "sample_cost", "scores", "train_step",
 ]
 
 __version__ = "0.1.0"

@@ -148,6 +148,8 @@ def _cross_validate(train, dataset, train_config, folds, repeats):
 
 def cmd_train(args):
     cfg = _resolve_train_config(args)
+    if args.repeats < 1:
+        raise ConfigError(f"--repeats must be at least 1, got {args.repeats}")
     train_config = TrainConfig(eta=cfg["eta"], gamma=cfg["gamma"],
                                epochs=cfg["epochs"], seed=cfg["seed"],
                                mode=cfg["mode"])
@@ -155,13 +157,12 @@ def cmd_train(args):
     train = partial(fit, init=cfg["init"],
                     prototypes_per_class=cfg["prototypes_per_class"],
                     class_matrices=class_matrices)
-    if args.folds:
-        accs = _cross_validate(train, dataset, train_config, args.folds,
-                               args.repeats or 1)
+    if args.folds is not None:
+        accs = _cross_validate(train, dataset, train_config, args.folds, args.repeats)
         print(f"cv_accuracy={float(np.mean(accs))!r}")
         print(f"cv_std={float(np.std(accs))!r}")
     model, stats = train(dataset, train_config)
-    if args.repeats and args.repeats > 1 and not args.folds:
+    if args.repeats > 1 and args.folds is None:
         # independent restarts with consecutive seeds; the saved model is run 1's
         run_stats = stats
         for r in range(args.repeats):
@@ -313,7 +314,7 @@ def build_parser():
         p.add_argument("--init", choices=("random", "example", "pca")),
         p.add_argument("--prototypes-per-class", type=int),
     ]
-    p.add_argument("--repeats", type=int,
+    p.add_argument("--repeats", type=int, default=1,
                    help="independent restarts with consecutive seeds; "
                         "the saved model is run 1's")
     p.add_argument("--folds", type=int,

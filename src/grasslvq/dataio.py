@@ -32,7 +32,7 @@ from .errors import (
     VersionMismatch,
 )
 from .manifold import Subspace, pixel_influence, principal_angles_to_stack, subspace_from_set
-from .model import ModelState, Prototype
+from .model import ModelState, Prototype, scores
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -363,27 +363,18 @@ def export_distance_matrix_csv(model: ModelState, dataset, path) -> None:
     the header names each column. External embedding tools (e.g. t-SNE)
     consume this matrix directly.
     """
-    shape = model.stack.shape[1:]
-    for i, (s, _) in enumerate(dataset):
-        if s.basis.shape != shape:
-            raise InconsistentDims(f"sample {i + 1}: basis shape {s.basis.shape} "
-                                   f"differs from the prototypes' {shape}")
-
-    def squared(basis, stack):
-        return principal_angles_to_stack(basis, stack) ** 2 @ model.relevance
-
-    names = ([f"sample_{i + 1}" for i in range(len(dataset))]
+    samples = [s for s, _ in dataset]
+    n = len(samples)
+    names = ([f"sample_{i + 1}" for i in range(n)]
              + [f"prototype_{i + 1}" for i in range(len(model.labels))])
-    # the samples are compared one pair at a time and the prototypes in one
-    # call per row, so no copy of the dataset is built
-    samples = [s.basis for s, _ in dataset]
-    n, n_samples = len(names), len(samples)
-    dist = np.zeros((n, n))
-    for i, basis in enumerate((samples + list(model.stack))[:-1]):
-        for j in range(i + 1, n_samples):
-            dist[i, j] = squared(basis, samples[j][None])[0]
-        first = max(i + 1, n_samples)
-        dist[i, first:] = squared(basis, model.stack[first - n_samples:])
+    dist = np.zeros((len(names), len(names)))
+    dist[:n, n:] = scores(model, samples, "sets")
+    dist[n:, n:] = np.triu(scores(model, [p.subspace for p in model.prototypes], "sets"), 1)
+    # sample pairs involve no prototype: one kernel call per pair, no dataset copy
+    for i, a in enumerate(samples):
+        for j in range(i + 1, n):
+            angles = principal_angles_to_stack(a.basis, samples[j].basis[None])
+            dist[i, j] = (angles ** 2 @ model.relevance)[0]
     dist += dist.T
     with open(path, "w") as f:
         f.write(",".join(names) + "\n")

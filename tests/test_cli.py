@@ -536,6 +536,13 @@ MALFORMED_INPUTS = {
     "prototypes-per-class-zero": (
         "ConfigError", "prototypes_per_class must be at least 1, got 0",
         lambda data, model, tmp: _train(data, tmp, "--prototypes-per-class", "0")),
+    "repeats-negative": ("ConfigError", "--repeats must be at least 1, got -1",
+                         lambda data, model, tmp: _train(
+                             data, tmp, "--folds", "2", "--repeats", "-1")),
+    "repeats-zero": ("ConfigError", "--repeats must be at least 1, got 0",
+                     lambda data, model, tmp: _train(data, tmp, "--repeats", "0")),
+    "folds-zero": ("ConfigError", "--folds must be in [2, 10]",
+                   lambda data, model, tmp: _train(data, tmp, "--folds", "0")),
     "synth-width-without-height": (
         "ConfigError", "width and height must be given together",
         lambda data, model, tmp: _synth(tmp, "--width", "20")),
@@ -579,6 +586,12 @@ MALFORMED_INPUTS = {
         "InconsistentDims", "D = 9 pixels, prototypes have D = 12",
         lambda data, model, tmp: _eval(
             model, _small_frames(tmp / "root" / "c1" / "s1", 4).parent.parent)),
+    "distance-size-vs-model": (
+        "InconsistentDims", "D = 9 pixels, prototypes have D = 12",
+        lambda data, model, tmp: [
+            "inspect", "--model", str(model), "--data",
+            str(_small_frames(tmp / "root" / "c1" / "s1", 4).parent.parent),
+            "--distance-out", str(tmp / "dist.csv")]),
     "prototype-image-size": (
         "ConfigError", "width 5 x height 5 = 25 pixels, but the model has D = 12",
         lambda data, model, tmp: [

@@ -22,6 +22,7 @@ from grasslvq import (
     prototype_gradient,
     geodesic_distance,
     sample_cost,
+    scores,
     squared_geodesic_distance,
     train_step,
 )
@@ -522,6 +523,49 @@ class TestEvaluate:
         rng = np.random.default_rng(31)
         with pytest.raises(ValueError, match="kind"):
             evaluate(two_class_model(rng, 8, 2), [], "images")
+
+
+class TestScores:
+    """scores against references that do not go through the batched kernel."""
+
+    def test_sets_match_principal_decomposition(self):
+        rng = np.random.default_rng(33)
+        D, d = 400, 25
+        model = TestEvaluate._model(rng, D, d)
+        # one block plus one set, so that a second block is made
+        samples = [random_subspace(rng, D, d)
+                   for _ in range(EVAL_BLOCK_BYTES // (8 * D * d) + 1)]
+        samples[-1] = Subspace(model.stack[1].copy())
+        table = scores(model, samples, "sets")
+        expected = [[adaptive_squared_distance(principal_decomposition(s, p.subspace),
+                                               model.relevance)
+                     for p in model.prototypes] for s in samples]
+        assert table.shape == (len(samples), 3)
+        assert np.max(np.abs(table - expected)) < 1e-12
+
+    def test_vectors_match_projection_residual(self):
+        rng = np.random.default_rng(34)
+        D = 784
+        model = TestEvaluate._model(rng, D, 3)
+        images = rng.standard_normal((EVAL_BLOCK_BYTES // (8 * D) + 1, D))
+        images[-1] = model.stack[2] @ rng.standard_normal(3)  # in the span
+        images /= np.linalg.norm(images, axis=1)[:, None]
+        table = scores(model, list(images), "vectors")
+        coeffs = np.einsum("ne,pek->npk", images, model.stack)  # W^T x
+        residuals = images[:, None] - np.einsum("pdk,npk->npd", model.stack, coeffs)
+        expected = np.arcsin(np.minimum(np.linalg.norm(residuals, axis=2), 1.0))
+        assert table.shape == (len(images), 3)
+        assert np.max(np.abs(table - expected)) < 1e-12
+        assert table[-1, 2] < 1e-12
+
+    @pytest.mark.parametrize("kind", ["sets", "vectors"])
+    def test_no_samples(self, kind):
+        rng = np.random.default_rng(35)
+        model = TestEvaluate._model(rng, 8, 2)
+        assert scores(model, [], kind).shape == (0, 3)
+        accuracy, confusion = evaluate(model, [], kind)
+        assert accuracy == 0.0
+        assert np.array_equal(confusion, np.zeros((3, 3), dtype=np.int64))
 
 
 class TestConfigValidation:
