@@ -210,8 +210,10 @@ def build_classwise_subspace_dataset(images, labels, d, m, sets_per_class, seed)
     For each class, draws ``sets_per_class`` independent groups of ``m`` images
     (without replacement within a group) and converts each group to a
     d-dimensional subspace. Returns (Subspace, label) pairs; deterministic
-    under the seed.
+    under the seed. Raises InsufficientImages when m < d, before any draw.
     """
+    if m < d:
+        raise InsufficientImages(f"m={m} images per subspace < d={d}")
     rng = np.random.default_rng(seed)
     dataset = []
     for label in np.unique(labels):

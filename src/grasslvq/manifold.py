@@ -60,7 +60,8 @@ class SubspaceWithFactors:
 
     ``singular_values`` and ``right_factors`` retain the first d singular values
     and right singular vectors, which later attribute principal vectors back to
-    the individual columns (images) of X.
+    the individual columns (images) of X: X R diag(1/s) gives the basis P to
+    about eps * s_1 / s_d (``subspace_from_set`` re-orthonormalises P itself).
     """
 
     subspace: Subspace
@@ -120,22 +121,33 @@ def subspace_from_set(X, d: int) -> SubspaceWithFactors:
 
     X is a D x m data matrix (one image per column). The subspace is the span
     of the first d left singular vectors; singular values and right factors
-    are kept for the image-contribution computation. Raises
-    InsufficientImages when X has fewer than d columns.
+    are kept for the image-contribution computation. Raises ConfigError when
+    d is outside [1, D], then InsufficientImages when X has fewer than d
+    columns, then RankDeficient when s_d <= RANK_TOL * s_1.
+
+    The factors come from the R-SVD (Chan, 1982): Householder QR without Q,
+    then the SVD of the small triangular R, which has the singular values
+    and right singular vectors of X. The d left vectors are X v_k / s_k,
+    accurate to about eps * s_1 / s_d in orthonormality, and one Cholesky
+    pass brings their Gram matrix to I within a few eps. Every returned
+    array is freshly allocated: the basis is a C-contiguous (D, d) array.
     """
     X = _as_f64(X)
     D, m = X.shape
-    if m < d:
-        raise InsufficientImages(f"{m} frames < d={d}")
     if d < 1 or d > D:
         raise ConfigError(f"d={d} must satisfy 1 <= d <= D = {D}")
-    u, s, vt = np.linalg.svd(X, full_matrices=False)
+    if m < d:
+        raise InsufficientImages(f"{m} frames < d={d}")
+    _, s, vt = np.linalg.svd(np.linalg.qr(X, mode="r"), full_matrices=False)
     if s[0] == 0.0 or s[d - 1] <= RANK_TOL * s[0]:
         raise RankDeficient(f"set of {m} columns has numerical rank < {d}")
+    right = vt[:d].T.copy()
+    u = (X @ right) / s[:d]
+    basis = u @ np.linalg.inv(np.linalg.cholesky(u.T @ u)).T
     return SubspaceWithFactors(
-        subspace=Subspace(u[:, :d]),
-        singular_values=s[:d],
-        right_factors=vt[:d].T,
+        subspace=Subspace(basis),
+        singular_values=s[:d].copy(),
+        right_factors=right,
     )
 
 
@@ -289,7 +301,8 @@ def image_contribution(factors: SubspaceWithFactors, rot_left) -> np.ndarray:
     """Contribution matrix M = R diag(1/s) Q_P mapping set columns to principal vectors.
 
     For the data matrix X that produced `factors`, X @ M recovers the principal
-    vectors U of the decomposition whose left rotation is `rot_left`.
+    vectors U of the decomposition whose left rotation is `rot_left`, to
+    about eps * s_1 / s_d.
     """
     s = factors.singular_values
     if np.any(s < 1e-12):

@@ -568,6 +568,10 @@ MALFORMED_INPUTS = {
                        lambda data, model, tmp: _train(data, tmp, "--d", "7")),
     "d-below-one": ("ConfigError", "d=0",
                     lambda data, model, tmp: _train(data, tmp, "--d", "0")),
+    "d-above-ambient": ("ConfigError", "D = 12",
+                        lambda data, model, tmp: _train(data, tmp, "--d", "13")),
+    "idx-m-below-d": ("InsufficientImages", "m=5", lambda data, model, tmp: _train(
+        data, tmp, "--task", "idx", *_idx_flags(tmp), "--m", "5", "--d", "12")),
     "manifest-one-field": ("ConfigError", "labels.txt:2", lambda data, model, tmp:
                            _with_manifest(data, model, tmp, "class_01 1\nclass_02\n")),
     "manifest-non-integer": ("ConfigError", "labels.txt:1", lambda data, model, tmp:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,12 @@ def e(i, D):
     v = np.zeros(D)
     v[i] = 1.0
     return v
+
+
+def largest_angle_sine(a, b):
+    """sin of the largest principal angle between orthonormal a and b: the
+    spectral norm of b's residual off span(a), accurate for tiny angles."""
+    return np.linalg.norm(b - a @ (a.T @ b), ord=2)
 
 
 class TestOrthonormalize:
@@ -89,6 +97,60 @@ class TestSubspaceFromSet:
         X = np.column_stack([e(0, 5), e(0, 5), e(1, 5)])
         with pytest.raises(RankDeficient):
             subspace_from_set(X, 3)
+
+    def test_all_zero_set_rejected_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RankDeficient):
+                subspace_from_set(np.zeros((5, 3)), 2)
+
+    @pytest.mark.parametrize("ratio", [1e2, 1e4, 1e6, 1e8, 1e10, 1e11])
+    def test_planted_spectrum_against_gesdd(self, ratio):
+        # oracle: X = U diag(s) V^T with s_1 / s_d = ratio and s_(d+1) = s_d / 2;
+        # the basis must be orthonormal to eps and no farther from span(U[:, :d])
+        # than LAPACK's full thin SVD (within a factor of 2)
+        rng = np.random.default_rng(int(np.log10(ratio)))
+        D, m, d = 60, 20, 5
+        U = random_subspace(rng, D, m).basis
+        top = np.logspace(0, -np.log10(ratio), d)
+        s = np.concatenate([top, top[-1] / 2 * np.logspace(0, -3, m - d)])
+        X = U * s @ random_orthogonal(rng, m).T
+        basis = subspace_from_set(X, d).subspace.basis
+        assert np.max(np.abs(basis.T @ basis - np.eye(d))) <= 1e-14
+        reference = np.linalg.svd(X, full_matrices=False)[0][:, :d]
+        planted = U[:, :d]
+        assert (largest_angle_sine(planted, basis)
+                <= 2 * largest_angle_sine(planted, reference) + 1e-15)
+
+    @pytest.mark.parametrize("D, m, d", [(6, 10, 3), (8, 8, 4), (9, 4, 4), (7, 5, 1)])
+    def test_shapes_match_gesdd(self, D, m, d):
+        # m > D, m = D, m = d and d = 1
+        rng = np.random.default_rng(D * m + d)
+        X = rng.standard_normal((D, m))
+        out = subspace_from_set(X, d)
+        u, s, vt = np.linalg.svd(X, full_matrices=False)
+        assert out.subspace.basis.shape == (D, d)
+        assert out.right_factors.shape == (m, d)
+        assert largest_angle_sine(u[:, :d], out.subspace.basis) < 1e-12
+        assert largest_angle_sine(vt[:d].T, out.right_factors) < 1e-12
+        assert np.allclose(out.singular_values, s[:d], rtol=1e-12, atol=0)
+
+    def test_factors_own_contiguous_buffers(self):
+        # no view may pin the D x m left factor of a full SVD
+        rng = np.random.default_rng(8)
+        out = subspace_from_set(rng.standard_normal((784, 50)), 12)
+        for a in (out.subspace.basis, out.singular_values, out.right_factors):
+            assert a.flags.c_contiguous and a.flags.owndata
+        assert out.subspace.basis.shape == (784, 12)
+
+    def test_contribution_recovers_principal_vectors_of_large_set(self):
+        rng = np.random.default_rng(20)
+        X = rng.standard_normal((784, 50))
+        X /= np.linalg.norm(X, axis=0)
+        factors = subspace_from_set(X, 12)
+        pd = principal_decomposition(factors.subspace, random_subspace(rng, 784, 12))
+        M = image_contribution(factors, pd.rot_left)
+        assert np.max(np.abs(X @ M - pd.principal_left)) < 1e-10
 
 
 class TestPrincipalDecomposition:
