@@ -210,8 +210,12 @@ def build_classwise_subspace_dataset(images, labels, d, m, sets_per_class, seed)
     For each class, draws ``sets_per_class`` independent groups of ``m`` images
     (without replacement within a group) and converts each group to a
     d-dimensional subspace. Returns (Subspace, label) pairs; deterministic
-    under the seed. Raises InsufficientImages when m < d, before any draw.
+    under the seed. Before any draw, raises ConfigError when d is outside
+    [1, D], then InsufficientImages when m < d.
     """
+    D = images.shape[1]
+    if d < 1 or d > D:
+        raise ConfigError(f"d={d} must satisfy 1 <= d <= D = {D}")
     if m < d:
         raise InsufficientImages(f"m={m} images per subspace < d={d}")
     rng = np.random.default_rng(seed)

@@ -125,9 +125,11 @@ def subspace_from_set(X, d: int) -> SubspaceWithFactors:
     d is outside [1, D], then InsufficientImages when X has fewer than d
     columns, then RankDeficient when s_d <= RANK_TOL * s_1.
 
-    The factors come from the R-SVD (Chan, 1982): Householder QR without Q,
-    then the SVD of the small triangular R, which has the singular values
-    and right singular vectors of X. The d left vectors are X v_k / s_k,
+    For a tall set (m < D) the factors come from the R-SVD (Chan, 1982):
+    Householder QR without Q, then the SVD of the m x m triangular R, which
+    has the singular values and right singular vectors of X. For m >= D the
+    QR would shrink nothing, so the SVD runs on X itself (without keeping
+    its left vectors). Either way the d left vectors are X v_k / s_k,
     accurate to about eps * s_1 / s_d in orthonormality, and one Cholesky
     pass brings their Gram matrix to I within a few eps. Every returned
     array is freshly allocated: the basis is a C-contiguous (D, d) array.
@@ -138,7 +140,8 @@ def subspace_from_set(X, d: int) -> SubspaceWithFactors:
         raise ConfigError(f"d={d} must satisfy 1 <= d <= D = {D}")
     if m < d:
         raise InsufficientImages(f"{m} frames < d={d}")
-    _, s, vt = np.linalg.svd(np.linalg.qr(X, mode="r"), full_matrices=False)
+    R = np.linalg.qr(X, mode="r") if m < D else X
+    _, s, vt = np.linalg.svd(R, full_matrices=False)
     if s[0] == 0.0 or s[d - 1] <= RANK_TOL * s[0]:
         raise RankDeficient(f"set of {m} columns has numerical rank < {d}")
     right = vt[:d].T.copy()

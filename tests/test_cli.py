@@ -572,6 +572,8 @@ MALFORMED_INPUTS = {
                         lambda data, model, tmp: _train(data, tmp, "--d", "13")),
     "idx-m-below-d": ("InsufficientImages", "m=5", lambda data, model, tmp: _train(
         data, tmp, "--task", "idx", *_idx_flags(tmp), "--m", "5", "--d", "12")),
+    "idx-d-above-ambient": ("ConfigError", "D = 12", lambda data, model, tmp: _train(
+        data, tmp, "--task", "idx", *_idx_flags(tmp), "--m", "5", "--d", "13")),
     "manifest-one-field": ("ConfigError", "labels.txt:2", lambda data, model, tmp:
                            _with_manifest(data, model, tmp, "class_01 1\nclass_02\n")),
     "manifest-non-integer": ("ConfigError", "labels.txt:1", lambda data, model, tmp:
