@@ -8,12 +8,10 @@ from .manifold import (
     g_matrix_diagonal,
     geodesic_distance,
     image_contribution,
-    orthonormalize_columns,
     pixel_influence,
     principal_angles_to_stack,
     principal_decomposition,
     single_vector_angle,
-    squared_geodesic_distance,
     subspace_from_set,
 )
 from .model import (
@@ -39,9 +37,8 @@ from .model import (
 __all__ = [
     "PrincipalDecomposition", "Subspace", "SubspaceWithFactors",
     "adaptive_squared_distance", "g_matrix_diagonal", "geodesic_distance",
-    "image_contribution", "orthonormalize_columns", "pixel_influence",
-    "principal_angles_to_stack", "principal_decomposition", "single_vector_angle",
-    "squared_geodesic_distance", "subspace_from_set",
+    "image_contribution", "pixel_influence", "principal_angles_to_stack",
+    "principal_decomposition", "single_vector_angle", "subspace_from_set",
     "ModelState", "Prototype", "SampleOutcome", "TrainConfig",
     "apply_prototype_update", "apply_relevance_update", "evaluate",
     "find_winners", "fit", "init_prototypes", "predict_set",

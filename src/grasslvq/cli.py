@@ -173,10 +173,7 @@ def cmd_train(args):
                   f"train_accuracy={float(run_stats[-1][2])!r}")
     dataio.save_model(model, args.model_out)
     if args.log_out:
-        with open(args.log_out, "w") as f:
-            f.write("epoch,mean_cost,train_accuracy\n")
-            for epoch, cost, acc in stats:
-                f.write(f"{epoch},{cost!r},{acc!r}\n")
+        dataio.write_csv(args.log_out, ["epoch", "mean_cost", "train_accuracy"], stats)
     if args.summary_out:
         with open(args.summary_out, "w") as f:
             for key in sorted(cfg):
@@ -215,9 +212,7 @@ def cmd_eval(args):
     accuracy, confusion = evaluate(model, dataset, kind)
     print(f"accuracy={accuracy!r}")
     if args.confusion_out:
-        with open(args.confusion_out, "w") as f:
-            for row in confusion:
-                f.write(",".join(str(v) for v in row) + "\n")
+        dataio.write_csv(args.confusion_out, None, confusion)
     return 0
 
 
@@ -252,10 +247,8 @@ def cmd_predict(args):
                 pd, k, width, height,
                 os.path.join(out_dir, f"influence_angle_{k + 1}.pgm"))
         M = image_contribution(factors, pd.rot_left)
-        with open(os.path.join(out_dir, "image_contribution.csv"), "w") as f:
-            f.write(",".join(f"vector_{k + 1}" for k in range(M.shape[1])) + "\n")
-            for row in M:
-                f.write(",".join(repr(float(v)) for v in row) + "\n")
+        dataio.write_csv(os.path.join(out_dir, "image_contribution.csv"),
+                         [f"vector_{k + 1}" for k in range(M.shape[1])], M)
     return 0
 
 
@@ -266,9 +259,8 @@ def cmd_inspect(args):
     if args.prototype_dir:
         if not args.width or not args.height:
             raise ConfigError("--prototype-dir requires --width and --height")
-        for i in range(len(model.labels)):
-            dataio.export_prototype_images(model, i, args.width, args.height,
-                                           args.prototype_dir)
+        dataio.export_prototype_images(model, args.width, args.height,
+                                       args.prototype_dir)
     if args.distance_out:
         if not args.data:
             raise ConfigError("--distance-out requires --data")
@@ -330,8 +322,6 @@ def build_parser():
     p.add_argument("--images", help="IDX image file")
     p.add_argument("--labels", help="IDX label file")
     p.add_argument("--confusion-out")
-    p.add_argument("--threads", type=int,
-                   help="accepted for compatibility; ignored")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("predict", help="predict one image set or one image")

@@ -12,6 +12,7 @@ so every column entering a subspace construction has unit norm, except that
 an all-black image stays zero.
 """
 
+import math
 import os
 import re
 import struct
@@ -53,15 +54,21 @@ def _read_exact(f, n, path):
     return data
 
 
-def read_idx_images(path) -> np.ndarray:
-    """Read an IDX image file into an (n, D) float64 array of unit-norm rows."""
+def _read_idx(path, magic, ndim):
+    """The uint8 payload of an IDX file with ``ndim`` size fields, checking
+    the magic first; returns (payload, sizes)."""
     with open(path, "rb") as f:
-        magic, count, rows, cols = struct.unpack(">iiii", _read_exact(f, 16, path))
-        if magic != IDX_IMAGES_MAGIC:
-            raise BadMagic(f"{path}: magic 0x{magic:08x}, expected 0x{IDX_IMAGES_MAGIC:08x}")
-        raw = _read_exact(f, count * rows * cols, path)
-    images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows * cols)
-    return normalize_pixels(images), rows, cols
+        found, *sizes = struct.unpack(f">{1 + ndim}i", _read_exact(f, 4 + 4 * ndim, path))
+        if found != magic:
+            raise BadMagic(f"{path}: magic 0x{found:08x}, expected 0x{magic:08x}")
+        raw = _read_exact(f, math.prod(sizes), path)
+    return np.frombuffer(raw, dtype=np.uint8), sizes
+
+
+def read_idx_images(path):
+    """Read an IDX image file; returns ((n, D) float64 unit-norm rows, rows, cols)."""
+    pixels, (count, rows, cols) = _read_idx(path, IDX_IMAGES_MAGIC, 3)
+    return normalize_pixels(pixels.reshape(count, rows * cols)), rows, cols
 
 
 def normalize_pixels(pixels) -> np.ndarray:
@@ -76,12 +83,7 @@ def normalize_pixels(pixels) -> np.ndarray:
 
 def read_idx_labels(path) -> np.ndarray:
     """Read an IDX label file into an (n,) integer array."""
-    with open(path, "rb") as f:
-        magic, count = struct.unpack(">ii", _read_exact(f, 8, path))
-        if magic != IDX_LABELS_MAGIC:
-            raise BadMagic(f"{path}: magic 0x{magic:08x}, expected 0x{IDX_LABELS_MAGIC:08x}")
-        raw = _read_exact(f, count, path)
-    return np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+    return _read_idx(path, IDX_LABELS_MAGIC, 1)[0].astype(np.int64)
 
 
 def read_idx_dataset(images_path, labels_path):
@@ -313,11 +315,20 @@ def load_model(path) -> ModelState:
 
 # ---------------------------------------------------------------- exporters
 
-def export_relevance_csv(model: ModelState, path) -> None:
+def write_csv(path, header, rows) -> None:
+    """Write a CSV file: a header line of names unless ``header`` is None, then
+    one line per row. Integers are written with str, every other value with
+    repr(float(v)), so floats read back bit-exactly."""
     with open(path, "w") as f:
-        f.write("index,lambda\n")
-        for i, lam in enumerate(model.relevance):
-            f.write(f"{i + 1},{float(lam)!r}\n")
+        if header is not None:
+            f.write(",".join(header) + "\n")
+        for row in rows:
+            f.write(",".join(str(v) if isinstance(v, (int, np.integer))
+                             else repr(float(v)) for v in row) + "\n")
+
+
+def export_relevance_csv(model: ModelState, path) -> None:
+    write_csv(path, ["index", "lambda"], enumerate(model.relevance, 1))
 
 
 def _rescale_full_range(values):
@@ -328,25 +339,26 @@ def _rescale_full_range(values):
     return np.clip(np.rint((values - lo) / scale * 255), 0, 255).astype(np.uint8), lo, hi
 
 
-def export_prototype_images(model: ModelState, proto_index, width, height, out_dir) -> None:
-    """One PGM per principal vector of the prototype, rescaled to full 8-bit range.
+def export_prototype_images(model: ModelState, width, height, out_dir) -> None:
+    """One PGM per principal vector of every prototype, each rescaled to the
+    full 8-bit range, and one ``rescale.txt`` sidecar that maps them back.
 
-    The per-image rescaling intervals are documented in a ``rescale.txt``
-    sidecar so pixel values can be mapped back.
+    The sidecar holds the formula line, then one line per image:
+    ``prototype_<i>_vector_<k>.pgm label=<label> min=<repr> max=<repr>``.
     """
     if width <= 0 or height <= 0 or width * height != model.ambient_dim:
         raise ConfigError(f"width {width} x height {height} = {width * height} "
                           f"pixels, but the model has D = {model.ambient_dim}")
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "rescale.txt"), "w") as sidecar:
-        sidecar.write(f"prototype {proto_index} label {model.labels[proto_index]}\n")
-        sidecar.write("pixel = min + raw/255 * (max - min)\n")
+    lines = ["pixel = min + raw/255 * (max - min)"]
+    for i, label in enumerate(model.labels):
         for k in range(model.subspace_dim):
-            column = model.stack[proto_index, :, k]
-            img, lo, hi = _rescale_full_range(column)
-            name = f"prototype_{proto_index}_vector_{k + 1}.pgm"
+            img, lo, hi = _rescale_full_range(model.stack[i, :, k])
+            name = f"prototype_{i}_vector_{k + 1}.pgm"
             write_pgm(os.path.join(out_dir, name), img.reshape(height, width))
-            sidecar.write(f"{name} min={float(lo)!r} max={float(hi)!r}\n")
+            lines.append(f"{name} label={label} min={float(lo)!r} max={float(hi)!r}")
+    with open(os.path.join(out_dir, "rescale.txt"), "w") as sidecar:
+        sidecar.write("\n".join(lines) + "\n")
 
 
 def export_pixel_influence(pd, index, width, height, path) -> None:
@@ -382,7 +394,4 @@ def export_distance_matrix_csv(model: ModelState, dataset, path) -> None:
             angles = principal_angles_to_stack(a.basis, samples[j].basis[None])
             dist[i, j] = (angles ** 2 @ model.relevance)[0]
     dist += dist.T
-    with open(path, "w") as f:
-        f.write(",".join(names) + "\n")
-        for row in dist:
-            f.write(",".join(repr(float(v)) for v in row) + "\n")
+    write_csv(path, names, dist)

@@ -101,21 +101,6 @@ class PrincipalDecomposition:
         return self.angles.shape[0]
 
 
-def orthonormalize_columns(M) -> Subspace:
-    """Return an orthonormal basis spanning the columns of M (via thin SVD).
-
-    Raises RankDeficient if the numerical rank of M is below its column count,
-    which during training signals a degenerate prototype update.
-    """
-    M = _as_f64(M)
-    u, s, _ = np.linalg.svd(M, full_matrices=False)
-    if s[0] == 0.0 or s[-1] <= RANK_TOL * s[0]:
-        raise RankDeficient(
-            f"matrix of shape {M.shape} has numerical rank < {M.shape[1]}"
-        )
-    return Subspace(u[:, : M.shape[1]])
-
-
 def subspace_from_set(X, d: int) -> SubspaceWithFactors:
     """Build the d-dimensional subspace spanned by a set of column vectors.
 
@@ -183,11 +168,6 @@ def principal_decomposition(p1: Subspace, p2: Subspace, product=None) -> Princip
         principal_left=principal_left,
         principal_right=principal_right,
     )
-
-
-def squared_geodesic_distance(pd: PrincipalDecomposition) -> float:
-    """Sum of squared principal angles."""
-    return float(np.sum(pd.angles ** 2))
 
 
 def geodesic_distance(pd: PrincipalDecomposition) -> float:

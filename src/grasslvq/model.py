@@ -32,7 +32,6 @@ from .manifold import (
     adaptive_squared_distance,
     angles_from_products,
     g_matrix_diagonal,
-    orthonormalize_columns,
     principal_angles_to_stack,
     principal_decomposition,
     subspace_from_set,
@@ -235,8 +234,10 @@ def apply_prototype_update(model: ModelState, outcome: SampleOutcome, eta: float
             raise FloatingPointError(f"non-finite prototype gradient for winner "
                                      f"{which} (index {idx})")
         pd = outcome.pd_plus if which == "plus" else outcome.pd_minus
-        updated = pd.principal_right - eta * grad
-        norms = np.linalg.norm(updated, axis=0)
+        with np.errstate(over="ignore"):
+            # an overflow gives an infinite norm, which the rank test rejects
+            updated = pd.principal_right - eta * grad
+            norms = np.linalg.norm(updated, axis=0)
         if norms.min() <= RANK_TOL * norms.max():
             raise RankDeficient(f"update of winner {which} (index {idx}) is rank deficient")
         model.stack[idx] = Subspace(updated / norms).basis
@@ -279,7 +280,7 @@ def init_prototypes(dataset, d: int, strategy: str, rng,
     """Create prototypes_per_class prototypes for every class in the dataset.
 
     Strategies:
-      * ``random``  -- orthonormalized Gaussian matrices,
+      * ``random``  -- the span of a D x d Gaussian matrix,
       * ``example`` -- copies of randomly selected same-class sample subspaces,
       * ``pca``     -- top-d left singular vectors of all class images
         concatenated; requires ``class_matrices`` mapping label -> D x n matrix.
@@ -292,7 +293,7 @@ def init_prototypes(dataset, d: int, strategy: str, rng,
     for label in labels:
         for _ in range(prototypes_per_class):
             if strategy == "random":
-                basis = orthonormalize_columns(rng.standard_normal((D, d)))
+                basis = subspace_from_set(rng.standard_normal((D, d)), d).subspace
             elif strategy == "example":
                 pool = [s for s, y in dataset if y == label]
                 basis = Subspace(pool[rng.integers(len(pool))].basis.copy())

@@ -10,13 +10,12 @@ from grasslvq import (
     SampleOutcome,
     Subspace,
     adaptive_squared_distance,
-    orthonormalize_columns,
     principal_decomposition,
 )
 
 
 def random_subspace(rng, D, d):
-    return orthonormalize_columns(rng.standard_normal((D, d)))
+    return Subspace(np.linalg.svd(rng.standard_normal((D, d)), full_matrices=False)[0])
 
 
 def random_orthogonal(rng, d):
@@ -78,8 +77,8 @@ def synthetic_subspace_dataset(rng, classes=3, D=20, d=3, per_class=10,
     for c in range(classes):
         center = random_subspace(rng, D, d).basis
         for _ in range(per_class):
-            sample = orthonormalize_columns(
-                center + noise * rng.standard_normal((D, d)))
+            noisy = center + noise * rng.standard_normal((D, d))
+            sample = Subspace(np.linalg.svd(noisy, full_matrices=False)[0])
             dataset.append((sample, c + 1))
     return dataset
 

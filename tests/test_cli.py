@@ -243,15 +243,6 @@ class TestEval:
         acc = float(line.split("=", 1)[1])
         assert 0.0 <= acc <= 1.0
 
-    def test_threaded_matches_serial(self, workspace, capsys):
-        _, data, model, _ = workspace
-        main(["eval", "--model", str(model), "--data", str(data / "test")])
-        serial = capsys.readouterr().out
-        main(["eval", "--model", str(model), "--data", str(data / "test"),
-              "--threads", "3"])
-        threaded = capsys.readouterr().out
-        assert serial == threaded
-
     def test_confusion_csv(self, workspace, tmp_path, capsys):
         _, data, model, _ = workspace
         out = tmp_path / "conf.csv"
@@ -403,6 +394,20 @@ class TestInspect:
         pgms = sorted(p.name for p in out.glob("*.pgm"))
         assert pgms == ["prototype_0_vector_1.pgm", "prototype_0_vector_2.pgm",
                         "prototype_1_vector_1.pgm", "prototype_1_vector_2.pgm"]
+        # rescale.txt names every image once and maps it back to its column
+        state = dataio.load_model(model)
+        lines = (out / "rescale.txt").read_text().splitlines()
+        assert lines[0] == "pixel = min + raw/255 * (max - min)"
+        entries = [line.split() for line in lines[1:]]
+        assert sorted(entry[0] for entry in entries) == pgms
+        for name, *fields in entries:
+            i, k = (int(t) for t in name[:-4].split("_")[1::2])
+            meta = dict(field.split("=") for field in fields)
+            lo, hi = float(meta["min"]), float(meta["max"])
+            assert int(meta["label"]) == state.labels[i]
+            raw = dataio.read_pgm(out / name).ravel().astype(float)
+            column = state.stack[i, :, k - 1]
+            assert np.max(np.abs(lo + raw / 255 * (hi - lo) - column)) <= (hi - lo) / 510
 
     def test_distance_matrix(self, workspace, tmp_path):
         _, data, model, _ = workspace
@@ -514,6 +519,9 @@ MALFORMED_INPUTS = {
         lambda data, model, tmp: _with_config(data, tmp, "mode = nope\n")),
     "eta-nan": ("ConfigError", "eta must be positive and finite, got nan",
                 lambda data, model, tmp: _train(data, tmp, "--eta", "nan")),
+    "eta-overflow": ("RankDeficient", "rank deficient",
+                     lambda data, model, tmp: _train(
+                         data, tmp, "--mode", "glgq", "--gamma", "0", "--eta", "1e200")),
     "eta-inf": ("ConfigError", "eta must be positive and finite, got inf",
                 lambda data, model, tmp: _train(data, tmp, "--eta", "inf")),
     "gamma-nan": ("ConfigError", "gamma must be nonnegative and finite, got nan",

@@ -322,13 +322,32 @@ class TestExporters:
         rng = np.random.default_rng(5)
         model = two_class_model(rng, 12, 2)
         out = tmp_path / "protos"
-        dataio.export_prototype_images(model, 0, 4, 3, out)
+        dataio.export_prototype_images(model, 4, 3, out)
         files = sorted(p.name for p in out.iterdir())
         assert "rescale.txt" in files
         assert "prototype_0_vector_1.pgm" in files
+        assert "prototype_1_vector_2.pgm" in files
         img = dataio.read_pgm(out / "prototype_0_vector_1.pgm")
         assert img.shape == (3, 4)
         assert img.min() == 0 and img.max() == 255  # full 8-bit range
+
+    def test_write_csv_format(self, tmp_path):
+        path = tmp_path / "table.csv"
+        floats = [0.1, 1 / 3, -2.5e-300, np.float64(np.pi)]
+        dataio.write_csv(path, None, [[3, np.int64(-4)], floats])
+        lines = path.read_bytes().decode().split("\n")
+        assert lines[0] == "3,-4"  # no header line, integers without ".0"
+        assert [float(v) for v in lines[1].split(",")] == floats
+        assert lines[2:] == [""]
+        dataio.write_csv(path, ["a", "b"], [[1, 2.0]])
+        assert path.read_text() == "a,b\n1,2.0\n"
+
+    def test_write_csv_confusion_parses_with_loadtxt(self, tmp_path):
+        confusion = np.array([[5, 0, 1], [0, 6, 0], [2, 0, 4]], dtype=np.int64)
+        path = tmp_path / "confusion.csv"
+        dataio.write_csv(path, None, confusion)
+        back = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
+        assert np.array_equal(back, confusion)
 
     def test_influence_map_identity(self, tmp_path):
         from grasslvq import principal_decomposition, pixel_influence

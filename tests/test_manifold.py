@@ -9,12 +9,10 @@ from grasslvq import (
     g_matrix_diagonal,
     geodesic_distance,
     image_contribution,
-    orthonormalize_columns,
     pixel_influence,
     principal_angles_to_stack,
     principal_decomposition,
     single_vector_angle,
-    squared_geodesic_distance,
     subspace_from_set,
 )
 from grasslvq.errors import InconsistentDims, RankDeficient, SingularFactor
@@ -36,13 +34,13 @@ def largest_angle_sine(a, b):
 class TestOrthonormalize:
     def test_already_orthonormal_spans_same_space(self):
         basis = np.column_stack([e(0, 3), e(1, 3)])
-        out = orthonormalize_columns(basis)
+        out = subspace_from_set(basis, 2).subspace
         pd = principal_decomposition(Subspace(basis), out)
         assert np.all(pd.angles < 1e-12)
 
     def test_column_scaling_removed(self):
         M = np.array([[2.0, 0.0], [0.0, 3.0], [0.0, 0.0]])
-        out = orthonormalize_columns(M)
+        out = subspace_from_set(M, M.shape[1]).subspace
         assert np.max(np.abs(out.basis.T @ out.basis - np.eye(2))) < 1e-12
         # spans e1, e2 of R^3
         proj = out.basis @ out.basis.T
@@ -52,7 +50,7 @@ class TestOrthonormalize:
         # oracle: explicit projector M (M^T M)^-1 M^T
         rng = np.random.default_rng(42)
         M = rng.standard_normal((6, 3))
-        out = orthonormalize_columns(M)
+        out = subspace_from_set(M, M.shape[1]).subspace
         assert np.max(np.abs(out.basis.T @ out.basis - np.eye(3))) < 1e-10
         oracle = M @ np.linalg.inv(M.T @ M) @ M.T
         assert np.max(np.abs(out.basis @ out.basis.T - oracle)) < 1e-8
@@ -60,7 +58,7 @@ class TestOrthonormalize:
     def test_rank_deficient_rejected(self):
         M = np.column_stack([e(0, 4), e(0, 4)])
         with pytest.raises(RankDeficient):
-            orthonormalize_columns(M)
+            subspace_from_set(M, M.shape[1])
 
 
 class TestSubspaceFromSet:
@@ -233,13 +231,13 @@ class TestDistances:
         rng = np.random.default_rng(8)
         s = random_subspace(rng, 5, 2)
         pd = principal_decomposition(s, s)
-        assert squared_geodesic_distance(pd) < 1e-15
+        assert np.sum(pd.angles ** 2) < 1e-15
         assert geodesic_distance(pd) < 1e-7
 
         p1 = Subspace(np.column_stack([e(0, 4), e(1, 4)]))
         p2 = Subspace(np.column_stack([e(2, 4), e(3, 4)]))
         pd = principal_decomposition(p1, p2)
-        assert np.isclose(squared_geodesic_distance(pd), np.pi ** 2 / 2)
+        assert np.isclose(np.sum(pd.angles ** 2), np.pi ** 2 / 2)
 
         p1 = Subspace(e(0, 3)[:, None])
         p2 = Subspace(e(1, 3)[:, None])
@@ -250,7 +248,7 @@ class TestDistances:
         p1 = Subspace(np.column_stack([e(0, 3), e(1, 3)]))
         p2 = Subspace(np.column_stack([e(0, 3), (e(1, 3) + e(2, 3)) / np.sqrt(2)]))
         pd = principal_decomposition(p1, p2)
-        assert np.isclose(squared_geodesic_distance(pd), (np.pi / 4) ** 2)
+        assert np.isclose(np.sum(pd.angles ** 2), (np.pi / 4) ** 2)
 
     def test_representation_invariance(self):
         rng = np.random.default_rng(9)
@@ -265,7 +263,7 @@ class TestDistances:
         p1, p2 = random_subspace(rng, 6, 3), random_subspace(rng, 6, 3)
         pd = principal_decomposition(p1, p2)
         uniform = adaptive_squared_distance(pd, np.full(3, 1.0 / 3))
-        assert np.isclose(uniform, squared_geodesic_distance(pd) / 3)
+        assert np.isclose(uniform, np.sum(pd.angles ** 2) / 3)
         first_only = adaptive_squared_distance(pd, np.array([1.0, 0.0, 0.0]))
         assert np.isclose(first_only, pd.angles[0] ** 2)
 

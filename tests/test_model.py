@@ -15,7 +15,6 @@ from grasslvq import (
     find_winners,
     fit,
     init_prototypes,
-    orthonormalize_columns,
     predict_set,
     predict_vector,
     principal_decomposition,
@@ -23,7 +22,7 @@ from grasslvq import (
     geodesic_distance,
     sample_cost,
     scores,
-    squared_geodesic_distance,
+    subspace_from_set,
     train_step,
 )
 from grasslvq.errors import (
@@ -230,15 +229,15 @@ class TestPrototypeUpdate:
             model = two_class_model(rng, D, d, mode="grlgq")
             out = find_winners(model, random_subspace(rng, D, d), 1)
             expected = {
-                idx: orthonormalize_columns(
+                idx: subspace_from_set(
                     pd.principal_right
-                    - eta * prototype_gradient(out, model.relevance, which))
+                    - eta * prototype_gradient(out, model.relevance, which), d).subspace
                 for which, idx, pd in (("plus", out.winner_same, out.pd_plus),
                                        ("minus", out.winner_other, out.pd_minus))}
             apply_prototype_update(model, out, eta)
             for idx, svd_basis in expected.items():
                 pd = principal_decomposition(model.subspace(idx), svd_basis)
-                assert squared_geodesic_distance(pd) < 1e-20
+                assert np.sum(pd.angles ** 2) < 1e-20
 
     def test_collapsed_column_raises(self):
         # the sample shares w_0 with the other-label winner, so u_0 = v_0; an
@@ -246,14 +245,14 @@ class TestPrototypeUpdate:
         rng = np.random.default_rng(30)
         model = two_class_model(rng, 10, 3)
         shared = model.stack[1][:, :1]
-        sample = orthonormalize_columns(
-            np.hstack([shared, rng.standard_normal((10, 2))]))
+        sample = subspace_from_set(
+            np.hstack([shared, rng.standard_normal((10, 2))]), 3).subspace
         out = find_winners(model, sample, 1)
         assert out.winner_other == 1 and out.pd_minus.angles[0] < 1e-12
         grad = prototype_gradient(out, model.relevance, "minus")
         eta = 1.0 / (out.pd_minus.principal_left[:, 0] @ grad[:, 0])
         with pytest.raises(RankDeficient):
-            orthonormalize_columns(out.pd_minus.principal_right - eta * grad)
+            subspace_from_set(out.pd_minus.principal_right - eta * grad, 3)
         with pytest.raises(RankDeficient, match="winner minus"):
             apply_prototype_update(model, out, eta)
 
