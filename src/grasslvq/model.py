@@ -6,11 +6,14 @@ Two training modes are supported:
 * ``"grlgq"`` -- relevance weights on the simplex, learned alongside the
   prototypes with a (smaller) learning rate gamma.
 
-Training is sequential stochastic gradient descent: for each sample the two
-winning prototypes take a step in their rotated frames V = W Q_W, whose
-columns stay orthogonal, and are re-orthonormalized by a column rescale; in
-grlgq mode the relevance vector follows its own gradient step, is clipped to
-be nonnegative, and renormalized onto the simplex.
+Training is sequential stochastic gradient descent. For each sample one
+batched product ranks all prototypes, and one batched principal
+decomposition covers the two winners. Both winners then take a step in their
+rotated frames V = W Q_W, whose columns stay orthogonal, as one (2, D, d)
+array, and are re-orthonormalized by a column rescale; both steps are checked
+before either prototype is written. In grlgq mode the relevance vector
+follows its own gradient step, is clipped to be nonnegative, and
+renormalized onto the simplex.
 """
 
 from dataclasses import dataclass
@@ -29,7 +32,6 @@ from .manifold import (
     RANK_TOL,
     PrincipalDecomposition,
     Subspace,
-    adaptive_squared_distance,
     angles_from_products,
     g_matrix_diagonal,
     principal_angles_to_stack,
@@ -38,6 +40,8 @@ from .manifold import (
 )
 
 MODES = ("glgq", "grlgq")
+# Order of the winner axis in SampleOutcome.pair and the gradients.
+WINNERS = ("plus", "minus")
 DEGENERATE_EPS = 1e-15
 # Sample bytes stacked per kernel call in scores: about 167 images at
 # D = 784, or 13 sets at D = 400, d = 25.
@@ -128,15 +132,26 @@ class TrainConfig:
 
 @dataclass(eq=False)
 class SampleOutcome:
-    """Winner pair of one sample, with the decompositions needed for gradients."""
+    """Winner pair of one sample, with the decompositions needed for gradients.
+
+    ``pair`` decomposes the sample against both winners at once; its leading
+    axis of 2 holds the same-label winner (plus) first, then the other (minus).
+    """
 
     winner_same: int
     winner_other: int
     d_plus: float
     d_minus: float
     mu: float
-    pd_plus: PrincipalDecomposition
-    pd_minus: PrincipalDecomposition
+    pair: PrincipalDecomposition
+
+    @property
+    def pd_plus(self) -> PrincipalDecomposition:
+        return self.pair[0]
+
+    @property
+    def pd_minus(self) -> PrincipalDecomposition:
+        return self.pair[1]
 
 
 def _check_shape(name: str, shape, want) -> None:
@@ -157,8 +172,10 @@ def find_winners(model: ModelState, sample: Subspace, label: int) -> SampleOutco
 
     All prototypes are ranked by relevance-weighted squared distances from one
     batched product basis^T W_p; ties break to the lowest prototype index.
-    Only the two winners get a full principal_decomposition, of their products
-    from that batch, which gives d+, d-, mu and the gradients.
+    Only the two winners are decomposed, in one principal_decomposition call
+    on their stack entries and products from that batch, which gives d+, d-,
+    mu and the gradients. The entries are read as raw arrays: every write to
+    the stack passed Subspace.
     """
     _check_shape("sample", sample.basis.shape, model.stack.shape[1:])
     products = sample.basis.T @ model.stack
@@ -168,15 +185,12 @@ def find_winners(model: ModelState, sample: Subspace, label: int) -> SampleOutco
         raise MissingClassPrototype(f"no prototype with label {label}")
     if same.all():
         raise MissingClassPrototype(f"no prototype with label != {label}")
-    best_same, best_other = (int(np.flatnonzero(mask)[np.argmin(dists[mask])])
-                             for mask in (same, ~same))
-    pd_same, pd_other = (principal_decomposition(sample, model.subspace(i), products[i])
-                         for i in (best_same, best_other))
-    d_same = adaptive_squared_distance(pd_same, model.relevance)
-    d_other = adaptive_squared_distance(pd_other, model.relevance)
+    winners = [int(np.flatnonzero(mask)[np.argmin(dists[mask])]) for mask in (same, ~same)]
+    pair = principal_decomposition(sample, model.stack[winners], products[winners])
+    d_same, d_other = np.sum(model.relevance * pair.angles ** 2, axis=1).tolist()
     denom = d_same + d_other
     mu = (d_same - d_other) / denom if denom >= DEGENERATE_EPS else np.nan
-    return SampleOutcome(best_same, best_other, d_same, d_other, mu, pd_same, pd_other)
+    return SampleOutcome(*winners, d_same, d_other, mu, pair)
 
 
 def sample_cost(outcome: SampleOutcome) -> float:
@@ -186,23 +200,29 @@ def sample_cost(outcome: SampleOutcome) -> float:
     return outcome.mu
 
 
+def _gradient_coefficients(outcome: SampleOutcome, weights) -> np.ndarray:
+    """(2, d) column coefficients c of both winners' gradients U c (plus, minus).
+
+    For the same-label winner c = -(2 d- / (d+ + d-)^2) G+;
+    for the other-label winner c = +(2 d+ / (d+ + d-)^2) G-.
+    """
+    denom = outcome.d_plus + outcome.d_minus
+    if denom < DEGENERATE_EPS:
+        raise DegenerateSample("sample coincides with prototypes of both polarities")
+    scale = np.array([[-2.0 * outcome.d_minus], [2.0 * outcome.d_plus]]) / denom ** 2
+    return scale * g_matrix_diagonal(outcome.pair, weights)
+
+
 def prototype_gradient(outcome: SampleOutcome, weights, which: str) -> np.ndarray:
     """Gradient of the sample cost w.r.t. the rotated winner V = W Q_W.
 
     For the same-label winner: -(2 d- / (d+ + d-)^2) U+ G+;
     for the other-label winner: +(2 d+ / (d+ + d-)^2) U- G-.
     """
-    denom = outcome.d_plus + outcome.d_minus
-    if denom < DEGENERATE_EPS:
-        raise DegenerateSample("sample coincides with prototypes of both polarities")
-    if which == "plus":
-        pd, scale = outcome.pd_plus, -2.0 * outcome.d_minus / denom ** 2
-    elif which == "minus":
-        pd, scale = outcome.pd_minus, 2.0 * outcome.d_plus / denom ** 2
-    else:
+    if which not in WINNERS:
         raise ValueError("which must be 'plus' or 'minus'")
-    g = g_matrix_diagonal(pd, weights)
-    return scale * (pd.principal_left * g)
+    i = WINNERS.index(which)
+    return outcome.pair.principal_left[i] * _gradient_coefficients(outcome, weights)[i]
 
 
 def relevance_gradient(outcome: SampleOutcome) -> np.ndarray:
@@ -213,34 +233,44 @@ def relevance_gradient(outcome: SampleOutcome) -> np.ndarray:
     denom = outcome.d_plus + outcome.d_minus
     if denom < DEGENERATE_EPS:
         raise DegenerateSample("sample coincides with prototypes of both polarities")
+    angles_plus, angles_minus = outcome.pair.angles
     return (2.0 / denom ** 2) * (
-        outcome.d_minus * outcome.pd_plus.angles ** 2
-        - outcome.d_plus * outcome.pd_minus.angles ** 2
-    )
+        outcome.d_minus * angles_plus ** 2 - outcome.d_plus * angles_minus ** 2)
 
 
 def apply_prototype_update(model: ModelState, outcome: SampleOutcome, eta: float) -> None:
     """Gradient step on both winners in their rotated frames, then re-orthonormalize.
 
     Principal vectors satisfy U^T V = diag(cos theta), so the step
-    V - eta * scale * U diag(g) keeps the columns orthogonal, and dividing them
-    by their norms (the update's singular values) is a Grassmann retraction;
-    no SVD is needed. Only the two winning prototypes change; a RankDeficient error here
-    means eta is large enough to collapse a prototype.
+    V - eta * U diag(c) keeps the columns orthogonal, and dividing them by
+    their norms (the update's singular values) is a Grassmann retraction; no
+    SVD is needed. Both winners are stepped as one (2, D, d) array and both
+    are checked (finite gradient, then rank) before either is written, so a
+    raise leaves the model unchanged. A RankDeficient error here means eta is
+    large enough to collapse a prototype.
     """
-    for which, idx in (("plus", outcome.winner_same), ("minus", outcome.winner_other)):
-        grad = prototype_gradient(outcome, model.relevance, which)
-        if not np.all(np.isfinite(grad)):
+    winners = (outcome.winner_same, outcome.winner_other)
+    coeffs = _gradient_coefficients(outcome, model.relevance)
+    # |U| <= 1 entrywise, so U c is finite wherever c is
+    for which, idx, finite in zip(WINNERS, winners, np.isfinite(coeffs).all(axis=1)):
+        if not finite:
             raise FloatingPointError(f"non-finite prototype gradient for winner "
                                      f"{which} (index {idx})")
-        pd = outcome.pd_plus if which == "plus" else outcome.pd_minus
-        with np.errstate(over="ignore"):
-            # an overflow gives an infinite norm, which the rank test rejects
-            updated = pd.principal_right - eta * grad
-            norms = np.linalg.norm(updated, axis=0)
-        if norms.min() <= RANK_TOL * norms.max():
+    pair = outcome.pair
+    updated = pair.principal_left * coeffs[:, None, :]  # the gradients U c
+    with np.errstate(over="ignore"):
+        # V - eta U c in place; an overflow gives an infinite norm, which the
+        # rank test rejects
+        updated *= -eta
+        updated += pair.principal_right
+        norms = np.sqrt(np.einsum("kij,kij->kj", updated, updated))
+    for which, idx, n in zip(WINNERS, winners, norms):
+        if n.min() <= RANK_TOL * n.max():
             raise RankDeficient(f"update of winner {which} (index {idx}) is rank deficient")
-        model.stack[idx] = Subspace(updated / norms).basis
+    updated /= norms[:, None, :]
+    bases = [Subspace(basis).basis for basis in updated]
+    for idx, basis in zip(winners, bases):
+        model.stack[idx] = basis
 
 
 def apply_relevance_update(model: ModelState, grad, gamma: float) -> np.ndarray:

@@ -46,12 +46,11 @@ def make_outcome(rng, D, d, weights, low=0.1, high=1.4):
     """
     sample, w_plus = pair_with_angles(rng, D, _distinct_angles(rng, d, low, high))
     _, w_minus = pair_with_angles(rng, D, _distinct_angles(rng, d, low, high))
-    pd_plus = principal_decomposition(sample, w_plus)
-    pd_minus = principal_decomposition(sample, w_minus)
-    d_plus = adaptive_squared_distance(pd_plus, weights)
-    d_minus = adaptive_squared_distance(pd_minus, weights)
+    pair = principal_decomposition(sample, np.stack([w_plus.basis, w_minus.basis]))
+    d_plus = adaptive_squared_distance(pair[0], weights)
+    d_minus = adaptive_squared_distance(pair[1], weights)
     mu = (d_plus - d_minus) / (d_plus + d_minus)
-    outcome = SampleOutcome(0, 1, d_plus, d_minus, mu, pd_plus, pd_minus)
+    outcome = SampleOutcome(0, 1, d_plus, d_minus, mu, pair)
     return sample, outcome, (w_plus, w_minus)
 
 

@@ -5,11 +5,14 @@ P^T V has an identity right factor; the oracle recomputes the cost through a
 fresh SVD of P^T V for every perturbed entry.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from grasslvq import (
     SampleOutcome,
+    principal_decomposition,
     prototype_gradient,
     relevance_gradient,
 )
@@ -88,21 +91,18 @@ def test_relevance_gradient_symmetry_zero():
     weights = np.full(DIM, 1.0 / DIM)
     sample, outcome, _ = make_outcome(rng, D, DIM, weights)
     sym = SampleOutcome(0, 1, outcome.d_plus, outcome.d_plus, 0.0,
-                        outcome.pd_plus, outcome.pd_plus)
+                        outcome.pair[[0, 0]])
     assert np.allclose(relevance_gradient(sym), 0.0, atol=1e-14)
 
 
 def test_relevance_gradient_arithmetic():
     rng = np.random.default_rng(103)
     weights = np.array([0.5, 0.5])
-    _, outcome_a, _ = make_outcome(rng, 6, 2, weights)
-    _, outcome_b, _ = make_outcome(rng, 6, 2, weights)
+    _, outcome, _ = make_outcome(rng, 6, 2, weights)
     # d+=1, d-=1, theta+=(0,0), theta-=(pi/2,0)
-    pd_plus = outcome_a.pd_plus
-    pd_minus = outcome_b.pd_minus
-    object.__setattr__(pd_plus, "angles", np.array([0.0, 0.0]))
-    object.__setattr__(pd_minus, "angles", np.array([np.pi / 2, 0.0]))
-    forced = SampleOutcome(0, 1, 1.0, 1.0, 0.0, pd_plus, pd_minus)
+    pair = dataclasses.replace(outcome.pair,
+                               angles=np.array([[0.0, 0.0], [np.pi / 2, 0.0]]))
+    forced = SampleOutcome(0, 1, 1.0, 1.0, 0.0, pair)
     grad = relevance_gradient(forced)
     assert np.isclose(grad[0], -np.pi ** 2 / 8)
     assert np.isclose(grad[1], 0.0)
@@ -114,7 +114,7 @@ def test_prototype_gradient_sign_flip():
     weights = np.ones(DIM)
     _, outcome, _ = make_outcome(rng, D, DIM, weights)
     swapped = SampleOutcome(1, 0, outcome.d_minus, outcome.d_plus, -outcome.mu,
-                            outcome.pd_minus, outcome.pd_plus)
+                            outcome.pair[::-1])
     g_minus = prototype_gradient(outcome, weights, "minus")
     g_swapped_plus = prototype_gradient(swapped, weights, "plus")
     assert np.allclose(g_minus, -g_swapped_plus, atol=1e-14)
@@ -124,11 +124,9 @@ def test_zero_angle_winner_stays_finite():
     # d+ = 0: G hits its limit values and the gradient must stay NaN-free
     rng = np.random.default_rng(105)
     weights = np.ones(DIM)
-    sample, outcome, _ = make_outcome(rng, D, DIM, weights)
-    from grasslvq import principal_decomposition
-    pd_same = principal_decomposition(sample, sample)
-    degenerate_plus = SampleOutcome(0, 1, 0.0, outcome.d_minus, -1.0,
-                                    pd_same, outcome.pd_minus)
+    sample, outcome, (_, w_minus) = make_outcome(rng, D, DIM, weights)
+    pair = principal_decomposition(sample, np.stack([sample.basis, w_minus.basis]))
+    degenerate_plus = SampleOutcome(0, 1, 0.0, outcome.d_minus, -1.0, pair)
     for which in ("plus", "minus"):
         grad = prototype_gradient(degenerate_plus, weights, which)
         assert np.all(np.isfinite(grad))
@@ -138,8 +136,7 @@ def test_degenerate_sample_raises():
     rng = np.random.default_rng(106)
     weights = np.ones(DIM)
     _, outcome, _ = make_outcome(rng, D, DIM, weights)
-    bad = SampleOutcome(0, 1, 0.0, 0.0, np.nan,
-                        outcome.pd_plus, outcome.pd_minus)
+    bad = SampleOutcome(0, 1, 0.0, 0.0, np.nan, outcome.pair)
     with pytest.raises(DegenerateSample):
         prototype_gradient(bad, weights, "plus")
     with pytest.raises(DegenerateSample):

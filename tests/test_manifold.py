@@ -155,10 +155,12 @@ class TestPrincipalDecomposition:
     def test_given_product_matches_computed(self):
         rng = np.random.default_rng(40)
         p1, p2 = random_subspace(rng, 9, 3), random_subspace(rng, 9, 3)
-        fresh = principal_decomposition(p1, p2)
-        given = principal_decomposition(p1, p2, p1.basis.T @ p2.basis)
-        for field in ("angles", "cosines", "principal_left", "principal_right"):
-            assert np.array_equal(getattr(fresh, field), getattr(given, field))
+        stack = np.stack([p2.basis, random_subspace(rng, 9, 3).basis])
+        for w, basis in ((p2, p2.basis), (stack, stack)):
+            fresh = principal_decomposition(p1, w)
+            given = principal_decomposition(p1, w, p1.basis.T @ basis)
+            for field in ("angles", "cosines", "principal_left", "principal_right"):
+                assert np.array_equal(getattr(fresh, field), getattr(given, field))
 
     def test_identical_subspaces(self):
         rng = np.random.default_rng(1)
@@ -224,6 +226,59 @@ class TestPrincipalDecomposition:
         s = random_subspace(rng, 9, 4)
         pd = principal_decomposition(s, Subspace(s.basis.copy()))
         assert np.all(np.isfinite(pd.angles))
+
+
+def planted_stacks(rng, D, d, count):
+    """(sample, (k, D, d) stack) pairs: random stacks, and stacks around a
+    pair with planted angles from 1e-12 to 1e-3 (the planted partner, a
+    rotated basis of it, and a random subspace)."""
+    for _ in range(count):
+        yield (random_subspace(rng, D, d),
+               np.stack([random_subspace(rng, D, d).basis for _ in range(3)]))
+        angles = np.sort(10.0 ** rng.uniform(-12, -3, size=d))
+        p1, p2 = pair_with_angles(rng, D, angles)
+        yield p1, np.stack([p2.basis, p2.basis @ random_orthogonal(rng, d),
+                            random_subspace(rng, D, d).basis])
+
+
+class TestBatchedDecomposition:
+    @pytest.mark.parametrize("D,d", [(20, 3), (784, 12)])
+    def test_matches_per_pair_calls(self, D, d):
+        rng = np.random.default_rng(45)
+        for p1, stack in planted_stacks(rng, D, d, 5):
+            products = p1.basis.T @ stack
+            batched = principal_decomposition(p1, stack, products)
+            assert batched.angles.shape == (3, d) and batched.dim == d
+            assert batched.principal_right.shape == (3, D, d)
+            for i, w in enumerate(stack):
+                single = principal_decomposition(p1, Subspace(w), products[i])
+                for field in ("angles", "cosines", "principal_left", "principal_right"):
+                    diff = np.abs(getattr(batched[i], field) - getattr(single, field))
+                    assert diff.max() <= 1e-14, field
+
+    def test_shape_mismatch_raises(self):
+        rng = np.random.default_rng(47)
+        p1 = random_subspace(rng, 8, 2)
+        with pytest.raises(ValueError, match="share ambient dimension"):
+            principal_decomposition(p1, np.zeros((2, 8, 3)))
+        with pytest.raises(ValueError, match="share ambient dimension"):
+            principal_decomposition(p1, np.zeros((2, 9, 2)))
+
+    @pytest.mark.parametrize("D,d", [(20, 3), (784, 12)])
+    def test_residual_matches_projection_form(self, D, d):
+        # the small-angle sine comes from V - U diag(s); the projection form
+        # V - P1 (P1^T V) is the same residual in exact arithmetic
+        rng = np.random.default_rng(48)
+        for p1, stack in planted_stacks(rng, D, d, 5):
+            batched = principal_decomposition(p1, stack)
+            for i in range(len(stack)):
+                pd = batched[i]
+                V = pd.principal_right
+                residual = V - p1.basis @ (p1.basis.T @ V)
+                sines = np.clip(np.linalg.norm(residual, axis=0), 0.0, 1.0)
+                small = pd.cosines > 0.9
+                assert np.abs(pd.angles[small] - np.arcsin(sines[small])).max(
+                    initial=0.0) <= 1e-14
 
 
 class TestDistances:

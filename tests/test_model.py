@@ -5,7 +5,9 @@ import pytest
 
 from grasslvq import (
     ModelState,
+    PrincipalDecomposition,
     Prototype,
+    SampleOutcome,
     Subspace,
     TrainConfig,
     adaptive_squared_distance,
@@ -20,6 +22,7 @@ from grasslvq import (
     principal_decomposition,
     prototype_gradient,
     geodesic_distance,
+    relevance_gradient,
     sample_cost,
     scores,
     subspace_from_set,
@@ -40,6 +43,10 @@ from helpers import (
     synthetic_subspace_dataset,
     two_class_model,
 )
+
+
+def projectors(stack):
+    return stack @ stack.transpose(0, 2, 1)
 
 
 class TestFindWinners:
@@ -239,7 +246,8 @@ class TestPrototypeUpdate:
                 pd = principal_decomposition(model.subspace(idx), svd_basis)
                 assert np.sum(pd.angles ** 2) < 1e-20
 
-    def test_collapsed_column_raises(self):
+    @staticmethod
+    def _collapsing_step():
         # the sample shares w_0 with the other-label winner, so u_0 = v_0; an
         # eta with eta * scale * g_0 = 1 removes that column entirely
         rng = np.random.default_rng(30)
@@ -251,10 +259,50 @@ class TestPrototypeUpdate:
         assert out.winner_other == 1 and out.pd_minus.angles[0] < 1e-12
         grad = prototype_gradient(out, model.relevance, "minus")
         eta = 1.0 / (out.pd_minus.principal_left[:, 0] @ grad[:, 0])
+        return model, out, grad, eta
+
+    def test_collapsed_column_raises(self):
+        model, out, grad, eta = self._collapsing_step()
         with pytest.raises(RankDeficient):
             subspace_from_set(out.pd_minus.principal_right - eta * grad, 3)
         with pytest.raises(RankDeficient, match="winner minus"):
             apply_prototype_update(model, out, eta)
+
+    def test_rank_deficient_update_writes_neither_winner(self):
+        # the plus winner's step is valid, but it must not land when the
+        # minus winner's step collapses
+        model, out, _, eta = self._collapsing_step()
+        before = model.stack.copy()
+        with pytest.raises(RankDeficient, match="winner minus"):
+            apply_prototype_update(model, out, eta)
+        assert np.array_equal(model.stack, before)
+
+    def test_overflowing_step_raises_rank_deficient(self):
+        # the sample has no weight on pixel 0, so row 0 of U is exactly zero
+        # and an overflowing eta * c meets 0 * inf there
+        rng = np.random.default_rng(34)
+        model = two_class_model(rng, 8, 2)
+        basis = random_subspace(rng, 7, 2).basis
+        sample = Subspace(np.vstack([np.zeros((1, 2)), basis]))
+        out = find_winners(model, sample, 1)
+        assert np.all(out.pair.principal_left[:, 0] == 0.0)
+        out.d_plus = out.d_minus = 1e-3  # scale 500: eta * c overflows
+        before = model.stack.copy()
+        with pytest.raises(RankDeficient):
+            apply_prototype_update(model, out, 1e308)
+        assert np.array_equal(model.stack, before)
+
+    def test_non_finite_gradient_writes_neither_winner(self):
+        rng = np.random.default_rng(32)
+        model = two_class_model(rng, 8, 2)
+        out = find_winners(model, random_subspace(rng, 8, 2), 1)
+        angles = out.pair.angles.copy()
+        angles[1, 0] = np.nan
+        out.pair = dataclasses.replace(out.pair, angles=angles)
+        before = model.stack.copy()
+        with pytest.raises(FloatingPointError, match="winner minus"):
+            apply_prototype_update(model, out, 0.05)
+        assert np.array_equal(model.stack, before)
 
     def test_orthonormality_drift_over_many_steps(self):
         rng = np.random.default_rng(31)
@@ -270,6 +318,44 @@ class TestPrototypeUpdate:
                 b = model.stack[idx]
                 worst = max(worst, np.max(np.abs(b.T @ b - np.eye(5))))
         assert worst < 1e-12
+
+    def test_trajectory_matches_per_winner_reference(self):
+        # 200 fused steps against a loop that decomposes each winner on its
+        # own, takes prototype_gradient per winner and rescales its columns
+        rng = np.random.default_rng(33)
+        dataset = synthetic_subspace_dataset(rng, classes=3, D=20, d=4,
+                                             per_class=10, noise=0.3)
+        config = TrainConfig(eta=0.05, gamma=1e-3, epochs=1, seed=0, mode="grlgq")
+        model, _ = fit(dataset[::5], config, init="example", prototypes_per_class=2)
+        ref = ModelState(model.prototypes, model.relevance.copy(), "grlgq", 4, 20)
+        for step in range(200):
+            sample, label = dataset[rng.integers(len(dataset))]
+            out = train_step(model, sample, label, config)
+            pds = [principal_decomposition(sample, Subspace(w)) for w in ref.stack]
+            dists = [adaptive_squared_distance(pd, ref.relevance) for pd in pds]
+            same = [i for i, y in enumerate(ref.labels) if y == label]
+            other = [i for i, y in enumerate(ref.labels) if y != label]
+            winners = (min(same, key=dists.__getitem__),
+                       min(other, key=dists.__getitem__))
+            assert (out.winner_same, out.winner_other) == winners, step
+            d_plus, d_minus = dists[winners[0]], dists[winners[1]]
+            pair = PrincipalDecomposition(*(
+                np.stack([getattr(pds[i], f.name) for i in winners])
+                for f in dataclasses.fields(PrincipalDecomposition)))
+            ref_out = SampleOutcome(*winners, d_plus, d_minus,
+                                    (d_plus - d_minus) / (d_plus + d_minus), pair)
+            grad_rel = relevance_gradient(ref_out)
+            for which, idx, pd in zip(("plus", "minus"), winners,
+                                        (pds[i] for i in winners)):
+                updated = (pd.principal_right
+                           - config.eta * prototype_gradient(ref_out, ref.relevance, which))
+                ref.stack[idx] = updated / np.linalg.norm(updated, axis=0)
+            apply_relevance_update(ref, grad_rel, config.gamma)
+            # compared as projectors W W^T: at nearly equal singular values an
+            # ulp in a product can flip or rotate the SVD's singular vectors,
+            # and with them the columns of V, without moving the subspace
+            assert np.abs(projectors(model.stack) - projectors(ref.stack)).max() <= 1e-12, step
+            assert np.abs(model.relevance - ref.relevance).max() <= 1e-15, step
 
     def test_winners_orthonormal_after_update(self):
         rng = np.random.default_rng(10)
