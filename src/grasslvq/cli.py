@@ -59,7 +59,8 @@ def _read_config_file(path):
 
 
 def _resolve_train_config(args):
-    """Defaults, then --preset, then --config, then flags; later wins."""
+    """Defaults, then --preset, then --config, then flags; later wins. An idx
+    task left without m or sets_per_class gets max(d, 20) and 50."""
     resolved = dict(TRAIN_DEFAULTS)
     if args.preset:
         resolved.update(PRESETS[args.preset])
@@ -72,6 +73,11 @@ def _resolve_train_config(args):
         flag = getattr(args, key)
         if flag is not None:
             resolved[key] = flag
+    if resolved["task"] == "idx":
+        if resolved["m"] is None:
+            resolved["m"] = max(resolved["d"], 20)
+        if resolved["sets_per_class"] is None:
+            resolved["sets_per_class"] = 50
     for key in ("m", "sets_per_class", "prototypes_per_class"):
         if resolved[key] is not None and resolved[key] < 1:
             raise ConfigError(f"{key} must be at least 1, got {resolved[key]}")
@@ -103,11 +109,8 @@ def _load_training_data(args, cfg):
         if not args.images or not args.labels:
             raise ConfigError("idx task requires --images and --labels")
         images, labels, _, _ = dataio.read_idx_dataset(args.images, args.labels)
-        m = max(cfg["d"], 20) if cfg["m"] is None else cfg["m"]
-        sets_per_class = (50 if cfg["sets_per_class"] is None
-                          else cfg["sets_per_class"])
         dataset = dataio.build_classwise_subspace_dataset(
-            images, labels, cfg["d"], m, sets_per_class, cfg["seed"])
+            images, labels, cfg["d"], cfg["m"], cfg["sets_per_class"], cfg["seed"])
         matrices = dataio.class_image_matrices(images, labels) if pca else None
         return dataset, matrices
     if not args.data:

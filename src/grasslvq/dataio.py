@@ -290,6 +290,8 @@ def load_model(path) -> ModelState:
             labels = [int(t) for t in meta["labels"].split(",")]
         except (KeyError, ValueError):
             raise CorruptModel(f"{path}: malformed header {header!r}") from None
+        if not 1 <= d <= D:
+            raise CorruptModel(f"{path}: header needs 1 <= d <= D, got D={D} d={d}")
         raw = f.read()
     if len(raw) < 8:
         raise CorruptModel(f"{path}: missing length prefix")

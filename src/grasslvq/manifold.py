@@ -84,13 +84,13 @@ class PrincipalDecomposition:
     """Principal angles and vectors of a subspace pair (P, W), or of P against
     each of k subspaces, with a leading axis of k on every field.
 
-    ``cosines`` are the singular values of P^T W clamped into [0, 1];
-    ``angles`` are their arccosines, ascending. ``principal_left`` is
-    U = P Q_P and ``principal_right`` is V = W Q_W, column-paired so that
-    u_k^T v_k = cos(theta_k) >= 0.
+    ``cosines`` are the singular values s_k of P^T W clamped into [0, 1];
+    ``angles`` are atan2(||v_k - s_k u_k||, s_k) (see principal_decomposition
+    for their order). ``principal_left`` is U = P Q_P and ``principal_right``
+    is V = W Q_W, column-paired so that u_k^T v_k = cos(theta_k) >= 0.
     """
 
-    angles: np.ndarray          # (d,), ascending, in [0, pi/2]
+    angles: np.ndarray          # (d,), in [0, pi/2]
     cosines: np.ndarray         # (d,), descending, in [0, 1]
     rot_left: np.ndarray        # Q_P, (d, d) orthogonal
     rot_right: np.ndarray       # Q_W, (d, d) orthogonal
@@ -153,32 +153,25 @@ def principal_decomposition(p1: Subspace, p2, product=None) -> PrincipalDecompos
     leading axis of k, and ``result[i]`` is the decomposition against stack
     entry i.
 
-    Singular values are clamped into [0, 1] before arccos: rounding can push
-    them infinitesimally above 1, and the clamp keeps the angles NaN-free.
-    arccos is ill-conditioned near 1 (an angle of 1e-12 rounds up to ~1e-8),
-    so small angles are refined through the sine of the projection residual
-    V - P1 P1^T V, which is V - U diag(s) since P1^T V = Q_P diag(s).
+    Every angle is atan2(||v_k - s_k u_k||, s_k), the sine being the norm of the
+    projection residual V - P1 P1^T V = V - U diag(s): accurate at every angle,
+    where arccos of s rounds 1e-12 up to ~1e-8. Angles ascend, except those
+    whose cosines tie at 1.0 in float64 (below about 1e-8): they keep SVD order.
     """
     basis = p2.basis if isinstance(p2, Subspace) else p2
     if basis.shape[-2:] != p1.basis.shape:
         raise ValueError("subspaces must share ambient dimension and dimension")
     q_p, s, q_w_t = np.linalg.svd(p1.basis.T @ basis if product is None else product)
-    cosines = np.clip(s, 0.0, 1.0)
-    angles = np.arccos(cosines)
     q_w = np.swapaxes(q_w_t, -1, -2)
     principal_left = p1.basis @ q_p
     principal_right = basis @ q_w
-    small = cosines > 0.9
-    if np.any(small):
-        residual = principal_left * s[..., None, :]
-        np.subtract(principal_right, residual, out=residual)
-        # column norms; einsum is several times faster than np.linalg.norm here
-        sines = np.clip(np.sqrt(np.einsum("...ij,...ij->...j", residual, residual)),
-                        0.0, 1.0)
-        angles = np.where(small, np.arcsin(sines), angles)
+    residual = principal_left * s[..., None, :]
+    np.subtract(principal_right, residual, out=residual)
+    # column norms; einsum is several times faster than np.linalg.norm here
+    sines = np.sqrt(np.einsum("...ij,...ij->...j", residual, residual))
     return PrincipalDecomposition(
-        angles=angles,
-        cosines=cosines,
+        angles=np.arctan2(sines, s),
+        cosines=np.clip(s, 0.0, 1.0),
         rot_left=q_p,
         rot_right=q_w,
         principal_left=principal_left,
@@ -216,9 +209,9 @@ def principal_angles_to_stack(bases, stack) -> np.ndarray:
     is not: d(theta^2)/dc -> -2 as theta -> 0, so squared angles, and every
     distance built from them, are accurate to about 2 eps each. For k = 1
     every column is checked to be finite and of unit norm; the cosine is the
-    norm of the coefficient vector c, and where it exceeds 0.9 the angle comes
-    from the projection residual, arcsin ||x - W c||, which keeps small angles
-    accurate too. Raises InconsistentDims when D differs.
+    norm of the coefficient vector c, and only where it exceeds 0.9 (arccos is
+    accurate below) is the residual formed, giving atan2(||x - W c||, ||c||).
+    Raises InconsistentDims when D differs.
     """
     bases = np.asarray(bases, dtype=np.float64)
     block = bases.ndim == 3
@@ -236,7 +229,8 @@ def principal_angles_to_stack(bases, stack) -> np.ndarray:
 
 
 def angles_from_products(products) -> np.ndarray:
-    """Ascending principal angles from (..., k, d) products P^T W (values-only SVD)."""
+    """Ascending principal angles from (..., k, d) products P^T W (values-only SVD):
+    arccosines, the one exception to the atan2 rule, as there is no residual."""
     cosines = np.linalg.svd(products, compute_uv=False)
     return np.arccos(np.clip(cosines, 0.0, 1.0))
 
@@ -262,7 +256,7 @@ def _vector_angles(x, stack) -> np.ndarray:
         rows = flagged[:, p]
         residual = x[rows] - coeffs[rows, p] @ stack[p].T
         sines = np.sqrt(np.einsum("ij,ij->i", residual, residual))
-        angles[rows, p] = np.arcsin(np.minimum(sines, 1.0))
+        angles[rows, p] = np.arctan2(sines, cosines[rows, p])
     return angles
 
 
@@ -274,15 +268,11 @@ def single_vector_angle(x, w: Subspace) -> float:
 def g_matrix_diagonal(pd: PrincipalDecomposition, weights) -> np.ndarray:
     """Diagonal of the gradient scaling matrix: 2 lambda_k theta_k / sin(theta_k).
 
-    At theta_k -> 0 the ratio is 0/0; the analytic limit 2 lambda_k is
-    substituted whenever 1 - cos^2(theta_k) < 1e-12.
+    Computed as 2 lambda_k / sinc(theta_k / pi) from the angles alone, which
+    takes the limit 2 lambda_k at theta_k = 0 with no special case.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    sin_sq = 1.0 - pd.cosines ** 2
-    near_zero = sin_sq < 1e-12
-    safe = np.where(near_zero, 1.0, sin_sq)
-    return np.where(near_zero, 2.0 * weights,
-                    2.0 * weights * pd.angles / np.sqrt(safe))
+    return 2.0 * weights / np.sinc(pd.angles / np.pi)
 
 
 def pixel_influence(pd: PrincipalDecomposition, index: int) -> np.ndarray:

@@ -74,8 +74,8 @@ class ModelState:
         self.relevance = np.asarray(relevance, dtype=np.float64)
         if self.relevance.shape != (subspace_dim,):
             raise ConfigError("relevance length must equal the subspace dimension")
-        if np.any(self.relevance < 0):
-            raise ConfigError("relevance weights must be nonnegative")
+        if not np.all((self.relevance >= 0) & (self.relevance < np.inf)):
+            raise ConfigError("relevance weights must be nonnegative and finite")
         if mode == "glgq" and not np.all(self.relevance == 1.0):
             raise ConfigError("glgq mode fixes the relevance vector at all-ones")
         self.prototypes = prototypes
@@ -321,6 +321,10 @@ def init_prototypes(dataset, d: int, strategy: str, rng,
     labels = sorted({y for _, y in dataset})
     protos: list[Prototype] = []
     for label in labels:
+        if strategy == "pca":
+            if class_matrices is None or label not in class_matrices:
+                raise ConfigError("pca init requires per-class image matrices")
+            pca = subspace_from_set(class_matrices[label], d).subspace
         for _ in range(prototypes_per_class):
             if strategy == "random":
                 basis = subspace_from_set(rng.standard_normal((D, d)), d).subspace
@@ -328,9 +332,7 @@ def init_prototypes(dataset, d: int, strategy: str, rng,
                 pool = [s for s, y in dataset if y == label]
                 basis = Subspace(pool[rng.integers(len(pool))].basis.copy())
             elif strategy == "pca":
-                if class_matrices is None or label not in class_matrices:
-                    raise ConfigError("pca init requires per-class image matrices")
-                basis = subspace_from_set(class_matrices[label], d).subspace
+                basis = Subspace(pca.basis.copy())
             else:
                 raise ConfigError(f"unknown init strategy {strategy!r}")
             protos.append(Prototype(basis, label))

@@ -1,6 +1,8 @@
 """End-to-end tests that drive the console entry point via main(argv)."""
 
 import shutil
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -230,6 +232,15 @@ class TestTrain:
         assert "d = 2\n" in text
         assert "epochs = 2\n" in text
         assert "mode = grlgq\n" in text
+
+    def test_summary_lists_idx_defaults(self, tmp_path):
+        summary = tmp_path / "summary.txt"
+        assert main(["train", "--task", "idx", *_idx_flags(tmp_path), "--epochs", "1",
+                     "--model-out", str(tmp_path / "m.bin"),
+                     "--summary-out", str(summary)]) == 0
+        text = summary.read_text()
+        assert "m = 20\n" in text and "sets_per_class = 50\n" in text
+        assert "samples = 100\n" in text
 
 
 class TestEval:
@@ -461,6 +472,22 @@ def _with_header(data, model, tmp, header):
     return _eval(bad, data / "test")
 
 
+def _resealed(tmp, header, values):
+    """A model file of ``header`` and float64 ``values`` whose checksum matches."""
+    payload = np.asarray(values, dtype="<f8").tobytes()
+    bad = tmp / "bad.bin"
+    bad.write_bytes(header + b"\n" + struct.pack("<Q", len(payload) // 8) + payload
+                    + struct.pack("<I", zlib.crc32(payload)))
+    return bad
+
+
+def _nan_relevance(model, tmp):
+    header, rest = model.read_bytes().split(b"\n", 1)
+    values = np.frombuffer(rest[8:-4], dtype="<f8").copy()
+    values[-1] = np.nan
+    return _resealed(tmp, header, values)
+
+
 def _with_manifest(data, model, tmp, text):
     root = tmp / "tree"
     shutil.copytree(data / "test", root)
@@ -506,6 +533,15 @@ MALFORMED_INPUTS = {
     "header-non-integer": (
         "CorruptModel", "malformed header", lambda data, model, tmp: _with_header(
             data, model, tmp, b"GRASSLVQ v1 mode=grlgq D=twelve d=2 labels=1,2")),
+    "header-negative-dims": (
+        "CorruptModel", "header needs 1 <= d <= D, got D=-2 d=-1",
+        lambda data, model, tmp: [
+            "inspect", "--model", str(_resealed(
+                tmp, b"GRASSLVQ v1 mode=grlgq D=-2 d=-1 labels=1", [0.5])),
+            "--relevance-out", str(tmp / "relevance.csv")]),
+    "nan-relevance": ("CorruptModel", "relevance weights must be nonnegative and finite",
+                      lambda data, model, tmp: _eval(_nan_relevance(model, tmp),
+                                                     data / "test")),
     "config-non-numeric": ("ConfigError", "'epochs'", lambda data, model, tmp:
                            _with_config(data, tmp, "epochs = abc\n")),
     "config-task-not-a-choice": (

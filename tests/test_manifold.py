@@ -221,6 +221,17 @@ class TestPrincipalDecomposition:
         b = principal_decomposition(p2, p1).angles
         assert np.max(np.abs(a - b)) < 1e-10
 
+    @pytest.mark.parametrize("theta", [0.3, 0.7, 1.0, 1.3, np.pi / 2 - 1e-3])
+    def test_planted_mid_and_large_angles(self, theta):
+        rng = np.random.default_rng(7)
+        angles = theta * np.array([0.5, 0.8, 1.0])
+        for _ in range(5):
+            p1, p2 = pair_with_angles(rng, 30, angles)
+            assert np.abs(principal_decomposition(p1, p2).angles - angles).max() <= 1e-15
+            if angles[0] < np.arccos(0.9):  # where the vector kernel forms the residual
+                vector_angle = principal_angles_to_stack(p1.basis[:, 0], p2.basis[None])
+                assert abs(vector_angle[0, 0] - angles[0]) <= 1e-15
+
     def test_clamp_keeps_angles_finite(self):
         rng = np.random.default_rng(6)
         s = random_subspace(rng, 9, 4)
@@ -266,7 +277,7 @@ class TestBatchedDecomposition:
 
     @pytest.mark.parametrize("D,d", [(20, 3), (784, 12)])
     def test_residual_matches_projection_form(self, D, d):
-        # the small-angle sine comes from V - U diag(s); the projection form
+        # every sine comes from V - U diag(s); the projection form
         # V - P1 (P1^T V) is the same residual in exact arithmetic
         rng = np.random.default_rng(48)
         for p1, stack in planted_stacks(rng, D, d, 5):
@@ -275,10 +286,8 @@ class TestBatchedDecomposition:
                 pd = batched[i]
                 V = pd.principal_right
                 residual = V - p1.basis @ (p1.basis.T @ V)
-                sines = np.clip(np.linalg.norm(residual, axis=0), 0.0, 1.0)
-                small = pd.cosines > 0.9
-                assert np.abs(pd.angles[small] - np.arcsin(sines[small])).max(
-                    initial=0.0) <= 1e-14
+                sines = np.linalg.norm(residual, axis=0)
+                assert np.abs(pd.angles - np.arctan2(sines, pd.cosines)).max() <= 1e-14
 
 
 class TestDistances:
@@ -428,6 +437,17 @@ class TestPrincipalAnglesToStack:
 
 
 class TestGMatrix:
+    @pytest.mark.parametrize("theta", [1e-7, 1e-6, 1.5e-6, 1e-5, 1e-3, 0.5,
+                                       np.pi / 2 - 1e-3])
+    def test_matches_closed_form_at_planted_angles(self, theta):
+        # a sine taken as sqrt(1 - cos^2) is 1e-4 off, relative, at 1.5e-6
+        rng = np.random.default_rng(16)
+        angles = np.full(3, theta)
+        weights = rng.dirichlet(np.ones(3))
+        pd = principal_decomposition(*pair_with_angles(rng, 30, angles))
+        expected = 2 * weights * angles / np.sin(angles)
+        assert np.abs(g_matrix_diagonal(pd, weights) / expected - 1).max() <= 1e-14
+
     def test_zero_angle_limit(self):
         rng = np.random.default_rng(13)
         s = random_subspace(rng, 5, 2)

@@ -36,6 +36,7 @@ from grasslvq.errors import (
     MissingClassPrototype,
     RankDeficient,
 )
+from grasslvq import model as model_module
 from grasslvq.model import EVAL_BLOCK_BYTES
 from helpers import (
     make_outcome,
@@ -451,6 +452,22 @@ class TestInitPrototypes:
                                  class_matrices={1: images, 2: images})
         pd = principal_decomposition(protos[0].subspace, center)
         assert geodesic_distance(pd) < 1e-6
+
+    def test_pca_runs_one_svd_per_class(self, monkeypatch):
+        rng = np.random.default_rng(20)
+        dataset = [(random_subspace(rng, 10, 2), label) for label in (1, 2, 3)]
+        matrices = {label: rng.standard_normal((10, 30)) for label in (1, 2, 3)}
+        calls = []
+        monkeypatch.setattr(model_module, "subspace_from_set",
+                            lambda X, d: calls.append(X) or subspace_from_set(X, d))
+        protos = init_prototypes(dataset, 2, "pca", np.random.default_rng(0),
+                                 prototypes_per_class=3, class_matrices=matrices)
+        assert len(calls) == 3
+        assert [p.label for p in protos] == [1, 1, 1, 2, 2, 2, 3, 3, 3]
+        for first, *copies in zip(*[iter(protos)] * 3):
+            for p in copies:
+                assert np.array_equal(p.subspace.basis, first.subspace.basis)
+                assert not np.shares_memory(p.subspace.basis, first.subspace.basis)
 
     def test_random_orthonormal(self):
         rng = np.random.default_rng(19)
