@@ -3,7 +3,6 @@
 from .manifold import (
     PrincipalDecomposition,
     Subspace,
-    SubspaceWithFactors,
     adaptive_squared_distance,
     g_matrix_diagonal,
     geodesic_distance,
@@ -35,7 +34,7 @@ from .model import (
 )
 
 __all__ = [
-    "PrincipalDecomposition", "Subspace", "SubspaceWithFactors",
+    "PrincipalDecomposition", "Subspace",
     "adaptive_squared_distance", "g_matrix_diagonal", "geodesic_distance",
     "image_contribution", "pixel_influence", "principal_angles_to_stack",
     "principal_decomposition", "single_vector_angle", "subspace_from_set",

@@ -195,6 +195,8 @@ def _load_model(path):
 
 
 def _eval_dataset(args, model):
+    if args.data and (args.images or args.labels):
+        raise ConfigError("eval takes --data or --images/--labels, not both")
     if args.images and args.labels:
         images, labels, _, _ = dataio.read_idx_dataset(args.images, args.labels)
         black = np.flatnonzero(~images.any(axis=1))
@@ -220,6 +222,10 @@ def cmd_eval(args):
 
 
 def cmd_predict(args):
+    if args.image and args.set:
+        raise ConfigError("predict takes --set or --image, not both")
+    if args.image and (args.explain or args.out_dir):
+        raise ConfigError("--explain and --out-dir apply to --set, not --image")
     model = _load_model(args.model)
     if args.image:
         vec = dataio.normalize_pixels(dataio.read_pgm(args.image).reshape(1, -1))[0]
@@ -234,8 +240,8 @@ def cmd_predict(args):
     if not args.set:
         raise ConfigError("predict requires --set <dir> or --image <pgm>")
     X, (height, width) = dataio.read_set(args.set)
-    factors = subspace_from_set(X, model.subspace_dim)
-    label, dists = predict_set(model, factors.subspace)
+    sample = subspace_from_set(X, model.subspace_dim)
+    label, dists = predict_set(model, sample)
     print(f"label={label}")
     for i, dist in enumerate(dists):
         print(f"prototype_{i + 1} label={model.labels[i]} "
@@ -244,12 +250,12 @@ def cmd_predict(args):
         out_dir = args.out_dir or "."
         os.makedirs(out_dir, exist_ok=True)
         winner = int(np.argmin(dists))
-        pd = principal_decomposition(factors.subspace, model.subspace(winner))
+        pd = principal_decomposition(sample, model.subspace(winner))
         for k in range(model.subspace_dim):
             dataio.export_pixel_influence(
                 pd, k, width, height,
                 os.path.join(out_dir, f"influence_angle_{k + 1}.pgm"))
-        M = image_contribution(factors, pd.rot_left)
+        M = image_contribution(X, pd)
         dataio.write_csv(os.path.join(out_dir, "image_contribution.csv"),
                          [f"vector_{k + 1}" for k in range(M.shape[1])], M)
     return 0

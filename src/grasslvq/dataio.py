@@ -160,7 +160,8 @@ def read_imageset_dirs(root):
     Returns (sets, width, height) where sets is a list of (D x m matrix, label)
     with unit-norm columns (see ``read_set``). Class ids follow sorted
     class-directory order (1-based); a ``labels.txt`` manifest at the root
-    ("<class_dir> <label>" per line) overrides them.
+    ("<class_dir> <label>" per line) overrides them. The manifest must list
+    every class directory and name no other, or ConfigError is raised.
     """
     class_dirs = sorted(
         e for e in os.listdir(root) if os.path.isdir(os.path.join(root, e))
@@ -170,16 +171,25 @@ def read_imageset_dirs(root):
     labels = {name: i + 1 for i, name in enumerate(class_dirs)}
     manifest = os.path.join(root, "labels.txt")
     if os.path.isfile(manifest):
+        listed = {}
         with open(manifest) as f:
             for lineno, line in enumerate(f, 1):
                 line = line.strip()
                 if line and not line.startswith("#"):
                     try:
                         name, lab = line.split()
-                        labels[name] = int(lab)
+                        listed[name] = int(lab)
                     except ValueError:
                         raise ConfigError(f"{manifest}:{lineno}: expected "
                                           "'<class-dir> <integer>'") from None
+                    if name not in labels:
+                        raise ConfigError(f"{manifest}:{lineno}: {name!r} names "
+                                          "no class directory")
+        unlisted = [name for name in class_dirs if name not in listed]
+        if unlisted:
+            raise ConfigError(f"{manifest}: class directory {unlisted[0]!r} "
+                              "is not listed")
+        labels = listed
 
     sets, dims = [], None
     for class_dir in class_dirs:
@@ -213,37 +223,33 @@ def build_classwise_subspace_dataset(images, labels, d, m, sets_per_class, seed)
     (without replacement within a group) and converts each group to a
     d-dimensional subspace. Returns (Subspace, label) pairs; deterministic
     under the seed. Before any draw, raises ConfigError when d is outside
-    [1, D], then InsufficientImages when m < d.
+    [1, D], then InsufficientImages when m < d or a class has fewer than m
+    images.
     """
     D = images.shape[1]
     if d < 1 or d > D:
         raise ConfigError(f"d={d} must satisfy 1 <= d <= D = {D}")
     if m < d:
         raise InsufficientImages(f"m={m} images per subspace < d={d}")
-    rng = np.random.default_rng(seed)
-    dataset = []
-    for label in np.unique(labels):
-        idx = np.flatnonzero(labels == label)
+    classes = [(label, np.flatnonzero(labels == label)) for label in np.unique(labels)]
+    for label, idx in classes:
         if len(idx) < m:
-            raise InsufficientImages(
-                f"class {label}: {len(idx)} images < m={m}"
-            )
-        for _ in range(sets_per_class):
-            pick = rng.choice(idx, size=m, replace=False)
-            X = images[pick].T  # D x m
-            dataset.append((subspace_from_set(X, d).subspace, int(label)))
-    return dataset
+            raise InsufficientImages(f"class {label}: {len(idx)} images < m={m}")
+    rng = np.random.default_rng(seed)
+    draws = ((images[rng.choice(idx, size=m, replace=False)].T, label)
+             for label, idx in classes for _ in range(sets_per_class))
+    return build_per_set_subspace_dataset(draws, d)
 
 
 def build_per_set_subspace_dataset(sets, d):
-    """One d-dimensional subspace per image set (for image-set classification).
+    """One d-dimensional subspace per (D x m matrix, label) item of ``sets``.
 
     Returns (Subspace, label) pairs; errors name the offending set.
     """
     dataset = []
     for i, (X, label) in enumerate(sets):
         try:
-            dataset.append((subspace_from_set(X, d).subspace, int(label)))
+            dataset.append((subspace_from_set(X, d), int(label)))
         except Exception as exc:
             exc.args = (f"set {i} (label {label}): {exc}",)
             raise
@@ -309,10 +315,16 @@ def load_model(path) -> ModelState:
     try:
         protos = [Prototype(Subspace(basis), label)
                   for basis, label in zip(stack, labels)]
-        return ModelState(protos, values[len(labels) * D * d:].copy(), mode, d, D)
+        model = ModelState(protos, values[len(labels) * D * d:].copy(), mode, d, D)
     except (ValueError, ConfigError) as exc:
         # the checksum matched, so the writer stored an invalid model
         raise CorruptModel(f"{path}: invalid model: {exc}") from None
+    # training keeps a grlgq relevance vector within a few eps of the simplex
+    total = float(model.relevance.sum())
+    if mode == "grlgq" and abs(total - 1.0) > 1e-12:
+        raise CorruptModel(f"{path}: invalid model: grlgq relevance sums to "
+                           f"{total!r}, not 1 within 1e-12")
+    return model
 
 
 # ---------------------------------------------------------------- exporters

@@ -55,31 +55,6 @@ class Subspace:
 
 
 @dataclass(frozen=True, eq=False)
-class SubspaceWithFactors:
-    """A subspace built from a data matrix X = P diag(s) R^T, keeping the factors.
-
-    ``singular_values`` and ``right_factors`` retain the first d singular values
-    and right singular vectors, which later attribute principal vectors back to
-    the individual columns (images) of X: X R diag(1/s) gives the basis P to
-    about eps * s_1 / s_d (``subspace_from_set`` re-orthonormalises P itself).
-    """
-
-    subspace: Subspace
-    singular_values: np.ndarray  # (d,), descending, all > 0
-    right_factors: np.ndarray    # (m, d)
-
-    def __post_init__(self):
-        s = _as_f64(self.singular_values)
-        r = _as_f64(self.right_factors)
-        if np.any(s <= 0) or np.any(np.diff(s) > 0):
-            raise ValueError("singular values must be positive and descending")
-        if r.shape[1] != self.subspace.dim or s.shape[0] != self.subspace.dim:
-            raise ValueError("factor shapes inconsistent with subspace dimension")
-        object.__setattr__(self, "singular_values", s)
-        object.__setattr__(self, "right_factors", r)
-
-
-@dataclass(frozen=True, eq=False)
 class PrincipalDecomposition:
     """Principal angles and vectors of a subspace pair (P, W), or of P against
     each of k subspaces, with a leading axis of k on every field.
@@ -106,14 +81,13 @@ class PrincipalDecomposition:
         return PrincipalDecomposition(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
-def subspace_from_set(X, d: int) -> SubspaceWithFactors:
+def subspace_from_set(X, d: int) -> Subspace:
     """Build the d-dimensional subspace spanned by a set of column vectors.
 
     X is a D x m data matrix (one image per column). The subspace is the span
-    of the first d left singular vectors; singular values and right factors
-    are kept for the image-contribution computation. Raises ConfigError when
-    d is outside [1, D], then InsufficientImages when X has fewer than d
-    columns, then RankDeficient when s_d <= RANK_TOL * s_1.
+    of the first d left singular vectors. Raises ConfigError when d is
+    outside [1, D], then InsufficientImages when X has fewer than d columns,
+    then RankDeficient when s_d <= RANK_TOL * s_1.
 
     For a tall set (m < D) the factors come from the R-SVD (Chan, 1982):
     Householder QR without Q, then the SVD of the m x m triangular R, which
@@ -121,9 +95,16 @@ def subspace_from_set(X, d: int) -> SubspaceWithFactors:
     QR would shrink nothing, so the SVD runs on X itself (without keeping
     its left vectors). Either way the d left vectors are X v_k / s_k,
     accurate to about eps * s_1 / s_d in orthonormality, and one Cholesky
-    pass brings their Gram matrix to I within a few eps. Every returned
-    array is freshly allocated: the basis is a C-contiguous (D, d) array.
+    pass brings their Gram matrix to I within a few eps. The basis is a
+    freshly allocated, C-contiguous (D, d) array.
     """
+    return Subspace(_factor_set(X, d)[0])
+
+
+def _factor_set(X, d: int):
+    """(basis, s_d, V_d) of subspace_from_set: the orthonormal (D, d) basis,
+    the first d singular values of X and its first d right singular vectors
+    as an (m, d) array."""
     X = _as_f64(X)
     D, m = X.shape
     if d < 1 or d > D:
@@ -137,11 +118,7 @@ def subspace_from_set(X, d: int) -> SubspaceWithFactors:
     right = vt[:d].T.copy()
     u = (X @ right) / s[:d]
     basis = u @ np.linalg.inv(np.linalg.cholesky(u.T @ u)).T
-    return SubspaceWithFactors(
-        subspace=Subspace(basis),
-        singular_values=s[:d].copy(),
-        right_factors=right,
-    )
+    return basis, s[:d], right
 
 
 def principal_decomposition(p1: Subspace, p2, product=None) -> PrincipalDecomposition:
@@ -286,15 +263,14 @@ def pixel_influence(pd: PrincipalDecomposition, index: int) -> np.ndarray:
     return pd.principal_left[:, index] * pd.principal_right[:, index]
 
 
-def image_contribution(factors: SubspaceWithFactors, rot_left) -> np.ndarray:
-    """Contribution matrix M = R diag(1/s) Q_P mapping set columns to principal vectors.
+def image_contribution(X, pd: PrincipalDecomposition) -> np.ndarray:
+    """Contribution matrix M = V_d diag(1/s_d) Q_P mapping set columns to principal vectors.
 
-    For the data matrix X that produced `factors`, X @ M recovers the principal
-    vectors U of the decomposition whose left rotation is `rot_left`, to
-    about eps * s_1 / s_d.
+    X is the data matrix whose subspace_from_set(X, pd.dim) was the left
+    subspace of ``pd``; it is factored again here, so X @ M recovers the
+    principal vectors U of ``pd`` to about eps * s_1 / s_d.
     """
-    s = factors.singular_values
+    _, s, right = _factor_set(X, pd.dim)
     if np.any(s < 1e-12):
         raise SingularFactor("singular value below 1e-12; set is ill-conditioned")
-    rot_left = _as_f64(rot_left)
-    return (factors.right_factors / s) @ rot_left
+    return (right / s) @ pd.rot_left

@@ -324,10 +324,10 @@ def init_prototypes(dataset, d: int, strategy: str, rng,
         if strategy == "pca":
             if class_matrices is None or label not in class_matrices:
                 raise ConfigError("pca init requires per-class image matrices")
-            pca = subspace_from_set(class_matrices[label], d).subspace
+            pca = subspace_from_set(class_matrices[label], d)
         for _ in range(prototypes_per_class):
             if strategy == "random":
-                basis = subspace_from_set(rng.standard_normal((D, d)), d).subspace
+                basis = subspace_from_set(rng.standard_normal((D, d)), d)
             elif strategy == "example":
                 pool = [s for s, y in dataset if y == label]
                 basis = Subspace(pool[rng.integers(len(pool))].basis.copy())
@@ -352,7 +352,8 @@ def fit(dataset, config: TrainConfig, init: str = "random",
     Every source of randomness (initialization and the per-epoch permutation)
     is drawn from one generator seeded with config.seed, so runs are fully
     deterministic. Epoch stats are (epoch, mean pre-update cost, training
-    accuracy); a sample counts as correct when its pre-update mu < 0.
+    accuracy); a sample counts as correct when its pre-update mu < 0. A
+    given ``model`` trains in place and must have config.mode (ConfigError).
     """
     items = [(s, int(y)) for s, y in dataset]
     if not items:
@@ -369,6 +370,9 @@ def fit(dataset, config: TrainConfig, init: str = "random",
             subspace_dim=d,
             ambient_dim=items[0][0].ambient_dim,
         )
+    elif model.mode != config.mode:
+        raise ConfigError(f"config mode {config.mode!r} differs from the "
+                          f"model's mode {model.mode!r}")
     stats = []
     n = len(items)
     for epoch in range(1, config.epochs + 1):

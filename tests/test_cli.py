@@ -24,11 +24,15 @@ from helpers import write_idx_images, write_idx_labels
 FRAME_SHAPE = (1, 12)
 
 
-def _idx_flags(tmp):
-    """--images/--labels of 40 seeded 3x4 IDX images, 20 per class."""
+def _idx_flags(tmp, same_class_1=False):
+    """--images/--labels of 40 seeded 3x4 IDX images, 20 per class; with
+    ``same_class_1`` every class-1 image is the same."""
     rng = np.random.default_rng(5)
+    images = rng.integers(1, 256, (40, 3, 4), np.uint8)
+    if same_class_1:
+        images[::2] = images[0]
     paths = tmp / "train-images.idx", tmp / "train-labels.idx"
-    write_idx_images(paths[0], list(rng.integers(1, 256, (40, 3, 4), np.uint8)))
+    write_idx_images(paths[0], list(images))
     write_idx_labels(paths[1], [1, 2] * 20)
     return ["--images", str(paths[0]), "--labels", str(paths[1])]
 
@@ -347,12 +351,12 @@ class TestPredict:
             cols.append(vec / np.linalg.norm(vec))
         X = np.column_stack(cols)
         loaded = dataio.load_model(model)
-        factors = subspace_from_set(X, loaded.subspace_dim)
+        sample = subspace_from_set(X, loaded.subspace_dim)
         dists = [np.sum(loaded.relevance * principal_decomposition(
-                    factors.subspace, p.subspace).angles ** 2)
+                    sample, p.subspace).angles ** 2)
                  for p in loaded.prototypes]
         winner = loaded.prototypes[int(np.argmin(dists))]
-        pd = principal_decomposition(factors.subspace, winner.subspace)
+        pd = principal_decomposition(sample, winner.subspace)
         assert np.max(np.abs(X @ M - pd.principal_left)) < 1e-6
 
     def test_missing_inputs(self, workspace, capsys):
@@ -481,10 +485,11 @@ def _resealed(tmp, header, values):
     return bad
 
 
-def _nan_relevance(model, tmp):
+def _with_relevance(model, tmp, tail):
+    """``model`` resealed with its last relevance weights set to ``tail``."""
     header, rest = model.read_bytes().split(b"\n", 1)
     values = np.frombuffer(rest[8:-4], dtype="<f8").copy()
-    values[-1] = np.nan
+    values[-len(tail):] = tail
     return _resealed(tmp, header, values)
 
 
@@ -493,6 +498,11 @@ def _with_manifest(data, model, tmp, text):
     shutil.copytree(data / "test", root)
     (root / "labels.txt").write_text(text)
     return _eval(model, root)
+
+
+def _predict_image(data, model, *flags):
+    frame = data / "test" / "class_01" / "set_001" / "frame_001.pgm"
+    return ["predict", "--model", str(model), "--image", str(frame), *flags]
 
 
 def _train(data, tmp, *flags):
@@ -540,8 +550,12 @@ MALFORMED_INPUTS = {
                 tmp, b"GRASSLVQ v1 mode=grlgq D=-2 d=-1 labels=1", [0.5])),
             "--relevance-out", str(tmp / "relevance.csv")]),
     "nan-relevance": ("CorruptModel", "relevance weights must be nonnegative and finite",
-                      lambda data, model, tmp: _eval(_nan_relevance(model, tmp),
-                                                     data / "test")),
+                      lambda data, model, tmp: _eval(
+                          _with_relevance(model, tmp, [np.nan]), data / "test")),
+    "relevance-off-simplex": (
+        "CorruptModel", "grlgq relevance sums to 2.5, not 1 within 1e-12",
+        lambda data, model, tmp: _eval(
+            _with_relevance(model, tmp, [2.0, 0.5]), data / "test")),
     "config-non-numeric": ("ConfigError", "'epochs'", lambda data, model, tmp:
                            _with_config(data, tmp, "epochs = abc\n")),
     "config-task-not-a-choice": (
@@ -616,12 +630,36 @@ MALFORMED_INPUTS = {
                         lambda data, model, tmp: _train(data, tmp, "--d", "13")),
     "idx-m-below-d": ("InsufficientImages", "m=5", lambda data, model, tmp: _train(
         data, tmp, "--task", "idx", *_idx_flags(tmp), "--m", "5", "--d", "12")),
+    "idx-class-of-identical-images": (
+        "RankDeficient", "set 0 (label 1): set of 20 columns has numerical rank < 2",
+        lambda data, model, tmp: _train(
+            data, tmp, "--task", "idx", *_idx_flags(tmp, same_class_1=True), "--d", "2")),
     "idx-d-above-ambient": ("ConfigError", "D = 12", lambda data, model, tmp: _train(
         data, tmp, "--task", "idx", *_idx_flags(tmp), "--m", "5", "--d", "13")),
     "manifest-one-field": ("ConfigError", "labels.txt:2", lambda data, model, tmp:
                            _with_manifest(data, model, tmp, "class_01 1\nclass_02\n")),
     "manifest-non-integer": ("ConfigError", "labels.txt:1", lambda data, model, tmp:
                              _with_manifest(data, model, tmp, "class_01 one\n")),
+    "manifest-unknown-class": (
+        "ConfigError", "labels.txt:3: 'class_zz' names no class directory",
+        lambda data, model, tmp: _with_manifest(
+            data, model, tmp, "class_01 1\nclass_02 2\nclass_zz 7\n")),
+    "manifest-unlisted-class": (
+        "ConfigError", "labels.txt: class directory 'class_01' is not listed",
+        lambda data, model, tmp: _with_manifest(data, model, tmp, "class_02 1\n")),
+    "predict-set-and-image": (
+        "ConfigError", "predict takes --set or --image, not both",
+        lambda data, model, tmp: _predict_image(data, model, "--set", str(tmp))),
+    "predict-image-explain": (
+        "ConfigError", "--explain and --out-dir apply to --set, not --image",
+        lambda data, model, tmp: _predict_image(data, model, "--explain")),
+    "predict-image-out-dir": (
+        "ConfigError", "--explain and --out-dir apply to --set, not --image",
+        lambda data, model, tmp: _predict_image(data, model, "--out-dir", str(tmp))),
+    "eval-data-and-images": (
+        "ConfigError", "eval takes --data or --images/--labels, not both",
+        lambda data, model, tmp: _eval(model, data / "test") + [
+            "--images", str(tmp / "images.idx")]),
     "image-size-vs-model": (
         "InconsistentDims", "D = 9 pixels, prototypes have D = 12",
         lambda data, model, tmp: [

@@ -234,6 +234,20 @@ class TestModelPersistence:
         acc_b, _ = evaluate(loaded, dataset, "sets")
         assert acc_a == acc_b
 
+    def test_trained_grlgq_relevance_reloads(self, tmp_path):
+        # a relevance vector moved well off uniform still sums to 1 within
+        # the load-time bound of 1e-12
+        rng = np.random.default_rng(6)
+        dataset = synthetic_subspace_dataset(rng, classes=3, D=10, d=4,
+                                             per_class=5)
+        config = TrainConfig(eta=0.05, gamma=0.04, epochs=20, seed=1,
+                             mode="grlgq")
+        model, _ = fit(dataset, config, init="example")
+        assert np.ptp(model.relevance) > 0.01
+        path = tmp_path / "model.bin"
+        dataio.save_model(model, path)
+        assert np.array_equal(dataio.load_model(path).relevance, model.relevance)
+
     def test_truncated_model(self, tmp_path):
         model, _ = self._trained_model()
         path = tmp_path / "model.bin"

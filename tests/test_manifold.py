@@ -16,6 +16,7 @@ from grasslvq import (
     subspace_from_set,
 )
 from grasslvq.errors import InconsistentDims, RankDeficient, SingularFactor
+from grasslvq.manifold import _factor_set
 from helpers import pair_with_angles, random_orthogonal, random_subspace
 
 
@@ -34,13 +35,13 @@ def largest_angle_sine(a, b):
 class TestOrthonormalize:
     def test_already_orthonormal_spans_same_space(self):
         basis = np.column_stack([e(0, 3), e(1, 3)])
-        out = subspace_from_set(basis, 2).subspace
+        out = subspace_from_set(basis, 2)
         pd = principal_decomposition(Subspace(basis), out)
         assert np.all(pd.angles < 1e-12)
 
     def test_column_scaling_removed(self):
         M = np.array([[2.0, 0.0], [0.0, 3.0], [0.0, 0.0]])
-        out = subspace_from_set(M, M.shape[1]).subspace
+        out = subspace_from_set(M, M.shape[1])
         assert np.max(np.abs(out.basis.T @ out.basis - np.eye(2))) < 1e-12
         # spans e1, e2 of R^3
         proj = out.basis @ out.basis.T
@@ -50,7 +51,7 @@ class TestOrthonormalize:
         # oracle: explicit projector M (M^T M)^-1 M^T
         rng = np.random.default_rng(42)
         M = rng.standard_normal((6, 3))
-        out = subspace_from_set(M, M.shape[1]).subspace
+        out = subspace_from_set(M, M.shape[1])
         assert np.max(np.abs(out.basis.T @ out.basis - np.eye(3))) < 1e-10
         oracle = M @ np.linalg.inv(M.T @ M) @ M.T
         assert np.max(np.abs(out.basis @ out.basis.T - oracle)) < 1e-8
@@ -65,31 +66,30 @@ class TestSubspaceFromSet:
     def test_orthonormal_input(self):
         rng = np.random.default_rng(0)
         X = random_subspace(rng, 6, 3).basis
-        out = subspace_from_set(X, 3)
-        assert np.allclose(out.singular_values, 1.0, atol=1e-12)
-        pd = principal_decomposition(out.subspace, Subspace(X))
+        basis, s, R = _factor_set(X, 3)
+        assert np.allclose(s, 1.0, atol=1e-12)
+        pd = principal_decomposition(Subspace(basis), Subspace(X))
         assert np.all(pd.angles < 1e-8)
-        R = out.right_factors
         assert np.allclose(R.T @ R, np.eye(3), atol=1e-10)
 
     def test_repeated_column(self):
         X = np.column_stack([e(0, 4), e(0, 4)])
-        out = subspace_from_set(X, 1)
-        assert np.allclose(np.abs(out.subspace.basis[:, 0]), e(0, 4), atol=1e-12)
-        assert np.isclose(out.singular_values[0], np.sqrt(2.0))
+        basis, s, _ = _factor_set(X, 1)
+        assert np.allclose(np.abs(basis[:, 0]), e(0, 4), atol=1e-12)
+        assert np.isclose(s[0], np.sqrt(2.0))
 
     def test_truncation_matches_gram_eigensolve(self):
         # oracle: eigendecomposition of X^T X gives the singular values; the
         # rank-3 residual (spectral norm) must equal the 4th singular value
         rng = np.random.default_rng(7)
         X = rng.standard_normal((8, 5))
-        out = subspace_from_set(X, 3)
-        approx = out.subspace.basis * out.singular_values @ out.right_factors.T
+        basis, s, R = _factor_set(X, 3)
+        approx = basis * s @ R.T
         residual = np.linalg.norm(X - approx, ord=2)
         gram_eigs = np.sort(np.linalg.eigvalsh(X.T @ X))[::-1]
         fourth_sv = np.sqrt(gram_eigs[3])
         assert abs(residual - fourth_sv) < 1e-8
-        assert np.allclose(out.singular_values, np.sqrt(gram_eigs[:3]), atol=1e-8)
+        assert np.allclose(s, np.sqrt(gram_eigs[:3]), atol=1e-8)
 
     def test_rank_below_d_rejected(self):
         X = np.column_stack([e(0, 5), e(0, 5), e(1, 5)])
@@ -113,7 +113,7 @@ class TestSubspaceFromSet:
         top = np.logspace(0, -np.log10(ratio), d)
         s = np.concatenate([top, top[-1] / 2 * np.logspace(0, -3, m - d)])
         X = U * s @ random_orthogonal(rng, m).T
-        basis = subspace_from_set(X, d).subspace.basis
+        basis = subspace_from_set(X, d).basis
         assert np.max(np.abs(basis.T @ basis - np.eye(d))) <= 1e-14
         reference = np.linalg.svd(X, full_matrices=False)[0][:, :d]
         planted = U[:, :d]
@@ -125,29 +125,29 @@ class TestSubspaceFromSet:
         # m > D, m = D, m = d and d = 1
         rng = np.random.default_rng(D * m + d)
         X = rng.standard_normal((D, m))
-        out = subspace_from_set(X, d)
+        basis, values, right = _factor_set(X, d)
         u, s, vt = np.linalg.svd(X, full_matrices=False)
-        assert out.subspace.basis.shape == (D, d)
-        assert out.right_factors.shape == (m, d)
-        assert largest_angle_sine(u[:, :d], out.subspace.basis) < 1e-12
-        assert largest_angle_sine(vt[:d].T, out.right_factors) < 1e-12
-        assert np.allclose(out.singular_values, s[:d], rtol=1e-12, atol=0)
+        assert basis.shape == (D, d)
+        assert right.shape == (m, d)
+        assert largest_angle_sine(u[:, :d], basis) < 1e-12
+        assert largest_angle_sine(vt[:d].T, right) < 1e-12
+        assert np.allclose(values, s[:d], rtol=1e-12, atol=0)
+        assert np.array_equal(subspace_from_set(X, d).basis, basis)
 
     def test_factors_own_contiguous_buffers(self):
         # no view may pin the D x m left factor of a full SVD
         rng = np.random.default_rng(8)
         out = subspace_from_set(rng.standard_normal((784, 50)), 12)
-        for a in (out.subspace.basis, out.singular_values, out.right_factors):
-            assert a.flags.c_contiguous and a.flags.owndata
-        assert out.subspace.basis.shape == (784, 12)
+        assert out.basis.flags.c_contiguous and out.basis.flags.owndata
+        assert out.basis.shape == (784, 12)
 
     def test_contribution_recovers_principal_vectors_of_large_set(self):
         rng = np.random.default_rng(20)
         X = rng.standard_normal((784, 50))
         X /= np.linalg.norm(X, axis=0)
-        factors = subspace_from_set(X, 12)
-        pd = principal_decomposition(factors.subspace, random_subspace(rng, 784, 12))
-        M = image_contribution(factors, pd.rot_left)
+        pd = principal_decomposition(subspace_from_set(X, 12),
+                                     random_subspace(rng, 784, 12))
+        M = image_contribution(X, pd)
         assert np.max(np.abs(X @ M - pd.principal_left)) < 1e-10
 
 
@@ -494,21 +494,18 @@ class TestImageContribution:
     def test_orthonormal_set_exact(self):
         rng = np.random.default_rng(16)
         X = random_subspace(rng, 7, 3).basis
-        factors = subspace_from_set(X, 3)
-        w = random_subspace(rng, 7, 3)
-        pd = principal_decomposition(factors.subspace, w)
-        M = image_contribution(factors, pd.rot_left)
+        pd = principal_decomposition(subspace_from_set(X, 3), random_subspace(rng, 7, 3))
+        M = image_contribution(X, pd)
         assert np.max(np.abs(X @ M - pd.principal_left)) < 1e-10
 
     def test_rank_d_wide_set(self):
         # oracle: recompute U directly from P Q_P
         rng = np.random.default_rng(17)
         X = rng.standard_normal((9, 6))
-        factors = subspace_from_set(X, 3)
-        w = random_subspace(rng, 9, 3)
-        pd = principal_decomposition(factors.subspace, w)
-        M = image_contribution(factors, pd.rot_left)
-        U = factors.subspace.basis @ pd.rot_left
+        sample = subspace_from_set(X, 3)
+        pd = principal_decomposition(sample, random_subspace(rng, 9, 3))
+        M = image_contribution(X, pd)
+        U = sample.basis @ pd.rot_left
         # discarded singular directions are orthogonal to the kept right
         # factors, so X M still recovers U
         assert np.max(np.abs(X @ M - U)) < 1e-8
@@ -517,19 +514,19 @@ class TestImageContribution:
         rng = np.random.default_rng(18)
         # build X of exact rank 3 with 6 columns
         X = rng.standard_normal((9, 3)) @ rng.standard_normal((3, 6))
-        factors = subspace_from_set(X, 3)
-        w = random_subspace(rng, 9, 3)
-        pd = principal_decomposition(factors.subspace, w)
-        M = image_contribution(factors, pd.rot_left)
-        U = factors.subspace.basis @ pd.rot_left
+        sample = subspace_from_set(X, 3)
+        pd = principal_decomposition(sample, random_subspace(rng, 9, 3))
+        M = image_contribution(X, pd)
+        U = sample.basis @ pd.rot_left
         assert np.max(np.abs(X @ M - U)) < 1e-8
         # every image contributes to at least one principal vector
         assert np.all(np.max(np.abs(M), axis=1) > 0)
 
     def test_singular_factor_rejected(self):
+        # a set at 1e-14 scale has full numerical rank, so subspace_from_set
+        # accepts it, but its singular values are below the 1e-12 floor
         rng = np.random.default_rng(19)
-        factors = subspace_from_set(rng.standard_normal((6, 4)), 2)
-        object.__setattr__(factors, "singular_values",
-                           np.array([1.0, 1e-14]))
+        X = 1e-14 * rng.standard_normal((6, 4))
+        pd = principal_decomposition(subspace_from_set(X, 2), random_subspace(rng, 6, 2))
         with pytest.raises(SingularFactor):
-            image_contribution(factors, np.eye(2))
+            image_contribution(X, pd)

@@ -239,7 +239,7 @@ class TestPrototypeUpdate:
             expected = {
                 idx: subspace_from_set(
                     pd.principal_right
-                    - eta * prototype_gradient(out, model.relevance, which), d).subspace
+                    - eta * prototype_gradient(out, model.relevance, which), d)
                 for which, idx, pd in (("plus", out.winner_same, out.pd_plus),
                                        ("minus", out.winner_other, out.pd_minus))}
             apply_prototype_update(model, out, eta)
@@ -255,7 +255,7 @@ class TestPrototypeUpdate:
         model = two_class_model(rng, 10, 3)
         shared = model.stack[1][:, :1]
         sample = subspace_from_set(
-            np.hstack([shared, rng.standard_normal((10, 2))]), 3).subspace
+            np.hstack([shared, rng.standard_normal((10, 2))]), 3)
         out = find_winners(model, sample, 1)
         assert out.winner_other == 1 and out.pd_minus.angles[0] < 1e-12
         grad = prototype_gradient(out, model.relevance, "minus")
@@ -419,6 +419,17 @@ class TestFit:
         for pg, pr in zip(model_g.prototypes, model_r.prototypes):
             assert np.array_equal(pg.subspace.basis, pr.subspace.basis)
         assert np.array_equal(model_g.relevance, model_r.relevance)
+
+    def test_given_model_of_another_mode_rejected(self):
+        rng = np.random.default_rng(14)
+        dataset = synthetic_subspace_dataset(rng, classes=2, D=10, d=2,
+                                             per_class=3)
+        model, _ = fit(dataset, TrainConfig(eta=0.05, gamma=0.0, epochs=1,
+                                            seed=0, mode="glgq"), init="example")
+        config = TrainConfig(eta=0.05, gamma=1e-2, epochs=1, seed=0, mode="grlgq")
+        with pytest.raises(ConfigError, match="'grlgq' differs from the model's mode 'glgq'"):
+            fit(dataset, config, model=model)
+        assert np.array_equal(model.relevance, np.ones(2))
 
     def test_separable_synthetic_task(self):
         rng = np.random.default_rng(15)

@@ -71,7 +71,7 @@ def test_update_rescale_matches_svd_orthonormalization(data):
     for which, idx, pd in (("plus", 0, out.pd_plus), ("minus", 1, out.pd_minus)):
         updated = pd.principal_right - eta * prototype_gradient(out, model.relevance, which)
         try:
-            svd_bases[idx] = subspace_from_set(updated, d).subspace
+            svd_bases[idx] = subspace_from_set(updated, d)
         except RankDeficient:
             with pytest.raises(RankDeficient):
                 apply_prototype_update(model, out, eta)
