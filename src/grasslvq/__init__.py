@@ -24,11 +24,8 @@ from .model import (
     find_winners,
     fit,
     init_prototypes,
-    predict_set,
-    predict_vector,
     prototype_gradient,
     relevance_gradient,
-    sample_cost,
     scores,
     train_step,
 )
@@ -40,9 +37,8 @@ __all__ = [
     "principal_decomposition", "single_vector_angle", "subspace_from_set",
     "ModelState", "Prototype", "SampleOutcome", "TrainConfig",
     "apply_prototype_update", "apply_relevance_update", "evaluate",
-    "find_winners", "fit", "init_prototypes", "predict_set",
-    "predict_vector", "prototype_gradient", "relevance_gradient",
-    "sample_cost", "scores", "train_step",
+    "find_winners", "fit", "init_prototypes", "prototype_gradient",
+    "relevance_gradient", "scores", "train_step",
 ]
 
 __version__ = "0.1.0"

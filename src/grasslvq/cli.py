@@ -20,7 +20,7 @@ from .manifold import (
     principal_decomposition,
     subspace_from_set,
 )
-from .model import TrainConfig, evaluate, fit, predict_set, predict_vector
+from .model import TrainConfig, evaluate, fit, scores
 
 # Presets bundle the hyperparameters reported for each benchmark. Epoch counts
 # for yaleb/eth80/ucf and the m / sets-per-class draws for mnist/yale are
@@ -228,28 +228,25 @@ def cmd_predict(args):
         raise ConfigError("--explain and --out-dir apply to --set, not --image")
     model = _load_model(args.model)
     if args.image:
-        vec = dataio.normalize_pixels(dataio.read_pgm(args.image).reshape(1, -1))[0]
-        if not vec.any():
+        sample = dataio.normalize_pixels(dataio.read_pgm(args.image).reshape(1, -1))[0]
+        if not sample.any():
             raise RankDeficient(f"{args.image}: all-black image has rank 0 < 1")
-        label, angles = predict_vector(model, vec)
-        print(f"label={label}")
-        for i, angle in enumerate(angles):
-            print(f"prototype_{i + 1} label={model.labels[i]} "
-                  f"theta1={float(angle)!r}")
-        return 0
-    if not args.set:
+        kind, column = "vectors", "theta1"
+    elif args.set:
+        X, (height, width) = dataio.read_set(args.set)
+        sample = subspace_from_set(X, model.subspace_dim)
+        kind, column = "sets", "distance"
+    else:
         raise ConfigError("predict requires --set <dir> or --image <pgm>")
-    X, (height, width) = dataio.read_set(args.set)
-    sample = subspace_from_set(X, model.subspace_dim)
-    label, dists = predict_set(model, sample)
-    print(f"label={label}")
+    dists = scores(model, [sample], kind)[0]
+    winner = int(np.argmin(dists))
+    print(f"label={model.labels[winner]}")
     for i, dist in enumerate(dists):
         print(f"prototype_{i + 1} label={model.labels[i]} "
-              f"distance={float(dist)!r}")
+              f"{column}={float(dist)!r}")
     if args.explain:
         out_dir = args.out_dir or "."
         os.makedirs(out_dir, exist_ok=True)
-        winner = int(np.argmin(dists))
         pd = principal_decomposition(sample, model.subspace(winner))
         for k in range(model.subspace_dim):
             dataio.export_pixel_influence(
@@ -264,7 +261,8 @@ def cmd_predict(args):
 def cmd_inspect(args):
     model = _load_model(args.model)
     if args.relevance_out:
-        dataio.export_relevance_csv(model, args.relevance_out)
+        dataio.write_csv(args.relevance_out, ["index", "lambda"],
+                         enumerate(model.relevance, 1))
     if args.prototype_dir:
         if not args.width or not args.height:
             raise ConfigError("--prototype-dir requires --width and --height")

@@ -341,10 +341,6 @@ def write_csv(path, header, rows) -> None:
                              else repr(float(v)) for v in row) + "\n")
 
 
-def export_relevance_csv(model: ModelState, path) -> None:
-    write_csv(path, ["index", "lambda"], enumerate(model.relevance, 1))
-
-
 def _rescale_full_range(values):
     lo, hi = values.min(), values.max()
     scale = hi - lo

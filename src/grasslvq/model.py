@@ -61,7 +61,7 @@ class ModelState:
     integer ``labels`` vector; that array is the only copy. ``prototypes``
     returns Prototype items built on read-only views of it, so the items
     change when the model trains; a caller who needs a snapshot must copy
-    the bases. Assigning a list to ``prototypes`` copies it into a new array.
+    the bases.
     """
 
     def __init__(self, prototypes: list[Prototype], relevance, mode: str,
@@ -78,23 +78,17 @@ class ModelState:
             raise ConfigError("relevance weights must be nonnegative and finite")
         if mode == "glgq" and not np.all(self.relevance == 1.0):
             raise ConfigError("glgq mode fixes the relevance vector at all-ones")
-        self.prototypes = prototypes
+        self.stack = np.empty((len(prototypes), ambient_dim, subspace_dim))
+        for i, p in enumerate(prototypes):
+            if p.subspace.basis.shape != self.stack.shape[1:]:
+                raise ConfigError("prototype shape inconsistent with model dims")
+            self.stack[i] = p.subspace.basis
+        self.labels = np.array([p.label for p in prototypes], dtype=np.int64)
 
     @property
     def prototypes(self) -> list[Prototype]:
         return [Prototype(self.subspace(i), int(label))
                 for i, label in enumerate(self.labels)]
-
-    @prototypes.setter
-    def prototypes(self, prototypes: list[Prototype]) -> None:
-        shape = (self.ambient_dim, self.subspace_dim)
-        stack = np.empty((len(prototypes), *shape))
-        for i, p in enumerate(prototypes):
-            if p.subspace.basis.shape != shape:
-                raise ConfigError("prototype shape inconsistent with model dims")
-            stack[i] = p.subspace.basis
-        self.stack = stack
-        self.labels = np.array([p.label for p in prototypes], dtype=np.int64)
 
     def subspace(self, index: int) -> Subspace:
         """Prototype ``index`` as a Subspace on a read-only view of the stack."""
@@ -193,13 +187,6 @@ def find_winners(model: ModelState, sample: Subspace, label: int) -> SampleOutco
     return SampleOutcome(*winners, d_same, d_other, mu, pair)
 
 
-def sample_cost(outcome: SampleOutcome) -> float:
-    """Relative distance difference mu = (d+ - d-)/(d+ + d-) in [-1, 1]."""
-    if outcome.d_plus + outcome.d_minus < DEGENERATE_EPS:
-        raise DegenerateSample("sample coincides with prototypes of both polarities")
-    return outcome.mu
-
-
 def _gradient_coefficients(outcome: SampleOutcome, weights) -> np.ndarray:
     """(2, d) column coefficients c of both winners' gradients U c (plus, minus).
 
@@ -292,10 +279,11 @@ def train_step(model: ModelState, sample: Subspace, label: int,
 
     Returns the outcome with the pre-update cost mu for logging. With gamma = 0
     the relevance vector is left untouched (no clipping or renormalization), so
-    a grlgq run with frozen weights follows the glgq trajectory exactly.
+    a grlgq run with frozen weights follows the glgq trajectory exactly. A
+    sample that coincides with prototypes of both polarities raises
+    DegenerateSample from the first gradient, before anything mutates.
     """
     outcome = find_winners(model, sample, label)
-    sample_cost(outcome)  # raises DegenerateSample before anything mutates
     relevance_step = model.mode == "grlgq" and config.gamma > 0
     grad_rel = relevance_gradient(outcome) if relevance_step else None
     apply_prototype_update(model, outcome, config.eta)
@@ -339,11 +327,6 @@ def init_prototypes(dataset, d: int, strategy: str, rng,
     return protos
 
 
-def initial_relevance(d: int, mode: str) -> np.ndarray:
-    """All-ones for glgq; uniform simplex weights 1/d for grlgq."""
-    return np.ones(d) if mode == "glgq" else np.full(d, 1.0 / d)
-
-
 def fit(dataset, config: TrainConfig, init: str = "random",
         prototypes_per_class: int = 1, class_matrices: dict | None = None,
         model: ModelState | None = None):
@@ -365,7 +348,8 @@ def fit(dataset, config: TrainConfig, init: str = "random",
                                  prototypes_per_class, class_matrices)
         model = ModelState(
             prototypes=protos,
-            relevance=initial_relevance(d, config.mode),
+            # all-ones for glgq; uniform simplex weights for grlgq
+            relevance=np.ones(d) if config.mode == "glgq" else np.full(d, 1.0 / d),
             mode=config.mode,
             subspace_dim=d,
             ambient_dim=items[0][0].ambient_dim,
@@ -411,18 +395,6 @@ def scores(model: ModelState, samples, kind: str) -> np.ndarray:
         out[start:start + block] = (angles[:, :, 0] if vectors
                                     else angles ** 2 @ model.relevance)
     return out
-
-
-def predict_set(model: ModelState, sample: Subspace):
-    """Nearest-prototype label for a subspace, plus distances to all prototypes."""
-    dists = scores(model, [sample], "sets")[0]
-    return int(model.labels[np.argmin(dists)]), dists
-
-
-def predict_vector(model: ModelState, x):
-    """Nearest-prototype label for a single unit vector via the first principal angle."""
-    angles = scores(model, [x], "vectors")[0]
-    return int(model.labels[np.argmin(angles)]), angles
 
 
 def evaluate(model: ModelState, dataset, kind: str = "sets"):

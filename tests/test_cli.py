@@ -12,8 +12,8 @@ from grasslvq import (
     dataio,
     evaluate,
     fit,
-    predict_set,
     principal_decomposition,
+    scores,
     subspace_from_set,
 )
 from grasslvq.cli import TRAIN_DEFAULTS, main
@@ -382,8 +382,8 @@ class TestPredict:
         sets, _, _ = dataio.read_imageset_dirs(root)
         [(sample, _)] = dataio.build_per_set_subspace_dataset(
             sets, loaded.subspace_dim)
-        label, dists = predict_set(loaded, sample)
-        assert out[0] == f"label={label}"
+        dists = scores(loaded, [sample], "sets")[0]
+        assert out[0] == f"label={loaded.labels[np.argmin(dists)]}"
         assert [float(line.rsplit("=", 1)[1]) for line in out[1:]] == \
             dists.tolist()
 

@@ -304,7 +304,7 @@ class TestExporters:
         rng = np.random.default_rng(3)
         model = two_class_model(rng, 6, 3, mode="glgq")
         path = tmp_path / "rel.csv"
-        dataio.export_relevance_csv(model, path)
+        dataio.write_csv(path, ["index", "lambda"], enumerate(model.relevance, 1))
         lines = path.read_text().splitlines()
         assert lines[0] == "index,lambda"
         assert len(lines) == 4

@@ -17,13 +17,10 @@ from grasslvq import (
     find_winners,
     fit,
     init_prototypes,
-    predict_set,
-    predict_vector,
     principal_decomposition,
     prototype_gradient,
     geodesic_distance,
     relevance_gradient,
-    sample_cost,
     scores,
     subspace_from_set,
     train_step,
@@ -156,20 +153,44 @@ class TestPrototypeStorage:
 class TestSampleCost:
     def test_values(self):
         rng = np.random.default_rng(4)
-        _, out, _ = make_outcome(rng, 8, 2, np.ones(2))
-        for d_plus, d_minus, expected in ((1.0, 1.0, 0.0), (0.0, 2.0, -1.0),
-                                          (1.0, 3.0, -0.5)):
-            out.d_plus, out.d_minus = d_plus, d_minus
-            out.mu = (d_plus - d_minus) / (d_plus + d_minus)
-            assert np.isclose(sample_cost(out), expected)
-            assert -1.0 <= sample_cost(out) <= 1.0
+        model = two_class_model(rng, 8, 2)
+        for label, expected in ((1, -1.0), (2, 1.0)):
+            # the sample is prototype 0, so d+ = 0 for label 1 and d- = 0 for 2
+            out = find_winners(model, Subspace(model.stack[0].copy()), label)
+            assert np.isclose(out.mu, expected)
+        for _ in range(5):
+            out = find_winners(model, random_subspace(rng, 8, 2), 1)
+            expected = (out.d_plus - out.d_minus) / (out.d_plus + out.d_minus)
+            assert np.isclose(out.mu, expected)
+            assert -1.0 <= out.mu <= 1.0
 
     def test_degenerate(self):
         rng = np.random.default_rng(5)
-        _, out, _ = make_outcome(rng, 8, 2, np.ones(2))
+        model, out = two_class_model(rng, 8, 2), make_outcome(rng, 8, 2, np.ones(2))[1]
         out.d_plus = out.d_minus = 0.0
         with pytest.raises(DegenerateSample):
-            sample_cost(out)
+            relevance_gradient(out)
+        with pytest.raises(DegenerateSample):
+            prototype_gradient(out, np.ones(2), "plus")
+        with pytest.raises(DegenerateSample):
+            apply_prototype_update(model, out, 0.05)
+
+    @pytest.mark.parametrize("mode", ["glgq", "grlgq"])
+    def test_degenerate_train_step_changes_nothing(self, mode):
+        # the sample coincides with a same-label and an other-label prototype
+        rng = np.random.default_rng(5)
+        sample = random_subspace(rng, 8, 2)
+        protos = [Prototype(Subspace(sample.basis.copy()), label) for label in (1, 2)]
+        relevance = np.ones(2) if mode == "glgq" else np.array([0.25, 0.75])
+        model = ModelState(protos, relevance, mode, 2, 8)
+        config = TrainConfig(eta=0.05, gamma=0.0 if mode == "glgq" else 1e-3,
+                             epochs=1, seed=0, mode=mode)
+        stack, relevance = model.stack.copy(), model.relevance.copy()
+        assert np.isnan(find_winners(model, sample, 1).mu)
+        with pytest.raises(DegenerateSample):
+            train_step(model, sample, 1, config)
+        assert np.array_equal(model.stack, stack)
+        assert np.array_equal(model.relevance, relevance)
 
 
 class TestRelevanceUpdate:
@@ -225,7 +246,7 @@ class TestPrototypeUpdate:
             model = two_class_model(rng, 10, 3)
             sample = random_subspace(rng, 10, 3)
             out = find_winners(model, sample, 1)
-            mu_before = sample_cost(out)
+            mu_before = out.mu
             apply_prototype_update(model, out, 1e-4)
             mu_after = find_winners(model, sample, 1).mu
             assert mu_after <= mu_before + 1e-12
@@ -490,12 +511,18 @@ class TestInitPrototypes:
             assert np.max(np.abs(b.T @ b - np.eye(3))) < 1e-10
 
 
+def nearest(model, sample, kind="sets"):
+    """Nearest-prototype label of one sample, and its row of scores."""
+    row = scores(model, [sample], kind)[0]
+    return int(model.labels[np.argmin(row)]), row
+
+
 class TestPrediction:
     def test_predict_prototype_itself(self):
         rng = np.random.default_rng(20)
         model = two_class_model(rng, 8, 2)
         for p in model.prototypes:
-            label, dists = predict_set(model, Subspace(p.subspace.basis.copy()))
+            label, dists = nearest(model, Subspace(p.subspace.basis.copy()))
             assert label == p.label
             assert np.min(dists) < 1e-12
 
@@ -503,26 +530,25 @@ class TestPrediction:
         rng = np.random.default_rng(21)
         protos = [Prototype(random_subspace(rng, 6, 2), 5)]
         model = ModelState(protos, np.ones(2), "glgq", 2, 6)
-        label, _ = predict_set(model, random_subspace(rng, 6, 2))
+        label, _ = nearest(model, random_subspace(rng, 6, 2))
         assert label == 5
 
     def test_relevance_scaling_invariance(self):
         rng = np.random.default_rng(22)
         model = two_class_model(rng, 8, 3, mode="grlgq",
                                 relevance=np.array([0.2, 0.3, 0.5]))
-        scaled = two_class_model(rng, 8, 3, mode="grlgq",
-                                 relevance=np.array([0.2, 0.3, 0.5]))
-        scaled.prototypes = model.prototypes
-        scaled.relevance = model.relevance * 7.0
+        scaled = ModelState([Prototype(Subspace(p.subspace.basis.copy()), p.label)
+                             for p in model.prototypes],
+                            model.relevance * 7.0, "grlgq", 3, 8)
         for _ in range(10):
             sample = random_subspace(rng, 8, 3)
-            assert predict_set(model, sample)[0] == predict_set(scaled, sample)[0]
+            assert nearest(model, sample)[0] == nearest(scaled, sample)[0]
 
     def test_predict_vector(self):
         rng = np.random.default_rng(23)
         model = two_class_model(rng, 8, 2)
         x = model.prototypes[1].subspace.basis[:, 0]
-        label, angles = predict_vector(model, x)
+        label, angles = nearest(model, x, "vectors")
         assert label == model.prototypes[1].label
         assert np.min(angles) < 1e-7
 
@@ -534,8 +560,8 @@ class TestPrediction:
         for _ in range(10):
             x = rng.standard_normal(7)
             x /= np.linalg.norm(x)
-            assert (predict_vector(model, x)[0]
-                    == predict_set(model, Subspace(x[:, None]))[0])
+            assert (nearest(model, x, "vectors")[0]
+                    == nearest(model, Subspace(x[:, None]))[0])
 
 
 class TestEvaluate:
@@ -575,11 +601,11 @@ class TestEvaluate:
         return ModelState(protos, np.full(d, 1.0 / d), "grlgq", d, D)
 
     @staticmethod
-    def _looped_confusion(model, dataset, predict):
+    def _looped_confusion(model, dataset, kind):
         labels = sorted(set(model.labels.tolist()) | {y for _, y in dataset})
         confusion = np.zeros((len(labels), len(labels)), dtype=np.int64)
         for sample, y in dataset:
-            pred, _ = predict(model, sample)
+            pred, _ = nearest(model, sample, kind)
             confusion[labels.index(y), labels.index(pred)] += 1
         return confusion
 
@@ -595,9 +621,9 @@ class TestEvaluate:
         dataset = [(x, int(y)) for x, y in zip(images, rng.integers(1, 5, n))]
         acc, confusion = evaluate(model, dataset, "vectors")
         assert np.array_equal(
-            confusion, self._looped_confusion(model, dataset, predict_vector))
+            confusion, self._looped_confusion(model, dataset, "vectors"))
         assert acc == np.trace(confusion) / n
-        assert predict_vector(model, images[n // 2])[0] == 2
+        assert nearest(model, images[n // 2], "vectors")[0] == 2
 
     def test_sets_match_predict_set(self):
         rng = np.random.default_rng(30)
@@ -609,7 +635,7 @@ class TestEvaluate:
         dataset[0] = (Subspace(model.stack[2].copy()), 1)
         _, confusion = evaluate(model, dataset, "sets")
         assert np.array_equal(
-            confusion, self._looped_confusion(model, dataset, predict_set))
+            confusion, self._looped_confusion(model, dataset, "sets"))
         assert confusion[0, 2] >= 1
 
     # one odd sample in the middle of a block; the others stack fine
