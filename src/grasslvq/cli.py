@@ -45,16 +45,18 @@ TRAIN_DEFAULTS = dict(
 
 
 def _read_config_file(path):
-    values = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
-            key, value = (part.strip() for part in line.split("=", 1))
-            values[key.replace("-", "_")] = value
+    values, first = {}, {}
+    for lineno, line in dataio.read_text_lines(path):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key = value")
+        key, value = (part.strip() for part in line.split("=", 1))
+        key = key.replace("-", "_")
+        if key in first:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {first[key]}")
+        values[key], first[key] = value, lineno
     return values
 
 
@@ -226,6 +228,8 @@ def cmd_predict(args):
         raise ConfigError("predict takes --set or --image, not both")
     if args.image and (args.explain or args.out_dir):
         raise ConfigError("--explain and --out-dir apply to --set, not --image")
+    if args.out_dir and not args.explain:
+        raise ConfigError("--out-dir applies only with --explain")
     model = _load_model(args.model)
     if args.image:
         sample = dataio.normalize_pixels(dataio.read_pgm(args.image).reshape(1, -1))[0]
@@ -238,12 +242,12 @@ def cmd_predict(args):
         kind, column = "sets", "distance"
     else:
         raise ConfigError("predict requires --set <dir> or --image <pgm>")
-    dists = scores(model, [sample], kind)[0]
-    winner = int(np.argmin(dists))
+    row = scores(model, [sample], kind)[0]
+    winner = int(np.argmin(row))
     print(f"label={model.labels[winner]}")
-    for i, dist in enumerate(dists):
+    for i, score in enumerate(row):
         print(f"prototype_{i + 1} label={model.labels[i]} "
-              f"{column}={float(dist)!r}")
+              f"{column}={float(score)!r}")
     if args.explain:
         out_dir = args.out_dir or "."
         os.makedirs(out_dir, exist_ok=True)

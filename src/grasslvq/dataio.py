@@ -129,6 +129,24 @@ def write_pgm(path, image: np.ndarray) -> None:
         f.write(image.tobytes())
 
 
+# ---------------------------------------------------------------- text files
+
+def read_text_lines(path) -> list[tuple[int, str]]:
+    """(line number, line) pairs of a UTF-8 text file, split at \\n, \\r and
+    \\r\\n as text mode splits them. A line that is not UTF-8 raises
+    ConfigError naming the file, the line and its text, bad bytes as U+FFFD."""
+    with open(path, "rb") as f:
+        raw_lines = f.read().splitlines()
+    lines = []
+    for lineno, raw in enumerate(raw_lines, 1):
+        try:
+            lines.append((lineno, raw.decode()))
+        except UnicodeDecodeError:
+            raise ConfigError(f"{path}:{lineno}: not UTF-8: "
+                              f"{raw.decode(errors='replace')!r}") from None
+    return lines
+
+
 # ---------------------------------------------------------------- image-set dirs
 
 def read_set(set_dir):
@@ -171,20 +189,24 @@ def read_imageset_dirs(root):
     labels = {name: i + 1 for i, name in enumerate(class_dirs)}
     manifest = os.path.join(root, "labels.txt")
     if os.path.isfile(manifest):
-        listed = {}
-        with open(manifest) as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    try:
-                        name, lab = line.split()
-                        listed[name] = int(lab)
-                    except ValueError:
-                        raise ConfigError(f"{manifest}:{lineno}: expected "
-                                          "'<class-dir> <integer>'") from None
-                    if name not in labels:
-                        raise ConfigError(f"{manifest}:{lineno}: {name!r} names "
-                                          "no class directory")
+        listed, first = {}, {}
+        for lineno, line in read_text_lines(manifest):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                name, lab = line.split()
+                lab = int(lab)
+            except ValueError:
+                raise ConfigError(f"{manifest}:{lineno}: expected "
+                                  "'<class-dir> <integer>'") from None
+            if name not in labels:
+                raise ConfigError(f"{manifest}:{lineno}: {name!r} names "
+                                  "no class directory")
+            if name in first:
+                raise ConfigError(f"{manifest}:{lineno}: {name!r} repeats "
+                                  f"line {first[name]}")
+            listed[name], first[name] = lab, lineno
         unlisted = [name for name in class_dirs if name not in listed]
         if unlisted:
             raise ConfigError(f"{manifest}: class directory {unlisted[0]!r} "

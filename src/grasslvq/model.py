@@ -348,7 +348,6 @@ def fit(dataset, config: TrainConfig, init: str = "random",
                                  prototypes_per_class, class_matrices)
         model = ModelState(
             prototypes=protos,
-            # all-ones for glgq; uniform simplex weights for grlgq
             relevance=np.ones(d) if config.mode == "glgq" else np.full(d, 1.0 / d),
             mode=config.mode,
             subspace_dim=d,

@@ -493,10 +493,14 @@ def _with_relevance(model, tmp, tail):
     return _resealed(tmp, header, values)
 
 
+def _encoded(text):
+    return text if isinstance(text, bytes) else text.encode()
+
+
 def _with_manifest(data, model, tmp, text):
     root = tmp / "tree"
     shutil.copytree(data / "test", root)
-    (root / "labels.txt").write_text(text)
+    (root / "labels.txt").write_bytes(_encoded(text))
     return _eval(model, root)
 
 
@@ -512,7 +516,7 @@ def _train(data, tmp, *flags):
 
 def _with_config(data, tmp, text):
     config = tmp / "run.conf"
-    config.write_text(text)
+    config.write_bytes(_encoded(text))
     return _train(data, tmp, "--config", str(config))
 
 
@@ -558,6 +562,12 @@ MALFORMED_INPUTS = {
             _with_relevance(model, tmp, [2.0, 0.5]), data / "test")),
     "config-non-numeric": ("ConfigError", "'epochs'", lambda data, model, tmp:
                            _with_config(data, tmp, "epochs = abc\n")),
+    "config-duplicate-key": (
+        "ConfigError", "run.conf:2: key 'epochs' repeats line 1",
+        lambda data, model, tmp: _with_config(data, tmp, "epochs = 2\nepochs = 3\n")),
+    "config-not-utf8": (
+        "ConfigError", "run.conf:1: not UTF-8: 'epochs = ",
+        lambda data, model, tmp: _with_config(data, tmp, b"epochs = \xff3\n")),
     "config-task-not-a-choice": (
         "ConfigError", "config key 'task': 'IDX' is not one of idx, sets",
         lambda data, model, tmp: _with_config(data, tmp, "task = IDX\n")),
@@ -644,6 +654,14 @@ MALFORMED_INPUTS = {
         "ConfigError", "labels.txt:3: 'class_zz' names no class directory",
         lambda data, model, tmp: _with_manifest(
             data, model, tmp, "class_01 1\nclass_02 2\nclass_zz 7\n")),
+    "manifest-duplicate-class": (
+        "ConfigError", "labels.txt:3: 'class_01' repeats line 1",
+        lambda data, model, tmp: _with_manifest(
+            data, model, tmp, "class_01 1\nclass_02 2\nclass_01 2\n")),
+    "manifest-not-utf8": (
+        "ConfigError", "labels.txt:3: not UTF-8",
+        lambda data, model, tmp: _with_manifest(
+            data, model, tmp, b"class_01 1\nclass_02 2\n\xff\n")),
     "manifest-unlisted-class": (
         "ConfigError", "labels.txt: class directory 'class_01' is not listed",
         lambda data, model, tmp: _with_manifest(data, model, tmp, "class_02 1\n")),
@@ -656,6 +674,11 @@ MALFORMED_INPUTS = {
     "predict-image-out-dir": (
         "ConfigError", "--explain and --out-dir apply to --set, not --image",
         lambda data, model, tmp: _predict_image(data, model, "--out-dir", str(tmp))),
+    "predict-out-dir-without-explain": (
+        "ConfigError", "--out-dir applies only with --explain",
+        lambda data, model, tmp: [
+            "predict", "--model", str(model), "--set",
+            str(data / "test" / "class_01" / "set_001"), "--out-dir", str(tmp / "out")]),
     "eval-data-and-images": (
         "ConfigError", "eval takes --data or --images/--labels, not both",
         lambda data, model, tmp: _eval(model, data / "test") + [

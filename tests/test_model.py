@@ -166,8 +166,9 @@ class TestSampleCost:
 
     def test_degenerate(self):
         rng = np.random.default_rng(5)
-        model, out = two_class_model(rng, 8, 2), make_outcome(rng, 8, 2, np.ones(2))[1]
+        _, out, _ = make_outcome(rng, 8, 2, np.ones(2))
         out.d_plus = out.d_minus = 0.0
+        model = two_class_model(rng, 8, 2)
         with pytest.raises(DegenerateSample):
             relevance_gradient(out)
         with pytest.raises(DegenerateSample):

@@ -1,5 +1,10 @@
-"""Property-based checks of the distance kernel and the prototype update
-(needs the optional hypothesis)."""
+"""Property-based checks of the distance kernel, the prototype update and the
+two text decoders, labels.txt and the config file (needs the optional
+hypothesis)."""
+
+import contextlib
+import io
+import shutil
 
 import numpy as np
 import pytest
@@ -18,6 +23,7 @@ from grasslvq import (  # noqa: E402
     prototype_gradient,
     subspace_from_set,
 )
+from grasslvq.cli import main  # noqa: E402
 from grasslvq.errors import RankDeficient  # noqa: E402
 
 
@@ -82,3 +88,131 @@ def test_update_rescale_matches_svd_orthonormalization(data):
         assert np.max(np.abs(basis.T @ basis - np.eye(d))) < 1e-12
         pd = principal_decomposition(Subspace(basis), svd_basis)
         assert np.sum(pd.angles ** 2) < 1e-20
+
+
+# ---------------------------------------------------------------- text decoders
+
+CLASSES = ("class_01", "class_02", "class_03")
+# Lines are drawn as (bytes, effect): effect None for a line the decoder
+# skips, False for one it must reject, else the class or key the line sets.
+SKIPPED = st.one_of(
+    st.text(st.characters(codec="utf-8", exclude_characters="\r\n"), max_size=12)
+    .map(lambda text: f"  # {text}".encode()),
+    st.sampled_from([b"", b" \t"]),
+).map(lambda line: (line, None))
+# bytes that are not UTF-8 wherever they stand: no lead byte takes "(" as a
+# continuation, and 0xfe and 0xff never occur
+RAW = st.tuples(st.binary(max_size=6),
+                st.sampled_from([b"\xff", b"\xfe", b"\xc3(", b"\xed\xa0\x80"]),
+                st.binary(max_size=6)).map(lambda parts: (b"".join(parts), False))
+MANIFEST_ENTRY = st.tuples(st.sampled_from(CLASSES), st.integers(-3, 9)).map(
+    lambda entry: (f"{entry[0]} {entry[1]}".encode(), entry[0]))
+MANIFEST_BAD = st.sampled_from([b"class_zz 4", b"set_001 1", b"class_01", b"class_01 one",
+                                b"class_02 1.5", b"class_03 1 2"]).map(
+    lambda line: (line, False))
+CONFIG_VALUES = {
+    "mode": ["grlgq", "glgq"], "task": ["sets", "idx"], "d": ["2"],
+    "eta": ["0.05", "0.01", "nan", "1e200"], "gamma": ["0", "1e-4", "-1"],
+    "epochs": ["1", "3", "abc"], "seed": ["0", "7", "-1"],
+    "init": ["example", "random", "pca"], "prototypes-per-class": ["1", "2"],
+    "prototypes_per_class": ["1"], "m": ["4", "0"], "sets-per-class": ["2"],
+}
+CONFIG_SETTING = st.sampled_from(sorted(CONFIG_VALUES)).flatmap(
+    lambda key: st.tuples(st.sampled_from(CONFIG_VALUES[key]),
+                          st.sampled_from(["", "  # note"])).map(
+        lambda value: (f"{key} = {value[0]}{value[1]}".encode(), key.replace("-", "_"))))
+CONFIG_BAD = st.sampled_from([b"colour = red", b"epoch = 2", b"epochs", b"= 3"]).map(
+    lambda line: (line, False))
+
+
+@st.composite
+def text_file(draw, base, extra):
+    """(content, effects) of a file of ``base`` lines in drawn order, maybe
+    one short, with up to three ``extra`` lines inserted anywhere."""
+    lines = draw(st.permutations(base))
+    if lines and draw(st.booleans()):
+        lines.pop()
+    for line in draw(st.lists(extra, max_size=3)):
+        lines.insert(draw(st.integers(0, len(lines))), line)
+    newline = draw(st.sampled_from([b"\n", b"\r\n"]))
+    return b"".join(line + newline for line, _ in lines), [e for _, e in lines]
+
+
+@st.composite
+def manifests(draw):
+    entries = [(f"{name} {draw(st.integers(-3, 9))}".encode(), name) for name in CLASSES]
+    return draw(text_file(entries, st.one_of(SKIPPED, RAW, MANIFEST_BAD, MANIFEST_ENTRY)))
+
+
+@st.composite
+def config_files(draw):
+    settings_ = draw(st.lists(CONFIG_SETTING, max_size=4))
+    return draw(text_file(settings_, st.one_of(SKIPPED, RAW, CONFIG_BAD, CONFIG_SETTING)))
+
+
+@pytest.fixture(scope="module")
+def cli_tree(tmp_path_factory):
+    """A three-class synthetic tree and a model trained on it."""
+    root = tmp_path_factory.mktemp("decoders")
+    data = root / "data"
+    assert main(["synth", "--out", str(data), "--classes", "3", "--ambient", "12",
+                 "--dim", "2", "--train-sets", "2", "--test-sets", "1",
+                 "--frames", "4", "--seed", "3"]) == 0
+    model = root / "model.bin"
+    assert main(["train", "--data", str(data / "train"), "--d", "2", "--epochs", "2",
+                 "--model-out", str(model)]) == 0
+    shutil.copytree(data / "test", root / "manifest_tree")
+    return root, data, model
+
+
+def run_cli(argv):
+    """(status, stderr lines) of main(argv); an exception fails the caller."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        status = main(argv)
+    return status, err.getvalue().splitlines()
+
+
+def assert_one_error_line(status, lines):
+    assert status == 1 and len(lines) == 1, (status, lines)
+    category = lines[0].split(": ", 2)
+    assert category[0] == "error" and category[1].isidentifier(), lines[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(manifest=manifests())
+def test_labels_manifest_loads_or_fails_with_one_line(cli_tree, manifest):
+    # eval succeeds exactly when every class directory is listed once and no
+    # line is malformed, unknown or not UTF-8; else one ConfigError line
+    root, _, model = cli_tree
+    content, effects = manifest
+    tree = root / "manifest_tree"
+    (tree / "labels.txt").write_bytes(content)
+    status, lines = run_cli(["eval", "--model", str(model), "--data", str(tree)])
+    if False not in effects and sorted(filter(None, effects)) == sorted(CLASSES):
+        assert status == 0, lines
+    else:
+        assert_one_error_line(status, lines)
+        assert lines[0].startswith("error: ConfigError: "), lines[0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=config_files())
+def test_config_file_loads_or_fails_with_one_line(cli_tree, config):
+    # a repeated key, an unknown key, a line without "=" or a line that is not
+    # UTF-8 fails as one ConfigError line; other files train or fail with one
+    # error line (a value its check rejects, or an eta that collapses a step)
+    root, data, _ = cli_tree
+    content, effects = config
+    path = root / "run.conf"
+    path.write_bytes(content)
+    status, lines = run_cli([
+        "train", "--data", str(data / "train"), "--config", str(path),
+        "--epochs", "1", "--d", "2", "--prototypes-per-class", "1",
+        "--model-out", str(root / "config.bin")])
+    keys = [e for e in effects if e is not None]
+    if False in keys or len(set(keys)) < len(keys):
+        assert_one_error_line(status, lines)
+        assert lines[0].startswith("error: ConfigError: "), lines[0]
+    elif status:
+        assert_one_error_line(status, lines)
