@@ -81,13 +81,16 @@ class PrincipalDecomposition:
         return PrincipalDecomposition(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
-def subspace_from_set(X, d: int) -> Subspace:
+def subspace_from_set(X, d: int):
     """Build the d-dimensional subspace spanned by a set of column vectors.
 
-    X is a D x m data matrix (one image per column). The subspace is the span
-    of the first d left singular vectors. Raises ConfigError when d is
-    outside [1, D], then InsufficientImages when X has fewer than d columns,
-    then RankDeficient when s_d <= RANK_TOL * s_1.
+    X is a D x m data matrix (one image per column), and the result one
+    Subspace; or X is an (N, D, m) stack of N such sets, and the result a
+    list of N Subspaces, each bitwise equal to ``subspace_from_set(X[i], d)``.
+    The subspace is the span of the first d left singular vectors. Raises
+    ConfigError when d is outside [1, D], then InsufficientImages when X has
+    fewer than d columns, then RankDeficient when s_d <= RANK_TOL * s_1 (for
+    a stack: when that holds for any of its sets).
 
     For a tall set (m < D) the factors come from the R-SVD (Chan, 1982):
     Householder QR without Q, then the SVD of the m x m triangular R, which
@@ -95,30 +98,36 @@ def subspace_from_set(X, d: int) -> Subspace:
     QR would shrink nothing, so the SVD runs on X itself (without keeping
     its left vectors). Either way the d left vectors are X v_k / s_k,
     accurate to about eps * s_1 / s_d in orthonormality, and one Cholesky
-    pass brings their Gram matrix to I within a few eps. The basis is a
-    freshly allocated, C-contiguous (D, d) array.
+    pass brings their Gram matrix to I within a few eps. A stack goes through
+    each of these steps as one batched call. The basis of one set is a
+    freshly allocated, C-contiguous (D, d) array; those of a stack are views
+    of one (N, D, d) array.
     """
-    return Subspace(_factor_set(X, d)[0])
+    basis = _factor_set(X, d)[0]
+    if basis.ndim == 2:
+        return Subspace(basis)
+    return [Subspace(b) for b in basis]
 
 
 def _factor_set(X, d: int):
-    """(basis, s_d, V_d) of subspace_from_set: the orthonormal (D, d) basis,
-    the first d singular values of X and its first d right singular vectors
-    as an (m, d) array."""
+    """(basis, s_d, V_d) of subspace_from_set over any leading axes: the
+    orthonormal (..., D, d) bases, the first d singular values of each set
+    and its first d right singular vectors as an (..., m, d) array."""
     X = _as_f64(X)
-    D, m = X.shape
+    D, m = X.shape[-2:]
     if d < 1 or d > D:
         raise ConfigError(f"d={d} must satisfy 1 <= d <= D = {D}")
     if m < d:
         raise InsufficientImages(f"{m} frames < d={d}")
     R = np.linalg.qr(X, mode="r") if m < D else X
     _, s, vt = np.linalg.svd(R, full_matrices=False)
-    if s[0] == 0.0 or s[d - 1] <= RANK_TOL * s[0]:
+    if np.any((s[..., 0] == 0.0) | (s[..., d - 1] <= RANK_TOL * s[..., 0])):
         raise RankDeficient(f"set of {m} columns has numerical rank < {d}")
-    right = vt[:d].T.copy()
-    u = (X @ right) / s[:d]
-    basis = u @ np.linalg.inv(np.linalg.cholesky(u.T @ u)).T
-    return basis, s[:d], right
+    right = np.swapaxes(vt[..., :d, :], -1, -2).copy()
+    u = (X @ right) / s[..., None, :d]
+    gram = np.swapaxes(u, -1, -2) @ u
+    basis = u @ np.swapaxes(np.linalg.inv(np.linalg.cholesky(gram)), -1, -2)
+    return basis, s[..., :d], right
 
 
 def principal_decomposition(p1: Subspace, p2, product=None) -> PrincipalDecomposition:
@@ -178,8 +187,9 @@ def principal_angles_to_stack(bases, stack) -> np.ndarray:
     ``bases`` is one sample, a D x k orthonormal matrix or a length-D unit
     vector (a D x 1 basis), or a (B, D, k) block of B samples; ``stack`` is a
     (P, D, d) array of orthonormal bases. All B x P products basis^T W_p come
-    from one batched matmul. Returns ascending angles, (P, min(k, d)) for one
-    sample and (B, P, min(k, d)) for a block.
+    from one GEMM, of the samples side by side, D x (B k), transposed, by
+    the stack side by side, D x (P d). Returns ascending angles,
+    (P, min(k, d)) for one sample and (B, P, min(k, d)) for a block.
 
     For k > 1 the cosines are singular values only (no singular vectors) and
     the angles their arccosines. arccos is ill-conditioned near 1, but theta^2
@@ -198,10 +208,22 @@ def principal_angles_to_stack(bases, stack) -> np.ndarray:
         raise InconsistentDims(
             f"sample has D = {bases.shape[1]} pixels, prototypes have "
             f"D = {stack.shape[1]}")
-    if bases.shape[2] == 1:
-        angles = _vector_angles(bases[:, :, 0], stack)[:, :, None]
+    (B, D, k), (P, _, d) = bases.shape, stack.shape
+    if k == 1:
+        # before the product, so that the check's B x D temporary is freed first
+        norms = np.linalg.norm(bases[:, :, 0], axis=1)
+        if not np.abs(norms - 1.0).max(initial=0.0) <= 1e-8:
+            # a NaN or infinite entry fails the norm test too
+            if not np.all(np.isfinite(bases)):
+                raise ValueError("non-finite entries")
+            raise ValueError("x must be a unit vector")
+    # the samples' side is a view when the block is stored pixel-major, (D, B, k)
+    products = (bases.transpose(1, 0, 2).reshape(D, B * k).T
+                @ stack.transpose(1, 0, 2).reshape(D, P * d)).reshape(B, k, P, d)
+    if k == 1:
+        angles = _vector_angles(bases[:, :, 0], products[:, 0], stack)[:, :, None]
     else:
-        angles = angles_from_products(np.matmul(bases.transpose(0, 2, 1)[:, None], stack))
+        angles = angles_from_products(products.transpose(0, 2, 1, 3))
     return angles if block else angles[0]
 
 
@@ -212,20 +234,13 @@ def angles_from_products(products) -> np.ndarray:
     return np.arccos(np.clip(cosines, 0.0, 1.0))
 
 
-def _vector_angles(x, stack) -> np.ndarray:
-    """(B, P) angles between the unit rows of x (B, D) and a (P, D, d) stack.
+def _vector_angles(x, coeffs, stack) -> np.ndarray:
+    """(B, P) angles between the unit rows of x (B, D) and a (P, D, d) stack,
+    given their (B, P, d) coefficients x^T W_p.
 
     The small-angle refinement runs once per prototype, over all its flagged
     rows at once.
     """
-    if not np.abs(np.linalg.norm(x, axis=1) - 1.0).max(initial=0.0) <= 1e-8:
-        # a NaN or infinite entry fails the norm test too
-        if not np.all(np.isfinite(x)):
-            raise ValueError("non-finite entries")
-        raise ValueError("x must be a unit vector")
-    # one GEMM against the stack laid out as D x (P d)
-    P, D, d = stack.shape
-    coeffs = (x @ stack.transpose(1, 0, 2).reshape(D, P * d)).reshape(-1, P, d)
     cosines = np.linalg.norm(coeffs, axis=2)
     angles = np.arccos(np.minimum(cosines, 1.0))
     flagged = cosines > 0.9

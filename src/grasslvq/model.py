@@ -387,8 +387,11 @@ def scores(model: ModelState, samples, kind: str) -> np.ndarray:
     out = np.empty((len(bases), len(model.labels)))
     block = max(1, EVAL_BLOCK_BYTES // (8 * int(np.prod(want))))
     for start in range(0, len(bases), block):
-        # (B, D) vectors become a (B, D, 1) block
-        stacked = np.atleast_3d(np.stack(bases[start:start + block]))
+        # the kernel reads either block as one D x (B k) matrix without a
+        # copy: (B, D) vectors as they are, sets stacked pixel-major, (D, B, k)
+        chunk = bases[start:start + block]
+        stacked = (np.stack(chunk)[:, :, None] if vectors
+                   else np.stack(chunk, axis=1).transpose(1, 0, 2))
         angles = principal_angles_to_stack(stacked, model.stack)
         # a vector is labelled by its first principal angle alone
         out[start:start + block] = (angles[:, :, 0] if vectors

@@ -469,6 +469,24 @@ def _idx_eval(model, tmp, black):
             "--labels", str(paths[1])]
 
 
+def _predict_pgm(model, tmp, content):
+    """predict --image of a file holding ``content``."""
+    path = tmp / "frame.pgm"
+    path.write_bytes(content)
+    return ["predict", "--model", str(model), "--image", str(path)]
+
+
+def _raw_idx_eval(model, tmp, image_sizes, label_count, pixels=36):
+    """eval --images/--labels of IDX files with the given size fields, ``pixels``
+    nonzero image bytes and three label bytes."""
+    paths = tmp / "images.idx", tmp / "labels.idx"
+    paths[0].write_bytes(struct.pack(">iiii", 0x00000803, *image_sizes)
+                         + b"\x07" * pixels)
+    paths[1].write_bytes(struct.pack(">ii", 0x00000801, label_count) + bytes([1, 2, 1]))
+    return ["eval", "--model", str(model), "--images", str(paths[0]),
+            "--labels", str(paths[1])]
+
+
 def _with_header(data, model, tmp, header):
     raw = model.read_bytes()
     bad = tmp / "bad.bin"
@@ -538,6 +556,24 @@ MALFORMED_INPUTS = {
     "empty-predict-set": ("EmptySet", "no .pgm frames", lambda data, model, tmp: [
         "predict", "--model", str(model),
         "--set", str(_black_frames(tmp / "set", 0))]),
+    "idx-negative-dims": (
+        "UnsupportedFormat", "negative size field in [-1, -28, 28]",
+        lambda data, model, tmp: _raw_idx_eval(model, tmp, (-1, -28, 28), 3, pixels=784)),
+    "idx-sizes-beyond-file": (
+        "TruncatedFile", f"expected {(2 ** 31 - 1) ** 3} more bytes, got 36",
+        lambda data, model, tmp: _raw_idx_eval(model, tmp, (2 ** 31 - 1,) * 3, 3)),
+    "idx-no-images": (
+        "EmptySet", "images.idx: no images",
+        lambda data, model, tmp: _raw_idx_eval(model, tmp, (0, 2 ** 31 - 1, 2 ** 31 - 1), 0)),
+    "idx-zero-pixel-images": (
+        "UnsupportedFormat", "images.idx: images of 0 x 4 pixels",
+        lambda data, model, tmp: _raw_idx_eval(model, tmp, (3, 0, 4), 3)),
+    "idx-negative-label-count": (
+        "UnsupportedFormat", "labels.idx: negative size field in [-1]",
+        lambda data, model, tmp: _raw_idx_eval(model, tmp, (3, 3, 4), -1)),
+    "pgm-zero-by-huge-frame": (
+        "UnsupportedFormat", "image of 0 x 99999999999999999999 pixels",
+        lambda data, model, tmp: _predict_pgm(model, tmp, b"P5 0 99999999999999999999 255\n")),
     "header-field-without-equals": (
         "CorruptModel", "malformed header", lambda data, model, tmp: _with_header(
             data, model, tmp, b"GRASSLVQ v1 mode=grlgq D=12 d=2 labels=1,2 x")),

@@ -1,10 +1,12 @@
-"""Property-based checks of the distance kernel, the prototype update and the
-two text decoders, labels.txt and the config file (needs the optional
-hypothesis)."""
+"""Property-based checks of the distance kernel, the prototype update, the
+two text decoders, labels.txt and the config file, and the two binary
+decoders, PGM and IDX (needs the optional hypothesis)."""
 
 import contextlib
 import io
+import math
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -216,3 +218,121 @@ def test_config_file_loads_or_fails_with_one_line(cli_tree, config):
         assert lines[0].startswith("error: ConfigError: "), lines[0]
     elif status:
         assert_one_error_line(status, lines)
+
+
+# ---------------------------------------------------------------- binary decoders
+
+# Header tokens and fields, as they are written: some decode, some do not.
+PGM_SIZES = [b"12", b"1", b"2", b"6", b"0", b"012", b"-1", b"x", b"+6", b"1e1",
+             b"99999999999999999999"]
+PGM_MAXVALS = [b"255", b"0255", b"65535", b"256", b"0", b"-255", b"ff"]
+PGM_SEPARATORS = [b" ", b"\n", b"\t", b"\r\n", b"\n# note\n", b" #\n"]
+IDX_FIELDS = [-28, -1, 0, 1, 2, 3, 4, 6, 12, 2 ** 31 - 1]
+
+
+@st.composite
+def pgm_frames(draw):
+    """(file bytes, decode error or None, (height, width)) of a P5 file
+    written from drawn header tokens and separators, maybe cut short, with
+    a nonzero payload one byte short of, equal to or one byte over the
+    declared pixel count."""
+    magic = draw(st.sampled_from([b"P5", b"P5", b"P2", b"P6", b"p5"]))
+    width, height = draw(st.sampled_from(PGM_SIZES)), draw(st.sampled_from(PGM_SIZES))
+    maxval = draw(st.sampled_from(PGM_MAXVALS))
+    seps = [draw(st.sampled_from(PGM_SEPARATORS)) for _ in range(3)]
+    header = (magic + seps[0] + width + seps[1] + height + seps[2] + maxval
+              + draw(st.sampled_from([b"\n", b" ", b"\t"])))
+    if draw(st.booleans()) and draw(st.booleans()):
+        # one file in four ends inside the header
+        cut = draw(st.integers(0, len(header) - 1))
+        error = "UnsupportedFormat" if magic != b"P5" or cut < 2 else "TruncatedFile"
+        return header[:cut], error, None
+    if magic != b"P5":
+        return header + bytes(12), "UnsupportedFormat", None
+    if not (width.isdigit() and height.isdigit() and maxval.isdigit()) or int(maxval) != 255:
+        return header + bytes(12), "UnsupportedFormat", None
+    shape = int(height), int(width)
+    pixels = math.prod(shape)
+    length = max(0, min(pixels, 64) + draw(st.sampled_from([-1, 0, 1])))
+    content = header + bytes(i % 255 + 1 for i in range(length))
+    if pixels == 0:
+        return content, "UnsupportedFormat", shape
+    return content, "TruncatedFile" if length < pixels else None, shape
+
+
+@settings(max_examples=60, deadline=None)
+@given(frame=pgm_frames())
+def test_pgm_frame_loads_or_fails_with_one_line(cli_tree, frame):
+    # the frame goes through predict --image, then replaces the first frame
+    # of a 1 x 12 set for eval --data; each fails with the decoder's error,
+    # or a size that the model (D = 12) or the set's other frames do not share
+    root, data, model = cli_tree
+    content, error, shape = frame
+    tree = root / "pgm_tree"
+    if not tree.exists():
+        shutil.copytree(data / "test", tree)
+    path = tree / "class_01" / "set_001" / "frame_001.pgm"
+    path.write_bytes(content)
+    predict = error or ("InconsistentDims" if math.prod(shape) != 12 else None)
+    evaluate = error or ("InconsistentDims" if shape != (1, 12) else None)
+    for argv, want in ((["predict", "--model", str(model), "--image", str(path)], predict),
+                       (["eval", "--model", str(model), "--data", str(tree)], evaluate)):
+        status, lines = run_cli(argv)
+        if want is None:
+            assert status == 0, (argv[0], lines)
+        else:
+            assert_one_error_line(status, lines)
+            assert lines[0].startswith(f"error: {want}: "), (argv[0], lines[0])
+
+
+@st.composite
+def idx_files(draw, magic, ndim, count=None):
+    """(file bytes, decode error or None, size fields) of an IDX file with a
+    drawn magic and size fields (the first ``count`` when given, most
+    often) and a nonzero payload one byte short of, equal to or one byte
+    over the declared size."""
+    # mostly the right magic, else the other IDX magic or a near miss
+    found = draw(st.sampled_from([magic, magic, magic, 0x00000801 + 0x00000803 - magic,
+                                  magic | 0x100]))
+    sizes = [draw(st.sampled_from(IDX_FIELDS)) for _ in range(ndim)]
+    if count is not None and draw(st.integers(0, 3)):
+        sizes[0] = count
+    size = math.prod(sizes)
+    length = max(0, min(size, 200) + draw(st.sampled_from([-1, 0, 1])))
+    content = (struct.pack(f">{1 + ndim}i", found, *sizes)
+               + bytes(i % 3 + 1 for i in range(length)))
+    if found != magic:
+        return content, "BadMagic", sizes
+    if min(sizes) < 0:
+        return content, "UnsupportedFormat", sizes
+    if length < size:
+        return content, "TruncatedFile", sizes
+    if ndim == 3 and sizes[0] == 0:
+        return content, "EmptySet", sizes
+    return content, "UnsupportedFormat" if ndim == 3 and 0 in sizes[1:] else None, sizes
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_idx_files_load_or_fail_with_one_line(cli_tree, data):
+    # eval --images/--labels fails with the first error of: the image file's
+    # decode, the label file's, differing counts, a pixel count other than
+    # the model's D = 12; else it returns 0
+    root, _, model = cli_tree
+    images, image_error, (count, rows, cols) = data.draw(
+        idx_files(0x00000803, 3), label="images")
+    labels, label_error, (label_count,) = data.draw(
+        idx_files(0x00000801, 1, count), label="labels")
+    paths = root / "images.idx", root / "labels.idx"
+    paths[0].write_bytes(images)
+    paths[1].write_bytes(labels)
+    want = (image_error or label_error
+            or ("CountMismatch" if count != label_count else None)
+            or ("InconsistentDims" if rows * cols != 12 else None))
+    status, lines = run_cli(["eval", "--model", str(model), "--images", str(paths[0]),
+                             "--labels", str(paths[1])])
+    if want is None:
+        assert status == 0, lines
+    else:
+        assert_one_error_line(status, lines)
+        assert lines[0].startswith(f"error: {want}: "), lines[0]
