@@ -40,10 +40,6 @@ IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 MODEL_MAGIC = "GRASSLVQ"
 MODEL_VERSION = 1
-# Bound on the float64 frames of one stack of sets built together. On the
-# eval-sets-yaleb benchmark (400 x 30 sets, 2-vCPU VM), 1 MiB stacks ran 5% faster
-# than these 256 KiB ones but raised peak memory by 1.9 MB more.
-SET_BLOCK_BYTES = 1 << 18
 
 # P5 magic, then width, height and maxval as whitespace-separated tokens with
 # '#' comments running to end of line, then one whitespace byte before pixels.
@@ -135,10 +131,9 @@ def _pgm_payload(path):
     header = _PGM_HEADER.match(data)
     if header is None:
         raise TruncatedFile(f"{path}: header ends early")
-    # the three tokens are nonempty, so their join is all digits only if each is
-    if not b"".join(header.groups()).isdigit():
+    if not all(t.isdigit() for t in header.groups()):
         raise UnsupportedFormat(f"{path}: malformed PGM header")
-    width, height, maxval = map(int, header.groups())
+    width, height, maxval = (int(t) for t in header.groups())
     if maxval != 255:
         raise UnsupportedFormat(f"{path}: only 8-bit PGM supported (maxval={maxval})")
     if width * height == 0:
@@ -297,50 +292,16 @@ def build_classwise_subspace_dataset(images, labels, d, m, sets_per_class, seed)
 def build_per_set_subspace_dataset(sets, d):
     """One d-dimensional subspace per (D x m matrix, label) item of ``sets``.
 
-    Returns (Subspace, label) pairs. Runs of consecutive sets of one shape go
-    to ``subspace_from_set`` as stacks of at most SET_BLOCK_BYTES of float64
-    frames, one call per stack. A stack keeps each set Fortran-ordered, as
-    ``read_set`` and the class-wise draws produce them, so every basis is
-    bitwise equal to the one ``subspace_from_set`` builds from that set
-    alone; a lone set is passed as it is. A stack that fails is built
-    again one set at a time: the error names the first failing set,
-    ``set <i> (label <L>): <its own error>``, i counting from 0.
+    Returns (Subspace, label) pairs; errors name the offending set.
     """
     dataset = []
-    for block in _set_blocks(sets):
+    for i, (X, label) in enumerate(sets):
         try:
-            if len(block) == 1:
-                subspaces = [subspace_from_set(block[0][0], d)]
-            else:
-                subspaces = subspace_from_set(
-                    np.stack([X.T for X, _ in block]).transpose(0, 2, 1), d)
-        except Exception:  # named below, from the first set that fails alone
-            subspaces = None
-        if subspaces is None:
-            subspaces = []
-            for i, (X, label) in enumerate(block, len(dataset)):
-                try:
-                    subspaces.append(subspace_from_set(X, d))
-                except Exception as exc:
-                    exc.args = (f"set {i} (label {label}): {exc}",)
-                    raise
-        dataset += ((sample, int(label)) for sample, (_, label) in zip(subspaces, block))
+            dataset.append((subspace_from_set(X, d), int(label)))
+        except Exception as exc:
+            exc.args = (f"set {i} (label {label}): {exc}",)
+            raise
     return dataset
-
-
-def _set_blocks(sets):
-    """Runs of consecutive (D x m array, label) items of one shape, each of at
-    most SET_BLOCK_BYTES of float64 frames or a single set."""
-    block = []
-    for X, label in sets:
-        X = np.asarray(X)
-        if block and (X.shape != block[0][0].shape
-                      or 8 * X.size * (len(block) + 1) > SET_BLOCK_BYTES):
-            yield block
-            block = []
-        block.append((X, label))
-    if block:
-        yield block
 
 
 def class_image_matrices(images, labels):

@@ -81,16 +81,13 @@ class PrincipalDecomposition:
         return PrincipalDecomposition(*(getattr(self, f.name)[index] for f in fields(self)))
 
 
-def subspace_from_set(X, d: int):
+def subspace_from_set(X, d: int) -> Subspace:
     """Build the d-dimensional subspace spanned by a set of column vectors.
 
-    X is a D x m data matrix (one image per column), and the result one
-    Subspace; or X is an (N, D, m) stack of N such sets, and the result a
-    list of N Subspaces, each bitwise equal to ``subspace_from_set(X[i], d)``.
-    The subspace is the span of the first d left singular vectors. Raises
-    ConfigError when d is outside [1, D], then InsufficientImages when X has
-    fewer than d columns, then RankDeficient when s_d <= RANK_TOL * s_1 (for
-    a stack: when that holds for any of its sets).
+    X is a D x m data matrix (one image per column). The subspace is the span
+    of the first d left singular vectors. Raises ConfigError when d is
+    outside [1, D], then InsufficientImages when X has fewer than d columns,
+    then RankDeficient when s_d <= RANK_TOL * s_1.
 
     For a tall set (m < D) the factors come from the R-SVD (Chan, 1982):
     Householder QR without Q, then the SVD of the m x m triangular R, which
@@ -98,36 +95,30 @@ def subspace_from_set(X, d: int):
     QR would shrink nothing, so the SVD runs on X itself (without keeping
     its left vectors). Either way the d left vectors are X v_k / s_k,
     accurate to about eps * s_1 / s_d in orthonormality, and one Cholesky
-    pass brings their Gram matrix to I within a few eps. A stack goes through
-    each of these steps as one batched call. The basis of one set is a
-    freshly allocated, C-contiguous (D, d) array; those of a stack are views
-    of one (N, D, d) array.
+    pass brings their Gram matrix to I within a few eps. The basis is a
+    freshly allocated, C-contiguous (D, d) array.
     """
-    basis = _factor_set(X, d)[0]
-    if basis.ndim == 2:
-        return Subspace(basis)
-    return [Subspace(b) for b in basis]
+    return Subspace(_factor_set(X, d)[0])
 
 
 def _factor_set(X, d: int):
-    """(basis, s_d, V_d) of subspace_from_set over any leading axes: the
-    orthonormal (..., D, d) bases, the first d singular values of each set
-    and its first d right singular vectors as an (..., m, d) array."""
+    """(basis, s_d, V_d) of subspace_from_set: the orthonormal (D, d) basis,
+    the first d singular values of X and its first d right singular vectors
+    as an (m, d) array."""
     X = _as_f64(X)
-    D, m = X.shape[-2:]
+    D, m = X.shape
     if d < 1 or d > D:
         raise ConfigError(f"d={d} must satisfy 1 <= d <= D = {D}")
     if m < d:
         raise InsufficientImages(f"{m} frames < d={d}")
     R = np.linalg.qr(X, mode="r") if m < D else X
     _, s, vt = np.linalg.svd(R, full_matrices=False)
-    if np.any((s[..., 0] == 0.0) | (s[..., d - 1] <= RANK_TOL * s[..., 0])):
+    if s[0] == 0.0 or s[d - 1] <= RANK_TOL * s[0]:
         raise RankDeficient(f"set of {m} columns has numerical rank < {d}")
-    right = np.swapaxes(vt[..., :d, :], -1, -2).copy()
-    u = (X @ right) / s[..., None, :d]
-    gram = np.swapaxes(u, -1, -2) @ u
-    basis = u @ np.swapaxes(np.linalg.inv(np.linalg.cholesky(gram)), -1, -2)
-    return basis, s[..., :d], right
+    right = vt[:d].T.copy()
+    u = (X @ right) / s[:d]
+    basis = u @ np.linalg.inv(np.linalg.cholesky(u.T @ u)).T
+    return basis, s[:d], right
 
 
 def principal_decomposition(p1: Subspace, p2, product=None) -> PrincipalDecomposition:

@@ -17,11 +17,7 @@ from grasslvq.errors import (
     UnsupportedFormat,
     VersionMismatch,
 )
-from grasslvq.manifold import (
-    adaptive_squared_distance,
-    principal_decomposition,
-    subspace_from_set,
-)
+from grasslvq.manifold import adaptive_squared_distance, principal_decomposition
 from grasslvq.model import TrainConfig, evaluate, fit
 from helpers import (
     random_subspace,
@@ -205,34 +201,13 @@ class TestSubspaceDatasets:
             dataio.build_per_set_subspace_dataset(
                 [(X_good, 1), (X_bad, 2)], 2)
 
-    def test_blocks_build_as_single_sets(self, monkeypatch):
-        # loader-ordered sets (the transpose of (m, D) pixel rows) of three
-        # shapes, tall and wide, in runs that cross the block bound: one
-        # stack per block (a lone set as it is), every basis bitwise equal
-        # to a one-set build
-        rng = np.random.default_rng(11)
-        shapes = [(400, 30)] * 5 + [(400, 20)] * 3 + [(400, 30)] * 2 + [(10, 12)] * 3
-        sets = [(dataio.normalize_pixels(rng.integers(1, 256, (m, D))).T, i % 4)
-                for i, (D, m) in enumerate(shapes)]
-        stacks = []
-        monkeypatch.setattr(dataio, "subspace_from_set",
-                            lambda X, d: stacks.append(X.shape) or subspace_from_set(X, d))
-        dataset = dataio.build_per_set_subspace_dataset(iter(sets), 5)
-        # 2 sets of 400 x 30 floats fit in SET_BLOCK_BYTES, 3 would not
-        assert dataio.SET_BLOCK_BYTES // (8 * 400 * 30) == 2
-        assert stacks == [(2, 400, 30), (2, 400, 30), (400, 30), (3, 400, 20),
-                          (2, 400, 30), (3, 10, 12)]
-        assert [label for _, label in dataset] == [label for _, label in sets]
-        for (sample, _), (X, _) in zip(dataset, sets):
-            assert np.array_equal(sample.basis, subspace_from_set(X, 5).basis)
-
     @pytest.mark.parametrize("bad, error, detail", [
         (np.ones((8, 5)), RankDeficient, "set of 5 columns has numerical rank < 2"),
         (np.full((8, 5), np.nan), ValueError, "non-finite entries"),
     ])
-    def test_failing_set_inside_a_block_is_named(self, bad, error, detail):
-        # sets 3 and 5 fail inside one block; the first of them is named,
-        # with the error a one-set build gives
+    def test_first_failing_set_is_named(self, bad, error, detail):
+        # sets 3 and 5 fail; the error names the first of them and keeps
+        # its own message
         rng = np.random.default_rng(12)
         sets = [(rng.standard_normal((8, 5)), 10 + i) for i in range(7)]
         sets[3] = (bad, 13)

@@ -134,26 +134,6 @@ class TestSubspaceFromSet:
         assert np.allclose(values, s[:d], rtol=1e-12, atol=0)
         assert np.array_equal(subspace_from_set(X, d).basis, basis)
 
-    @pytest.mark.parametrize("N, D, m, d", [(4, 30, 7, 3), (3, 6, 9, 2)])
-    def test_stack_gives_one_subspace_per_set(self, N, D, m, d):
-        # a tall and a wide stack: a list of N validated Subspaces, each
-        # bitwise equal to the one built from its set alone
-        rng = np.random.default_rng(N * D + m)
-        stack = rng.standard_normal((N, D, m))
-        out = subspace_from_set(stack, d)
-        assert isinstance(out, list) and len(out) == N
-        for X, sample in zip(stack, out):
-            assert isinstance(sample, Subspace) and sample.basis.shape == (D, d)
-            assert np.max(np.abs(sample.basis.T @ sample.basis - np.eye(d))) < 1e-14
-            assert np.array_equal(sample.basis, subspace_from_set(X, d).basis)
-
-    def test_stack_with_a_rank_deficient_set_rejected(self):
-        rng = np.random.default_rng(9)
-        stack = rng.standard_normal((3, 6, 4))
-        stack[1] = np.outer(e(0, 6), np.ones(4))
-        with pytest.raises(RankDeficient, match="set of 4 columns has numerical rank < 2"):
-            subspace_from_set(stack, 2)
-
     def test_factors_own_contiguous_buffers(self):
         # no view may pin the D x m left factor of a full SVD
         rng = np.random.default_rng(8)
