@@ -20,7 +20,7 @@ from .manifold import (
     principal_decomposition,
     subspace_from_set,
 )
-from .model import TrainConfig, evaluate, fit, scores
+from .model import TrainConfig, eval_block_size, evaluate, fit, scores
 
 # Presets bundle the hyperparameters reported for each benchmark. Epoch counts
 # for yaleb/eth80/ucf and the m / sets-per-class draws for mnist/yale are
@@ -152,6 +152,9 @@ def _cross_validate(train, dataset, train_config, folds, repeats):
 
 
 def cmd_train(args):
+    if args.data and (args.images or args.labels):
+        raise ConfigError("train takes --data (sets task) or --images/--labels "
+                          "(idx task), not both")
     cfg = _resolve_train_config(args)
     if args.repeats < 1:
         raise ConfigError(f"--repeats must be at least 1, got {args.repeats}")
@@ -197,23 +200,32 @@ def _load_model(path):
 
 
 def _eval_dataset(args, model):
-    if args.data and (args.images or args.labels):
-        raise ConfigError("eval takes --data or --images/--labels, not both")
-    if args.images and args.labels:
-        images, labels, _, _ = dataio.read_idx_dataset(args.images, args.labels)
-        black = np.flatnonzero(~images.any(axis=1))
+    """(iterator of (sample, label), kind) that reads, builds and normalises
+    one ``scores`` block of samples at a time. Every check that needs the
+    whole dataset (labels.txt, the set directories, all-black images) runs
+    before the first sample is scored."""
+    block = eval_block_size(model, "vectors" if args.images else "sets")
+    if args.images:
+        pixels, labels, _, _ = dataio.read_idx_dataset(args.images, args.labels,
+                                                       normalize=False)
+        black = np.flatnonzero(~pixels.any(axis=1))
         if black.size:
             raise RankDeficient(f"{args.images}: image {black[0]} is all black "
                                 "(rank 0 < 1)")
-        return list(zip(images, labels)), "vectors"
-    if not args.data:
-        raise ConfigError("eval requires --data or --images/--labels")
-    sets, _, _ = dataio.read_imageset_dirs(args.data)
-    dataset = dataio.build_per_set_subspace_dataset(sets, model.subspace_dim)
-    return dataset, "sets"
+        images = (x for start in range(0, len(pixels), block)
+                  for x in dataio.normalize_pixels(pixels[start:start + block]))
+        return zip(images, labels), "vectors"
+    return dataio.iter_imageset_subspaces(args.data, model.subspace_dim, block), "sets"
 
 
 def cmd_eval(args):
+    if args.data and (args.images or args.labels):
+        raise ConfigError("eval takes --data or --images/--labels, not both")
+    if bool(args.images) != bool(args.labels):
+        given, missing = ("--images", "--labels") if args.images else ("--labels", "--images")
+        raise ConfigError(f"eval {given} requires {missing}")
+    if not args.data and not args.images:
+        raise ConfigError("eval requires --data or --images/--labels")
     model = _load_model(args.model)
     dataset, kind = _eval_dataset(args, model)
     accuracy, confusion = evaluate(model, dataset, kind)
@@ -263,18 +275,22 @@ def cmd_predict(args):
 
 
 def cmd_inspect(args):
+    if args.prototype_dir and (not args.width or not args.height):
+        raise ConfigError("--prototype-dir requires --width and --height")
+    if (args.width, args.height) != (None, None) and not args.prototype_dir:
+        raise ConfigError("--width and --height apply only with --prototype-dir")
+    if args.distance_out and not args.data:
+        raise ConfigError("--distance-out requires --data")
+    if args.data and not args.distance_out:
+        raise ConfigError("--data applies only with --distance-out")
     model = _load_model(args.model)
     if args.relevance_out:
         dataio.write_csv(args.relevance_out, ["index", "lambda"],
                          enumerate(model.relevance, 1))
     if args.prototype_dir:
-        if not args.width or not args.height:
-            raise ConfigError("--prototype-dir requires --width and --height")
         dataio.export_prototype_images(model, args.width, args.height,
                                        args.prototype_dir)
     if args.distance_out:
-        if not args.data:
-            raise ConfigError("--distance-out requires --data")
         sets, _, _ = dataio.read_imageset_dirs(args.data)
         dataset = dataio.build_per_set_subspace_dataset(sets, model.subspace_dim)
         dataio.export_distance_matrix_csv(model, dataset, args.distance_out)

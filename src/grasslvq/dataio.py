@@ -12,6 +12,7 @@ so every column entering a subspace construction has unit norm, except that
 an all-black image stays zero.
 """
 
+import itertools
 import math
 import os
 import re
@@ -75,16 +76,18 @@ def _read_idx(path, magic, ndim):
     return np.frombuffer(raw, dtype=np.uint8), sizes
 
 
-def read_idx_images(path):
-    """Read an IDX image file; returns ((n, D) float64 unit-norm rows, rows, cols).
-    A file of no images raises EmptySet, and one of images with no pixels
+def read_idx_images(path, normalize=True):
+    """Read an IDX image file; returns ((n, D) float64 unit-norm rows, rows, cols),
+    or with ``normalize=False`` the file's (n, D) uint8 pixel rows. A file of
+    no images raises EmptySet, and one of images with no pixels
     UnsupportedFormat: either payload is empty whatever the other sizes."""
     pixels, (count, rows, cols) = _read_idx(path, IDX_IMAGES_MAGIC, 3)
     if count == 0:
         raise EmptySet(f"{path}: no images")
     if rows * cols == 0:
         raise UnsupportedFormat(f"{path}: images of {rows} x {cols} pixels")
-    return normalize_pixels(pixels.reshape(count, rows * cols)), rows, cols
+    pixels = pixels.reshape(count, rows * cols)
+    return (normalize_pixels(pixels) if normalize else pixels), rows, cols
 
 
 def normalize_pixels(pixels) -> np.ndarray:
@@ -102,9 +105,10 @@ def read_idx_labels(path) -> np.ndarray:
     return _read_idx(path, IDX_LABELS_MAGIC, 1)[0].astype(np.int64)
 
 
-def read_idx_dataset(images_path, labels_path):
-    """Read paired IDX files; returns (images (n, D), labels (n,), rows, cols)."""
-    images, rows, cols = read_idx_images(images_path)
+def read_idx_dataset(images_path, labels_path, normalize=True):
+    """Read paired IDX files; returns (images (n, D), labels (n,), rows, cols),
+    the images as ``read_idx_images`` returns them for ``normalize``."""
+    images, rows, cols = read_idx_images(images_path, normalize)
     labels = read_idx_labels(labels_path)
     if images.shape[0] != labels.shape[0]:
         raise CountMismatch(
@@ -198,15 +202,10 @@ def read_set(set_dir):
     return normalize_pixels(rows.reshape(len(frames), dims[0] * dims[1])).T, dims
 
 
-def read_imageset_dirs(root):
-    """Read the root/<class>/<set>/<frame>.pgm layout into labeled data matrices.
-
-    Returns (sets, width, height) where sets is a list of (D x m matrix, label)
-    with unit-norm columns (see ``read_set``). Class ids follow sorted
-    class-directory order (1-based); a ``labels.txt`` manifest at the root
-    ("<class_dir> <label>" per line) overrides them. The manifest must list
-    every class directory and name no other, or ConfigError is raised.
-    """
+def _set_dirs(root):
+    """(set directory, label) of every root/<class>/<set>, in sorted class
+    then set order, labeled and checked as ``read_imageset_dirs`` describes;
+    reads no frame. A tree without set directories raises EmptySet."""
     class_dirs = sorted(
         e for e in os.listdir(root) if os.path.isdir(os.path.join(root, e))
     )
@@ -239,27 +238,47 @@ def read_imageset_dirs(root):
                               "is not listed")
         labels = listed
 
-    sets, dims = [], None
+    set_dirs = []
     for class_dir in class_dirs:
         class_path = os.path.join(root, class_dir)
-        set_dirs = sorted(
-            e for e in os.listdir(class_path)
+        set_dirs += [
+            (os.path.join(class_path, e), labels[class_dir])
+            for e in sorted(os.listdir(class_path))
             if os.path.isdir(os.path.join(class_path, e))
-        )
-        for set_dir in set_dirs:
-            set_path = os.path.join(class_path, set_dir)
-            X, set_dims = read_set(set_path)
-            if dims is None:
-                dims = set_dims
-            elif set_dims != dims:
-                raise InconsistentDims(
-                    f"{set_path}: frames {set_dims} differ from {dims}"
-                )
-            sets.append((X, labels[class_dir]))
-    if not sets:
+        ]
+    if not set_dirs:
         raise EmptySet(f"{root}: no image-set directories")
-    height, width = dims
-    return sets, width, height
+    return set_dirs
+
+
+def _read_sets(set_dirs):
+    """Yield (D x m matrix, label, (height, width)) of each (set directory,
+    label) in turn, read by ``read_set``. A set whose frames differ in shape
+    from the first set's raises InconsistentDims."""
+    dims = None
+    for set_path, label in set_dirs:
+        X, set_dims = read_set(set_path)
+        if dims is None:
+            dims = set_dims
+        elif set_dims != dims:
+            raise InconsistentDims(
+                f"{set_path}: frames {set_dims} differ from {dims}"
+            )
+        yield X, label, set_dims
+
+
+def read_imageset_dirs(root):
+    """Read the root/<class>/<set>/<frame>.pgm layout into labeled data matrices.
+
+    Returns (sets, width, height) where sets is a list of (D x m matrix, label)
+    with unit-norm columns (see ``read_set``). Class ids follow sorted
+    class-directory order (1-based); a ``labels.txt`` manifest at the root
+    ("<class_dir> <label>" per line) overrides them. The manifest must list
+    every class directory and name no other, or ConfigError is raised.
+    """
+    sets = list(_read_sets(_set_dirs(root)))
+    height, width = sets[0][2]
+    return [(X, label) for X, label, _ in sets], width, height
 
 
 # ---------------------------------------------------------------- subspace datasets
@@ -289,19 +308,43 @@ def build_classwise_subspace_dataset(images, labels, d, m, sets_per_class, seed)
     return build_per_set_subspace_dataset(draws, d)
 
 
-def build_per_set_subspace_dataset(sets, d):
+def build_per_set_subspace_dataset(sets, d, start=0):
     """One d-dimensional subspace per (D x m matrix, label) item of ``sets``.
 
-    Returns (Subspace, label) pairs; errors name the offending set.
+    Returns (Subspace, label) pairs; errors name the offending set by its
+    index counted from ``start``.
     """
     dataset = []
-    for i, (X, label) in enumerate(sets):
+    for i, (X, label) in enumerate(sets, start):
         try:
             dataset.append((subspace_from_set(X, d), int(label)))
         except Exception as exc:
             exc.args = (f"set {i} (label {label}): {exc}",)
             raise
     return dataset
+
+
+def iter_imageset_subspaces(root, d, block):
+    """(Subspace, label) of every set under ``root``, in ``read_imageset_dirs``
+    order, as an iterator that holds at most one block of sets: it reads
+    ``block`` sets, builds their subspaces, and drops both before it reads
+    the next block. The tree's directories and labels.txt are checked when
+    this is called, before any set is read. Errors name a set by its index
+    in the whole tree.
+    """
+    sets = _read_sets(_set_dirs(root))
+
+    def blocks():
+        for start in itertools.count(0, block):
+            built = build_per_set_subspace_dataset(
+                [(X, label) for X, label, _ in itertools.islice(sets, block)],
+                d, start)
+            if not built:
+                return
+            yield from built
+            del built
+
+    return blocks()
 
 
 def class_image_matrices(images, labels):
@@ -346,6 +389,9 @@ def load_model(path) -> ModelState:
             raise CorruptModel(f"{path}: malformed header {header!r}") from None
         if not 1 <= d <= D:
             raise CorruptModel(f"{path}: header needs 1 <= d <= D, got D={D} d={d}")
+        wide = [lab for lab in labels if not -2 ** 63 <= lab < 2 ** 63]
+        if wide:
+            raise CorruptModel(f"{path}: header label {wide[0]} is outside the int64 range")
         raw = f.read()
     if len(raw) < 8:
         raise CorruptModel(f"{path}: missing length prefix")

@@ -17,6 +17,7 @@ renormalized onto the simplex.
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -44,7 +45,7 @@ MODES = ("glgq", "grlgq")
 WINNERS = ("plus", "minus")
 DEGENERATE_EPS = 1e-15
 # Sample bytes stacked per kernel call in scores: about 167 images at
-# D = 784, or 13 sets at D = 400, d = 25.
+# D = 784, or 13 sets at D = 400, d = 25 (see eval_block_size).
 EVAL_BLOCK_BYTES = 1 << 20
 
 
@@ -371,44 +372,66 @@ def fit(dataset, config: TrainConfig, init: str = "random",
     return model, stats
 
 
-def scores(model: ModelState, samples, kind: str) -> np.ndarray:
-    """(N, P) scores, lowest nearest: angles^2 @ relevance for "sets" (Subspace
-    samples), the first angle for "vectors" (unit vectors). Shapes are checked
-    first, a bad sample named from 1 (InconsistentDims for another D, else
-    ValueError); one kernel call per block of at most EVAL_BLOCK_BYTES.
-    """
+def _sample_shape(model: ModelState, kind: str) -> tuple:
+    """(D,) for a "vectors" sample, (D, d) for a "sets" sample's basis."""
     if kind not in ("sets", "vectors"):
         raise ValueError("kind must be 'sets' or 'vectors'")
+    return (model.ambient_dim,) if kind == "vectors" else model.stack.shape[1:]
+
+
+def eval_block_size(model: ModelState, kind: str) -> int:
+    """Samples per ``scores`` block: as many float64 samples of the model's
+    shape as fit in EVAL_BLOCK_BYTES, and at least one."""
+    return max(1, EVAL_BLOCK_BYTES // (8 * int(np.prod(_sample_shape(model, kind)))))
+
+
+def scores(model: ModelState, samples, kind: str) -> np.ndarray:
+    """(N, P) scores, lowest nearest: angles^2 @ relevance for "sets" (Subspace
+    samples), the first angle for "vectors" (unit vectors). ``samples`` is any
+    iterable, pulled one block of ``eval_block_size`` samples at a time: each
+    block's shapes are checked, a bad sample named by its position in all of
+    ``samples`` counted from 1 (InconsistentDims for another D, else
+    ValueError), then scored in one kernel call and dropped before the next
+    block is pulled.
+    """
+    want, block = _sample_shape(model, kind), eval_block_size(model, kind)
     vectors = kind == "vectors"
-    want = (model.ambient_dim,) if vectors else model.stack.shape[1:]
-    bases = [np.asarray(s if vectors else s.basis) for s in samples]
-    for i, basis in enumerate(bases):
-        _check_shape(f"sample {i + 1}", basis.shape, want)
-    out = np.empty((len(bases), len(model.labels)))
-    block = max(1, EVAL_BLOCK_BYTES // (8 * int(np.prod(want))))
-    for start in range(0, len(bases), block):
+    samples, rows = iter(samples), []
+    while bases := [np.asarray(s if vectors else s.basis)
+                    for s in islice(samples, block)]:
+        for i, shape in enumerate((b.shape for b in bases), len(rows) * block + 1):
+            _check_shape(f"sample {i}", shape, want)
         # the kernel reads either block as one D x (B k) matrix without a
-        # copy: (B, D) vectors as they are, sets stacked pixel-major, (D, B, k)
-        chunk = bases[start:start + block]
-        stacked = (np.stack(chunk)[:, :, None] if vectors
-                   else np.stack(chunk, axis=1).transpose(1, 0, 2))
+        # copy: (B, D) vectors as they are, sets stacked pixel-major, (D, B, k);
+        # np.array copies B rows without np.stack's B expanded views
+        stacked = (np.array(bases)[:, :, None] if vectors
+                   else np.stack(bases, axis=1).transpose(1, 0, 2))
+        del bases  # the next block is pulled with no sample of this one alive
         angles = principal_angles_to_stack(stacked, model.stack)
+        del stacked
         # a vector is labelled by its first principal angle alone
-        out[start:start + block] = (angles[:, :, 0] if vectors
-                                    else angles ** 2 @ model.relevance)
-    return out
+        rows.append(angles[:, :, 0] if vectors else angles ** 2 @ model.relevance)
+    return np.concatenate(rows) if rows else np.empty((0, len(model.labels)))
 
 
 def evaluate(model: ModelState, dataset, kind: str = "sets"):
     """Accuracy and C x C confusion matrix of nearest-prototype predictions.
 
-    ``kind`` selects subspace samples ("sets") or unit-vector samples
-    ("vectors"); labels index the confusion matrix in sorted order of the
-    union of dataset and prototype labels. Predictions are the row argmins
-    of the (N, P) ``scores`` table (160 KB at N = 2000, P = 10).
+    ``dataset`` is any iterable of (sample, label) pairs; ``kind`` selects
+    subspace samples ("sets") or unit-vector samples ("vectors"). ``scores``
+    pulls it one block at a time, so only the labels and the (N, P) score
+    table (160 KB at N = 2000, P = 10) outlive a block. Labels index the
+    confusion matrix in sorted order of the union of dataset and prototype
+    labels; predictions are the row argmins of the table.
     """
-    pred = model.labels[np.argmin(scores(model, [s for s, _ in dataset], kind), axis=1)]
-    truth = [int(y) for _, y in dataset]
+    truth = []
+
+    def samples():
+        for sample, label in dataset:
+            truth.append(int(label))
+            yield sample
+
+    pred = model.labels[np.argmin(scores(model, samples(), kind), axis=1)]
     labels = np.array(sorted(set(model.labels.tolist()) | set(truth)))
     confusion = np.zeros((len(labels), len(labels)), dtype=np.int64)
     np.add.at(confusion, tuple(np.searchsorted(labels, [truth, pred])), 1)

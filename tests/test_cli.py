@@ -209,9 +209,11 @@ class TestTrain:
                                                  tmp_path):
         _, data, _, _ = workspace
         value, extra = CONFIG_KEY_CASES[key]
-        # --data serves the sets task, --images/--labels the idx task
-        argv = ["train", "--data", str(data / "train"), *_idx_flags(tmp_path),
-                "--model-out", str(tmp_path / "m.bin"), *extra]
+        # --data serves the sets task, --images/--labels the idx task; each
+        # run gives the flags of the task it resolves to, never both
+        idx = key == "task" or "--task" in extra
+        inputs = _idx_flags(tmp_path) if idx else ["--data", str(data / "train")]
+        argv = ["train", *inputs, "--model-out", str(tmp_path / "m.bin"), *extra]
         if key != "epochs":
             argv += ["--epochs", "1"]
         config = tmp_path / "run.conf"
@@ -503,6 +505,13 @@ def _resealed(tmp, header, values):
     return bad
 
 
+def _with_header_label(model, tmp, label):
+    """``model`` resealed with its last label set to ``label``."""
+    header, rest = model.read_bytes().split(b"\n", 1)
+    header = header[:header.rindex(b",") + 1] + str(label).encode()
+    return _resealed(tmp, header, np.frombuffer(rest[8:-4], dtype="<f8"))
+
+
 def _with_relevance(model, tmp, tail):
     """``model`` resealed with its last relevance weights set to ``tail``."""
     header, rest = model.read_bytes().split(b"\n", 1)
@@ -532,10 +541,36 @@ def _train(data, tmp, *flags):
             "--model-out", str(tmp / "m.bin"), *flags]
 
 
+def _train_idx(tmp, *flags, same_class_1=False):
+    """train --task idx on the images of ``_idx_flags``."""
+    return ["train", "--task", "idx", *_idx_flags(tmp, same_class_1), "--epochs", "1",
+            "--model-out", str(tmp / "m.bin"), *flags]
+
+
 def _with_config(data, tmp, text):
     config = tmp / "run.conf"
     config.write_bytes(_encoded(text))
     return _train(data, tmp, "--config", str(config))
+
+
+def _late_truncated_frame(data, model, tmp):
+    """eval --data of the test tree whose last set's last frame is cut short."""
+    root = tmp / "tree"
+    shutil.copytree(data / "test", root)
+    frame = sorted(root.glob("*/*/*.pgm"))[-1]
+    frame.write_bytes(frame.read_bytes()[:-1])
+    return _eval(model, root)
+
+
+def _late_black_image(model, tmp, count):
+    """eval --images of ``count`` 3x4 images whose last one is all black."""
+    images = np.full((count, 3, 4), 40, dtype=np.uint8)
+    images[-1] = 0
+    paths = tmp / "images.idx", tmp / "labels.idx"
+    write_idx_images(paths[0], list(images))
+    write_idx_labels(paths[1], [1, 2] * (count // 2) + [1] * (count % 2))
+    return ["eval", "--model", str(model), "--images", str(paths[0]),
+            "--labels", str(paths[1])]
 
 
 def _synth(tmp, *flags):
@@ -628,15 +663,12 @@ MALFORMED_INPUTS = {
     "seed-negative": ("ConfigError", "seed must be nonnegative, got -1",
                       lambda data, model, tmp: _train(data, tmp, "--seed", "-1")),
     "m-negative": ("ConfigError", "m must be at least 1, got -5",
-                   lambda data, model, tmp: _train(
-                       data, tmp, "--task", "idx", *_idx_flags(tmp), "--m", "-5")),
+                   lambda data, model, tmp: _train_idx(tmp, "--m", "-5")),
     "m-zero": ("ConfigError", "m must be at least 1, got 0",
-               lambda data, model, tmp: _train(
-                   data, tmp, "--task", "idx", *_idx_flags(tmp), "--m", "0")),
+               lambda data, model, tmp: _train_idx(tmp, "--m", "0")),
     "sets-per-class-zero": (
         "ConfigError", "sets_per_class must be at least 1, got 0",
-        lambda data, model, tmp: _train(data, tmp, "--task", "idx",
-                                        *_idx_flags(tmp), "--sets-per-class", "0")),
+        lambda data, model, tmp: _train_idx(tmp, "--sets-per-class", "0")),
     "prototypes-per-class-zero": (
         "ConfigError", "prototypes_per_class must be at least 1, got 0",
         lambda data, model, tmp: _train(data, tmp, "--prototypes-per-class", "0")),
@@ -674,14 +706,14 @@ MALFORMED_INPUTS = {
                     lambda data, model, tmp: _train(data, tmp, "--d", "0")),
     "d-above-ambient": ("ConfigError", "D = 12",
                         lambda data, model, tmp: _train(data, tmp, "--d", "13")),
-    "idx-m-below-d": ("InsufficientImages", "m=5", lambda data, model, tmp: _train(
-        data, tmp, "--task", "idx", *_idx_flags(tmp), "--m", "5", "--d", "12")),
+    "idx-m-below-d": ("InsufficientImages", "m=5", lambda data, model, tmp: _train_idx(
+        tmp, "--m", "5", "--d", "12")),
     "idx-class-of-identical-images": (
         "RankDeficient", "set 0 (label 1): set of 20 columns has numerical rank < 2",
-        lambda data, model, tmp: _train(
-            data, tmp, "--task", "idx", *_idx_flags(tmp, same_class_1=True), "--d", "2")),
-    "idx-d-above-ambient": ("ConfigError", "D = 12", lambda data, model, tmp: _train(
-        data, tmp, "--task", "idx", *_idx_flags(tmp), "--m", "5", "--d", "13")),
+        lambda data, model, tmp: _train_idx(
+            tmp, "--d", "2", same_class_1=True)),
+    "idx-d-above-ambient": ("ConfigError", "D = 12", lambda data, model, tmp: _train_idx(
+        tmp, "--m", "5", "--d", "13")),
     "manifest-one-field": ("ConfigError", "labels.txt:2", lambda data, model, tmp:
                            _with_manifest(data, model, tmp, "class_01 1\nclass_02\n")),
     "manifest-non-integer": ("ConfigError", "labels.txt:1", lambda data, model, tmp:
@@ -751,6 +783,37 @@ MALFORMED_INPUTS = {
             str(tmp / "protos"), "--width", "-3", "--height", "-4"]),
     "data-is-a-file": ("NotADirectory", "model.bin",
                        lambda data, model, tmp: _eval(model, model)),
+    "eval-late-truncated-frame": (
+        "TruncatedFile", "expected 12 pixels, got 11", _late_truncated_frame),
+    # more images than one scores block of the D = 12 model (10922)
+    "eval-late-black-image": (
+        "RankDeficient", "images.idx: image 10999 is all black (rank 0 < 1)",
+        lambda data, model, tmp: _late_black_image(model, tmp, 11000)),
+    "eval-images-without-labels": (
+        "ConfigError", "eval --images requires --labels",
+        lambda data, model, tmp: [
+            "eval", "--model", str(model), "--images", str(tmp / "images.idx")]),
+    "eval-labels-without-images": (
+        "ConfigError", "eval --labels requires --images",
+        lambda data, model, tmp: [
+            "eval", "--model", str(model), "--labels", str(tmp / "labels.idx")]),
+    "train-data-and-images": (
+        "ConfigError", "train takes --data (sets task) or --images/--labels (idx task), not both",
+        lambda data, model, tmp: _train(data, tmp, *_idx_flags(tmp))),
+    "train-idx-with-data": (
+        "ConfigError", "train takes --data (sets task) or --images/--labels (idx task), not both",
+        lambda data, model, tmp: _train_idx(tmp, "--data", str(data / "train"))),
+    "inspect-data-without-distance-out": (
+        "ConfigError", "--data applies only with --distance-out",
+        lambda data, model, tmp: [
+            "inspect", "--model", str(model), "--data", str(data / "test")]),
+    "inspect-size-without-prototype-dir": (
+        "ConfigError", "--width and --height apply only with --prototype-dir",
+        lambda data, model, tmp: [
+            "inspect", "--model", str(model), "--width", "4", "--height", "3"]),
+    "header-label-beyond-int64": (
+        "CorruptModel", "header label 9223372036854775808 is outside the int64 range",
+        lambda data, model, tmp: _eval(_with_header_label(model, tmp, 2 ** 63), data / "test")),
     "class-without-sets": ("EmptySet", "no image-set directories",
                            lambda data, model, tmp: _eval(
                                model, _black_frames(tmp / "root" / "c1", 0).parent)),
@@ -765,7 +828,9 @@ def test_malformed_input_exits_with_one_error_line(case, workspace, tmp_path,
     argv = build(data, model, tmp_path)
     capsys.readouterr()
     assert main(argv) == 1
-    lines = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    assert captured.out == ""  # nothing, not even an accuracy= line, before the error
+    lines = captured.err.splitlines()
     assert len(lines) == 1, lines
     assert lines[0].startswith(f"error: {category}: "), lines[0]
     assert fragment in lines[0]

@@ -1,3 +1,4 @@
+import itertools
 import struct
 import zlib
 
@@ -7,6 +8,7 @@ import pytest
 from grasslvq import dataio
 from grasslvq.errors import (
     BadMagic,
+    ConfigError,
     CorruptModel,
     CountMismatch,
     EmptySet,
@@ -221,6 +223,40 @@ class TestSubspaceDatasets:
         X = np.column_stack([frame] * 3)
         dataset = dataio.build_per_set_subspace_dataset([(X, 1)], 1)
         assert np.allclose(np.abs(dataset[0][0].basis[:, 0]), frame)
+
+
+class TestStreamedSubspaces:
+    """iter_imageset_subspaces reads and builds one block of sets at a time."""
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 6, 7])
+    def test_matches_list_build_bitwise(self, tmp_path, block):
+        build_imageset_fixture(tmp_path, classes=2, sets=3, frames=4)
+        sets, _, _ = dataio.read_imageset_dirs(tmp_path)
+        listed = dataio.build_per_set_subspace_dataset(sets, 2)
+        streamed = list(dataio.iter_imageset_subspaces(tmp_path, 2, block))
+        assert [y for _, y in streamed] == [y for _, y in listed] == [1, 1, 1, 2, 2, 2]
+        for (a, _), (b, _) in zip(streamed, listed):
+            assert a.basis.tobytes() == b.basis.tobytes()
+
+    def test_tree_checked_before_any_set_is_read(self, tmp_path):
+        # a class without sets, then a bad manifest: each raises at the call
+        (tmp_path / "empty" / "c1").mkdir(parents=True)
+        with pytest.raises(EmptySet, match="no image-set directories"):
+            dataio.iter_imageset_subspaces(tmp_path / "empty", 2, 4)
+        build_imageset_fixture(tmp_path / "tree")
+        (tmp_path / "tree" / "labels.txt").write_text("class1 1\n")
+        with pytest.raises(ConfigError, match="'class2' is not listed"):
+            dataio.iter_imageset_subspaces(tmp_path / "tree", 2, 4)
+
+    def test_failing_set_in_a_later_block_named_by_tree_index(self, tmp_path):
+        build_imageset_fixture(tmp_path, classes=2, sets=3, frames=4)
+        frame = np.full((2, 3), 9, dtype=np.uint8)
+        for f in range(4):  # set 4, class2/set2, lies in the second block of 3
+            dataio.write_pgm(tmp_path / "class2" / "set2" / f"frame{f + 1}.pgm", frame)
+        stream = dataio.iter_imageset_subspaces(tmp_path, 2, 3)
+        assert [y for _, y in itertools.islice(stream, 3)] == [1, 1, 1]
+        with pytest.raises(RankDeficient, match=r"^set 4 \(label 2\): "):
+            next(stream)
 
 
 class TestModelPersistence:

@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -706,6 +707,67 @@ class TestScores:
         accuracy, confusion = evaluate(model, [], kind)
         assert accuracy == 0.0
         assert np.array_equal(confusion, np.zeros((3, 3), dtype=np.int64))
+
+
+class TestStreaming:
+    """scores and evaluate pull any iterable one block of samples at a time."""
+
+    @staticmethod
+    def _samples(rng, model, kind, n):
+        D, d = model.stack.shape[1:]
+        if kind == "sets":
+            return [random_subspace(rng, D, d) for _ in range(n)]
+        images = np.abs(rng.standard_normal((n, D)))
+        return list(images / np.linalg.norm(images, axis=1)[:, None])
+
+    @pytest.mark.parametrize("kind, D, d", [("sets", 400, 25), ("vectors", 784, 3)])
+    @pytest.mark.parametrize("size", ["0", "1", "block", "block+1"])
+    def test_one_shot_generator_matches_list_bitwise(self, kind, D, d, size):
+        rng = np.random.default_rng(36)
+        model = TestEvaluate._model(rng, D, d)
+        block = model_module.eval_block_size(model, kind)
+        n = {"0": 0, "1": 1, "block": block, "block+1": block + 1}[size]
+        samples = self._samples(rng, model, kind, n)
+        dataset = list(zip(samples, rng.integers(1, 4, n).tolist()))
+        table = scores(model, samples, kind)
+        streamed = scores(model, (s for s in samples), kind)
+        assert streamed.shape == table.shape == (n, 3)
+        assert streamed.tobytes() == table.tobytes()
+        accuracy, confusion = evaluate(model, dataset, kind)
+        streamed_accuracy, streamed_confusion = evaluate(model, iter(dataset), kind)
+        assert streamed_accuracy == accuracy
+        assert np.array_equal(streamed_confusion, confusion)
+
+    @pytest.mark.parametrize("kind, shape", [("sets", (399, 25)), ("vectors", (399,))])
+    def test_bad_shape_in_second_block_named_by_dataset_index(self, kind, shape):
+        rng = np.random.default_rng(37)
+        model = TestEvaluate._model(rng, 400, 25)
+        block = model_module.eval_block_size(model, kind)
+        samples = self._samples(rng, model, kind, block + 3)
+        bad = np.linalg.qr(rng.standard_normal((*shape, 1)[:2]))[0]
+        samples[block + 1] = bad.reshape(shape) if kind == "vectors" else Subspace(bad)
+        with pytest.raises(InconsistentDims, match=f"^sample {block + 2} has D = 399"):
+            scores(model, iter(samples), kind)
+
+    def test_evaluate_holds_at_most_one_block(self):
+        rng = np.random.default_rng(38)
+        model = TestEvaluate._model(rng, 400, 25)
+        block = model_module.eval_block_size(model, "sets")
+        refs, peak = [], 0
+
+        def dataset():
+            # counts the samples and bases still alive as each new one is made
+            nonlocal peak
+            for i in range(3 * block + 2):
+                sample = random_subspace(rng, 400, 25)
+                refs.extend([weakref.ref(sample), weakref.ref(sample.basis)])
+                peak = max(peak, sum(r() is not None for r in refs[0::2]),
+                           sum(r() is not None for r in refs[1::2]))
+                yield sample, 1 + i % 3
+
+        accuracy, confusion = evaluate(model, dataset(), "sets")
+        assert confusion.sum() == 3 * block + 2
+        assert 1 <= peak <= block
 
 
 class TestConfigValidation:

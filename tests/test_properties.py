@@ -1,12 +1,13 @@
 """Property-based checks of the distance kernel, the prototype update, the
-two text decoders, labels.txt and the config file, and the two binary
-decoders, PGM and IDX (needs the optional hypothesis)."""
+two text decoders, labels.txt and the config file, and the three binary
+decoders, PGM, IDX and the model file (needs the optional hypothesis)."""
 
 import contextlib
 import io
 import math
 import shutil
 import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -336,3 +337,93 @@ def test_idx_files_load_or_fail_with_one_line(cli_tree, data):
     else:
         assert_one_error_line(status, lines)
         assert lines[0].startswith(f"error: {want}: "), lines[0]
+
+
+# Header field values, as they are written: some decode, some do not. A label
+# must fit int64; "+5" decodes as 5.
+MODEL_MODES = ["grlgq", "grlgq", "glgq", "GLGQ", ""]
+# Mostly 1 <= d <= D, so that most files reach the payload checks.
+MODEL_AMBIENT = [-1, 0, 2, 12, 12, 13]
+MODEL_DIMS = [-1, 0, 1, 2, 2, 3, 13]
+MODEL_LABELS = ["1", "2", "3", "-4", "+5", "x", "", "1.5", str(2 ** 63 - 1),
+                str(2 ** 63), str(-2 ** 63 - 1)]
+# Payload edits that leave the length and the CRC consistent but the model
+# invalid: a non-finite or non-orthonormal basis, or relevance weights off
+# their mode's set (negative, or off the simplex / the all-ones vector).
+MODEL_EDITS = ["none", "none", "none", "nan-basis", "scaled-basis",
+               "negative-relevance", "doubled-relevance"]
+
+
+def _int64(token):
+    try:
+        return -2 ** 63 <= int(token) < 2 ** 63
+    except ValueError:
+        return False
+
+
+@st.composite
+def model_files(draw):
+    """(file bytes, valid) of a model file written from drawn header fields
+    (mode, D, d, labels; one field may be dropped, and their order is
+    drawn), with a payload of the length the header implies or one value off,
+    sealed with its own length prefix and CRC. ``valid`` says whether
+    ``load_model`` must accept it."""
+    mode = draw(st.sampled_from(MODEL_MODES))
+    D, d = draw(st.sampled_from(MODEL_AMBIENT)), draw(st.sampled_from(MODEL_DIMS))
+    labels = draw(st.lists(st.sampled_from(MODEL_LABELS), min_size=1, max_size=3))
+    fields = [f"mode={mode}", f"D={D}", f"d={d}", "labels=" + ",".join(labels)]
+    fields = draw(st.permutations(fields))
+    dropped = draw(st.integers(0, 11))
+    if dropped < len(fields):
+        del fields[dropped]
+    offset = draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
+    edit = draw(st.sampled_from(MODEL_EDITS))
+    P = len(labels)
+    count = max(0, P * max(D, 0) * max(d, 0) + max(d, 0) + offset)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if 1 <= d <= D:
+        stack = np.array([_orthonormal(rng, D, d) for _ in range(P)])
+        relevance = np.ones(d) if mode == "glgq" else np.full(d, 1.0 / d)
+        if edit == "nan-basis":
+            stack[-1, 0, 0] = np.nan
+        elif edit == "scaled-basis":
+            stack[0] *= 1.5
+        elif edit == "negative-relevance":
+            relevance[0] = -relevance[0]
+        elif edit == "doubled-relevance":
+            relevance *= 2.0
+        values = np.concatenate([stack.ravel(), relevance])
+        values = np.concatenate([values, values])[:count]
+    else:
+        values = rng.uniform(0.0, 1.0, count)
+    payload = values.astype("<f8").tobytes()
+    header = " ".join(["GRASSLVQ", "v1", *fields]).encode() + b"\n"
+    content = (header + struct.pack("<Q", len(payload) // 8) + payload
+               + struct.pack("<I", zlib.crc32(payload)))
+    valid = (len(fields) == 4 and mode in ("glgq", "grlgq") and 1 <= d <= D
+             and all(_int64(t) for t in labels) and offset == 0 and edit == "none")
+    return content, valid
+
+
+@settings(max_examples=150, deadline=None)
+@given(model=model_files(), command=st.sampled_from(["eval", "predict"]))
+def test_model_file_loads_or_fails_with_one_line(cli_tree, model, command):
+    # inspect --relevance-out succeeds exactly on a valid model and fails as
+    # one CorruptModel line on any other; eval --data and predict --set of
+    # the D = 12 tree (sets of 4 frames) return 0 or one error line
+    root, data, _ = cli_tree
+    content, valid = model
+    path = root / "mutated.bin"
+    path.write_bytes(content)
+    status, lines = run_cli(["inspect", "--model", str(path),
+                             "--relevance-out", str(root / "relevance.csv")])
+    if valid:
+        assert status == 0, lines
+    else:
+        assert_one_error_line(status, lines)
+        assert lines[0].startswith("error: CorruptModel: "), lines[0]
+    inputs = (["--data", str(data / "test")] if command == "eval"
+              else ["--set", str(data / "test" / "class_01" / "set_001")])
+    status, lines = run_cli([command, "--model", str(path), *inputs])
+    if status or not valid:
+        assert_one_error_line(status, lines)
