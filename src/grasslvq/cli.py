@@ -62,7 +62,8 @@ def _read_config_file(path):
 
 def _resolve_train_config(args):
     """Defaults, then --preset, then --config, then flags; later wins. An idx
-    task left without m or sets_per_class gets max(d, 20) and 50."""
+    task left without m or sets_per_class gets max(d, 20) and 50; the sets
+    task takes neither, from any source."""
     resolved = dict(TRAIN_DEFAULTS)
     if args.preset:
         resolved.update(PRESETS[args.preset])
@@ -80,8 +81,13 @@ def _resolve_train_config(args):
             resolved["m"] = max(resolved["d"], 20)
         if resolved["sets_per_class"] is None:
             resolved["sets_per_class"] = 50
+    else:
+        # the sets task reads neither key, so it drops them from the config
+        given = [key for key in ("m", "sets_per_class") if resolved.pop(key) is not None]
+        if given:
+            raise ConfigError(f"{given[0]} applies only to the idx task, not task = sets")
     for key in ("m", "sets_per_class", "prototypes_per_class"):
-        if resolved[key] is not None and resolved[key] < 1:
+        if resolved.get(key) is not None and resolved[key] < 1:
             raise ConfigError(f"{key} must be at least 1, got {resolved[key]}")
     return resolved
 
@@ -291,8 +297,8 @@ def cmd_inspect(args):
         dataio.export_prototype_images(model, args.width, args.height,
                                        args.prototype_dir)
     if args.distance_out:
-        sets, _, _ = dataio.read_imageset_dirs(args.data)
-        dataset = dataio.build_per_set_subspace_dataset(sets, model.subspace_dim)
+        dataset = dataio.iter_imageset_subspaces(
+            args.data, model.subspace_dim, eval_block_size(model, "sets"))
         dataio.export_distance_matrix_csv(model, dataset, args.distance_out)
     return 0
 

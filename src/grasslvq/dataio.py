@@ -35,7 +35,7 @@ from .errors import (
     VersionMismatch,
 )
 from .manifold import Subspace, pixel_influence, principal_angles_to_stack, subspace_from_set
-from .model import ModelState, Prototype, scores
+from .model import ModelState, Prototype, _check_shape
 
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
@@ -381,7 +381,13 @@ def load_model(path) -> ModelState:
         if fields[1] != f"v{MODEL_VERSION}":
             raise VersionMismatch(f"{path}: format {fields[1]}, expected v{MODEL_VERSION}")
         try:
-            meta = dict(field.split("=", 1) for field in fields[2:])
+            meta = {}
+            for key, value in (field.split("=", 1) for field in fields[2:]):
+                if key in meta:
+                    # the CRC covers only the payload, so nothing else would
+                    # catch a second labels= or D= field
+                    raise CorruptModel(f"{path}: header field {key!r} repeats")
+                meta[key] = value
             mode = meta["mode"]
             D, d = int(meta["D"]), int(meta["d"])
             labels = [int(t) for t in meta["labels"].split(",")]
@@ -479,23 +485,23 @@ def export_pixel_influence(pd, index, width, height, path) -> None:
 
 
 def export_distance_matrix_csv(model: ModelState, dataset, path) -> None:
-    """Symmetric (N+p) x (N+p) matrix of pairwise adaptive squared distances.
-
-    Rows/columns list the N dataset subspaces first, then the p prototypes;
-    the header names each column. External embedding tools (e.g. t-SNE)
-    consume this matrix directly.
+    """Symmetric (N+P) x (N+P) matrix of adaptive squared distances among the N
+    subspaces of ``dataset`` (first) and the P prototypes; the header names each
+    column. Shapes are checked as ``scores`` checks them. Each row's upper
+    triangle is one kernel call on a pixel-major (D, N+P, d) stack of all the
+    bases, then mirrored. External embedding tools (e.g. t-SNE) read it as is.
     """
-    samples = [s for s, _ in dataset]
-    n = len(samples)
-    names = ([f"sample_{i + 1}" for i in range(n)]
+    samples = []
+    for i, (sample, _) in enumerate(dataset, 1):
+        _check_shape(f"sample {i}", sample.basis.shape, model.stack.shape[1:])
+        samples.append(sample.basis)
+    names = ([f"sample_{i + 1}" for i in range(len(samples))]
              + [f"prototype_{i + 1}" for i in range(len(model.labels))])
+    bases = np.stack(samples + list(model.stack), axis=1)
+    del samples  # the stack is the one copy of the sample bases
     dist = np.zeros((len(names), len(names)))
-    dist[:n, n:] = scores(model, samples, "sets")
-    dist[n:, n:] = np.triu(scores(model, [p.subspace for p in model.prototypes], "sets"), 1)
-    # sample pairs involve no prototype: one kernel call per pair, no dataset copy
-    for i, a in enumerate(samples):
-        for j in range(i + 1, n):
-            angles = principal_angles_to_stack(a.basis, samples[j].basis[None])
-            dist[i, j] = (angles ** 2 @ model.relevance)[0]
+    for i in range(len(names) - 1):
+        later = bases[:, i + 1:].transpose(1, 0, 2)  # a strided view, no copy
+        dist[i, i + 1:] = principal_angles_to_stack(bases[:, i], later) ** 2 @ model.relevance
     dist += dist.T
     write_csv(path, names, dist)

@@ -437,6 +437,19 @@ class TestInspect:
                         for line in lines[1:]])
         assert np.allclose(mat, mat.T)
 
+    def test_distance_matrix_streams_its_sets(self, workspace, tmp_path,
+                                              monkeypatch):
+        _, data, model, _ = workspace
+
+        def whole_tree(root):
+            raise AssertionError("inspect read the whole tree at once")
+
+        monkeypatch.setattr(dataio, "read_imageset_dirs", whole_tree)
+        out = tmp_path / "dist.csv"
+        assert main(["inspect", "--model", str(model), "--data",
+                     str(data / "test"), "--distance-out", str(out)]) == 0
+        assert len(out.read_text().splitlines()) == 11
+
 
 def _black_frames(directory, count):
     directory.mkdir(parents=True, exist_ok=True)
@@ -618,6 +631,10 @@ MALFORMED_INPUTS = {
     "header-non-integer": (
         "CorruptModel", "malformed header", lambda data, model, tmp: _with_header(
             data, model, tmp, b"GRASSLVQ v1 mode=grlgq D=twelve d=2 labels=1,2")),
+    # a header read into a dict keeps the last labels= field: swapped labels, accuracy 0
+    "header-repeated-labels": (
+        "CorruptModel", "header field 'labels' repeats", lambda data, model, tmp: _with_header(
+            data, model, tmp, b"GRASSLVQ v1 mode=grlgq D=12 d=2 labels=1,2 labels=2,1")),
     "header-negative-dims": (
         "CorruptModel", "header needs 1 <= d <= D, got D=-2 d=-1",
         lambda data, model, tmp: [
@@ -669,6 +686,12 @@ MALFORMED_INPUTS = {
     "sets-per-class-zero": (
         "ConfigError", "sets_per_class must be at least 1, got 0",
         lambda data, model, tmp: _train_idx(tmp, "--sets-per-class", "0")),
+    "sets-task-with-idx-keys": (
+        "ConfigError", "m applies only to the idx task, not task = sets",
+        lambda data, model, tmp: _train(data, tmp, "--m", "5", "--sets-per-class", "3")),
+    "config-sets-task-with-sets-per-class": (
+        "ConfigError", "sets_per_class applies only to the idx task, not task = sets",
+        lambda data, model, tmp: _with_config(data, tmp, "sets_per_class = 3\n")),
     "prototypes-per-class-zero": (
         "ConfigError", "prototypes_per_class must be at least 1, got 0",
         lambda data, model, tmp: _train(data, tmp, "--prototypes-per-class", "0")),

@@ -20,7 +20,7 @@ from grasslvq.errors import (
     VersionMismatch,
 )
 from grasslvq.manifold import adaptive_squared_distance, principal_decomposition
-from grasslvq.model import TrainConfig, evaluate, fit
+from grasslvq.model import ModelState, Prototype, TrainConfig, evaluate, fit
 from helpers import (
     random_subspace,
     synthetic_subspace_dataset,
@@ -361,27 +361,60 @@ class TestExporters:
         assert len(lines) == 4
         assert all(line.endswith(",1.0") for line in lines[1:])
 
+    @staticmethod
+    def _two_per_class_model(rng, D, d):
+        protos = [Prototype(random_subspace(rng, D, d), label) for label in (1, 1, 2, 2)]
+        relevance = rng.dirichlet(np.ones(d))
+        return ModelState(protos, relevance, "grlgq", d, D)
+
+    @staticmethod
+    def _read_matrix(path):
+        lines = path.read_text().splitlines()
+        return lines[0].split(","), np.array([[float(v) for v in line.split(",")]
+                                              for line in lines[1:]])
+
     def test_distance_matrix(self, tmp_path):
         rng = np.random.default_rng(4)
-        model = two_class_model(rng, 8, 2)
-        dataset = [(random_subspace(rng, 8, 2), 1) for _ in range(3)]
+        model = self._two_per_class_model(rng, 8, 3)
+        dataset = [(random_subspace(rng, 8, 3), 1 + i % 2) for i in range(6)]
         path = tmp_path / "dist.csv"
-        dataio.export_distance_matrix_csv(model, dataset, path)
-        lines = path.read_text().splitlines()
-        header = lines[0].split(",")
-        assert header == ["sample_1", "sample_2", "sample_3",
-                          "prototype_1", "prototype_2"]
-        mat = np.array([[float(v) for v in line.split(",")]
-                        for line in lines[1:]])
-        assert mat.shape == (5, 5)
-        assert np.allclose(np.diag(mat), 0.0)
-        assert np.max(np.abs(mat - mat.T)) < 1e-10
+        dataio.export_distance_matrix_csv(model, iter(dataset), path)
+        header, mat = self._read_matrix(path)
+        assert header == ([f"sample_{i}" for i in range(1, 7)]
+                          + [f"prototype_{i}" for i in range(1, 5)])
+        assert mat.shape == (10, 10)
+        assert not np.diag(mat).any()
+        assert np.array_equal(mat, mat.T)
         items = [s for s, _ in dataset] + [p.subspace for p in model.prototypes]
         for i, a in enumerate(items):
             for j, b in enumerate(items):
                 expected = adaptive_squared_distance(principal_decomposition(a, b),
                                                      model.relevance)
                 assert abs(mat[i, j] - expected) < 1e-12
+
+    def test_distance_matrix_of_no_samples(self, tmp_path):
+        rng = np.random.default_rng(6)
+        model = self._two_per_class_model(rng, 8, 3)
+        path = tmp_path / "dist.csv"
+        dataio.export_distance_matrix_csv(model, [], path)
+        header, mat = self._read_matrix(path)
+        assert header == [f"prototype_{i}" for i in range(1, 5)]
+        assert mat.shape == (4, 4)
+        assert not np.diag(mat).any() and mat[0, 1] > 0
+
+    @pytest.mark.parametrize("shape, error, fragment", [
+        ((9, 3), InconsistentDims, "sample 2 has D = 9 pixels, prototypes have D = 8"),
+        ((8, 2), ValueError, "sample 2 has d = 2, model has d = 3"),
+    ])
+    def test_distance_matrix_names_a_misshapen_sample(self, tmp_path, shape,
+                                                      error, fragment):
+        rng = np.random.default_rng(7)
+        model = self._two_per_class_model(rng, 8, 3)
+        dataset = [(random_subspace(rng, 8, 3), 1), (random_subspace(rng, *shape), 2)]
+        path = tmp_path / "dist.csv"
+        with pytest.raises(error, match=fragment):
+            dataio.export_distance_matrix_csv(model, dataset, path)
+        assert not path.exists()
 
     def test_prototype_images(self, tmp_path):
         rng = np.random.default_rng(5)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from grasslvq import (  # noqa: E402
     ModelState,
@@ -364,9 +364,9 @@ def _int64(token):
 @st.composite
 def model_files(draw):
     """(file bytes, valid) of a model file written from drawn header fields
-    (mode, D, d, labels; one field may be dropped, and their order is
-    drawn), with a payload of the length the header implies or one value off,
-    sealed with its own length prefix and CRC. ``valid`` says whether
+    (mode, D, d, labels; one field may be dropped, one may be repeated, and
+    their order is drawn), with a payload of the length the header implies or
+    one value off, sealed with its own length prefix and CRC. ``valid`` says whether
     ``load_model`` must accept it."""
     mode = draw(st.sampled_from(MODEL_MODES))
     D, d = draw(st.sampled_from(MODEL_AMBIENT)), draw(st.sampled_from(MODEL_DIMS))
@@ -376,6 +376,9 @@ def model_files(draw):
     dropped = draw(st.integers(0, 11))
     if dropped < len(fields):
         del fields[dropped]
+    repeated = draw(st.integers(0, 11))
+    if repeated < len(fields):
+        fields.insert(draw(st.integers(0, len(fields))), fields[repeated])
     offset = draw(st.sampled_from([0, 0, 0, 0, -1, 1]))
     edit = draw(st.sampled_from(MODEL_EDITS))
     P = len(labels)
@@ -396,17 +399,26 @@ def model_files(draw):
         values = np.concatenate([values, values])[:count]
     else:
         values = rng.uniform(0.0, 1.0, count)
-    payload = values.astype("<f8").tobytes()
+    valid = (len(set(fields)) == len(fields) == 4 and mode in ("glgq", "grlgq")
+             and 1 <= d <= D and all(_int64(t) for t in labels) and offset == 0
+             and edit == "none")
+    return _sealed(fields, values), valid
+
+
+def _sealed(fields, values):
+    """Model-file bytes of the header ``fields`` and the float64 ``values``,
+    sealed with their own length prefix and CRC."""
+    payload = np.asarray(values, dtype="<f8").tobytes()
     header = " ".join(["GRASSLVQ", "v1", *fields]).encode() + b"\n"
-    content = (header + struct.pack("<Q", len(payload) // 8) + payload
-               + struct.pack("<I", zlib.crc32(payload)))
-    valid = (len(fields) == 4 and mode in ("glgq", "grlgq") and 1 <= d <= D
-             and all(_int64(t) for t in labels) and offset == 0 and edit == "none")
-    return content, valid
+    return (header + struct.pack("<Q", len(payload) // 8) + payload
+            + struct.pack("<I", zlib.crc32(payload)))
 
 
 @settings(max_examples=150, deadline=None)
 @given(model=model_files(), command=st.sampled_from(["eval", "predict"]))
+# a valid glgq model but for a second labels= field, which swaps the labels
+@example(model=(_sealed(["mode=glgq", "D=12", "d=1", "labels=1,2", "labels=2,1"],
+                        [*np.eye(12)[0], *np.eye(12)[1], 1.0]), False), command="eval")
 def test_model_file_loads_or_fails_with_one_line(cli_tree, model, command):
     # inspect --relevance-out succeeds exactly on a valid model and fails as
     # one CorruptModel line on any other; eval --data and predict --set of
