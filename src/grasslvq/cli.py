@@ -107,37 +107,44 @@ def _config_value(action, text):
 
 
 def _load_training_data(args, cfg):
-    """Returns (dataset, class_matrices or None).
+    """Returns (dataset, class_matrices): ``class_matrices(kept)`` is the pca
+    init's label -> D x n mapping (``dataio.class_image_matrices``) for the
+    dataset items at the indices ``kept``, or None for any other init.
 
-    The per-class image matrices copy every training image, so they are
-    built only for the ``pca`` init, the one that reads them.
+    The idx task keeps the IDX pixels as uint8, one byte per pixel, and
+    normalises each drawn set's rows and each class matrix's rows as they
+    are gathered. Its mapping holds every image whatever ``kept`` is: sets
+    are independent draws from a class's whole pool, so a held-out set
+    shares images with the kept ones. The sets task's mapping joins the
+    frames of the kept sets only. Either mapping builds one class matrix
+    at a time, when the pca init reads it.
     """
     pca = cfg["init"] == "pca"
     if cfg["task"] == "idx":
         if not args.images or not args.labels:
             raise ConfigError("idx task requires --images and --labels")
-        images, labels, _, _ = dataio.read_idx_dataset(args.images, args.labels)
+        images, labels, _, _ = dataio.read_idx_dataset(args.images, args.labels,
+                                                       normalize=False)
         dataset = dataio.build_classwise_subspace_dataset(
             images, labels, cfg["d"], cfg["m"], cfg["sets_per_class"], cfg["seed"])
         matrices = dataio.class_image_matrices(images, labels) if pca else None
-        return dataset, matrices
+        return dataset, lambda kept: matrices
     if not args.data:
         raise ConfigError("sets task requires --data <imageset root>")
     sets, _, _ = dataio.read_imageset_dirs(args.data)
     dataset = dataio.build_per_set_subspace_dataset(sets, cfg["d"])
     if not pca:
-        return dataset, None
-    grouped = {}
-    for X, label in sets:
-        grouped.setdefault(label, []).append(X)
-    return dataset, {lab: np.hstack(xs) for lab, xs in grouped.items()}
+        return dataset, lambda kept: None
+    return dataset, lambda kept: dataio.class_set_matrices(sets[i] for i in kept)
 
 
-def _cross_validate(train, dataset, train_config, folds, repeats):
+def _cross_validate(train, dataset, class_matrices, train_config, folds, repeats):
     """Repeated k-fold cross-validation over the training samples.
 
     Fold membership is a seeded permutation taken round-robin; each repeat
-    reshuffles with seed + repeat index. Returns one accuracy per fold run.
+    reshuffles with seed + repeat index. Each fold trains on its kept
+    samples with ``class_matrices`` of their indices (see
+    ``_load_training_data``). Returns one accuracy per fold run.
     """
     if folds < 2 or folds > len(dataset):
         raise ConfigError(f"--folds must be in [2, {len(dataset)}]")
@@ -147,10 +154,11 @@ def _cross_validate(train, dataset, train_config, folds, repeats):
         order = np.random.default_rng(seed).permutation(len(dataset))
         for k in range(folds):
             held = set(order[k::folds].tolist())
-            train_part = [s for i, s in enumerate(dataset) if i not in held]
-            test_part = [dataset[i] for i in sorted(held)]
-            model, _ = train(train_part, replace(train_config, seed=seed))
-            accuracy, _ = evaluate(model, test_part, "sets")
+            kept = [i for i in range(len(dataset)) if i not in held]
+            model, _ = train([dataset[i] for i in kept],
+                             replace(train_config, seed=seed),
+                             class_matrices=class_matrices(kept))
+            accuracy, _ = evaluate(model, [dataset[i] for i in sorted(held)], "sets")
             accuracies.append(accuracy)
             print(f"repeat={r + 1} fold={k + 1} accuracy={float(accuracy)!r}",
                   file=sys.stderr)
@@ -169,20 +177,22 @@ def cmd_train(args):
                                mode=cfg["mode"])
     dataset, class_matrices = _load_training_data(args, cfg)
     train = partial(fit, init=cfg["init"],
-                    prototypes_per_class=cfg["prototypes_per_class"],
-                    class_matrices=class_matrices)
+                    prototypes_per_class=cfg["prototypes_per_class"])
     if args.folds is not None:
-        accs = _cross_validate(train, dataset, train_config, args.folds, args.repeats)
+        accs = _cross_validate(train, dataset, class_matrices, train_config,
+                               args.folds, args.repeats)
         print(f"cv_accuracy={float(np.mean(accs))!r}")
         print(f"cv_std={float(np.std(accs))!r}")
-    model, stats = train(dataset, train_config)
+    every = class_matrices(range(len(dataset)))
+    model, stats = train(dataset, train_config, class_matrices=every)
     if args.repeats > 1 and args.folds is None:
         # independent restarts with consecutive seeds; the saved model is run 1's
         run_stats = stats
         for r in range(args.repeats):
             seed = train_config.seed + r
             if r:
-                _, run_stats = train(dataset, replace(train_config, seed=seed))
+                _, run_stats = train(dataset, replace(train_config, seed=seed),
+                                     class_matrices=every)
             print(f"run={r + 1} seed={seed} "
                   f"train_accuracy={float(run_stats[-1][2])!r}")
     dataio.save_model(model, args.model_out)

@@ -19,6 +19,7 @@ import re
 import stat
 import struct
 import zlib
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -286,12 +287,15 @@ def read_imageset_dirs(root):
 def build_classwise_subspace_dataset(images, labels, d, m, sets_per_class, seed):
     """Sample subspaces per class from single images (for image classification).
 
-    For each class, draws ``sets_per_class`` independent groups of ``m`` images
-    (without replacement within a group) and converts each group to a
-    d-dimensional subspace. Returns (Subspace, label) pairs; deterministic
-    under the seed. Before any draw, raises ConfigError when d is outside
-    [1, D], then InsufficientImages when m < d or a class has fewer than m
-    images.
+    ``images`` is (n, D): the uint8 pixel rows of an IDX file, normalised by
+    ``normalize_pixels`` as each draw gathers them, or float rows used as
+    they are. For each class, draws ``sets_per_class`` independent groups of
+    ``m`` images (without replacement within a group) and converts each
+    group to a d-dimensional subspace. Returns (Subspace, label) pairs;
+    deterministic under the seed, and bitwise the same for uint8 pixels as
+    for their ``normalize_pixels`` rows. Before any draw, raises ConfigError
+    when d is outside [1, D], then InsufficientImages when m < d or a class
+    has fewer than m images.
     """
     D = images.shape[1]
     if d < 1 or d > D:
@@ -303,9 +307,17 @@ def build_classwise_subspace_dataset(images, labels, d, m, sets_per_class, seed)
         if len(idx) < m:
             raise InsufficientImages(f"class {label}: {len(idx)} images < m={m}")
     rng = np.random.default_rng(seed)
-    draws = ((images[rng.choice(idx, size=m, replace=False)].T, label)
+    draws = ((_gather_rows(images, rng.choice(idx, size=m, replace=False)).T, label)
              for label, idx in classes for _ in range(sets_per_class))
     return build_per_set_subspace_dataset(draws, d)
+
+
+def _gather_rows(images, rows):
+    """images[rows]; uint8 pixel rows come back through ``normalize_pixels``,
+    which works row by row, so a gathered row has the bits it would have
+    in the normalised whole."""
+    picked = images[rows]
+    return normalize_pixels(picked) if picked.dtype == np.uint8 else picked
 
 
 def build_per_set_subspace_dataset(sets, d, start=0):
@@ -347,10 +359,46 @@ def iter_imageset_subspaces(root, d, block):
     return blocks()
 
 
+class _ClassMatrices(Mapping):
+    """Read-only label -> D x n mapping that builds a class's matrix from its
+    parts, ``build(parts[label])``, each time the label is read, and keeps
+    none: a reader that takes one class at a time holds one class matrix."""
+
+    def __init__(self, parts, build):
+        self._parts, self._build = parts, build
+
+    def __getitem__(self, label):
+        return self._build(self._parts[label])
+
+    def __contains__(self, label):
+        # Mapping's own test would build the matrix
+        return label in self._parts
+
+    def __iter__(self):
+        return iter(self._parts)
+
+    def __len__(self):
+        return len(self._parts)
+
+
 def class_image_matrices(images, labels):
-    """Per-class D x n matrices of all images, for PCA prototype initialization."""
-    return {int(lab): images[np.flatnonzero(labels == lab)].T
-            for lab in np.unique(labels)}
+    """Per-class D x n matrices of all images, for the pca prototype init, as
+    a read-only mapping label -> matrix. A class's rows are gathered, and
+    uint8 pixels normalised, only when its label is read (see
+    ``build_classwise_subspace_dataset`` for ``images``)."""
+    return _ClassMatrices({int(lab): np.flatnonzero(labels == lab)
+                           for lab in np.unique(labels)},
+                          lambda rows: _gather_rows(images, rows).T)
+
+
+def class_set_matrices(sets):
+    """Per-class D x n matrices of (D x m matrix, label) items, each class's
+    sets side by side in item order, as a mapping like
+    ``class_image_matrices``'s that joins a class's sets when it is read."""
+    grouped = {}
+    for X, label in sets:
+        grouped.setdefault(int(label), []).append(X)
+    return _ClassMatrices(grouped, np.hstack)
 
 
 # ---------------------------------------------------------------- model persistence

@@ -89,14 +89,17 @@ def subspace_from_set(X, d: int) -> Subspace:
     outside [1, D], then InsufficientImages when X has fewer than d columns,
     then RankDeficient when s_d <= RANK_TOL * s_1.
 
-    For a tall set (m < D) the factors come from the R-SVD (Chan, 1982):
-    Householder QR without Q, then the SVD of the m x m triangular R, which
-    has the singular values and right singular vectors of X. For m >= D the
-    QR would shrink nothing, so the SVD runs on X itself (without keeping
-    its left vectors). Either way the d left vectors are X v_k / s_k,
-    accurate to about eps * s_1 / s_d in orthonormality, and one Cholesky
-    pass brings their Gram matrix to I within a few eps. The basis is a
-    freshly allocated, C-contiguous (D, d) array.
+    The factors come from the R-SVD (Chan, 1982) of whichever of X and X^T
+    is tall: a Householder QR without Q, then the SVD of the square
+    triangular R. For a tall set (m < D) the QR of X gives an m x m R with
+    the singular values and right singular vectors of X, and the d left
+    vectors are X v_k / s_k, accurate to about eps * s_1 / s_d in
+    orthonormality. For a wide set (m >= D, a whole class for the pca init)
+    the QR of X^T gives a D x D R whose right singular vectors are the left
+    ones of X, orthonormal as they come, and the right vectors are
+    X^T u_k / s_k. Either way one Cholesky pass brings the left vectors'
+    Gram matrix to I within a few eps. The basis is a freshly allocated,
+    C-contiguous (D, d) array.
     """
     return Subspace(_factor_set(X, d)[0])
 
@@ -111,12 +114,15 @@ def _factor_set(X, d: int):
         raise ConfigError(f"d={d} must satisfy 1 <= d <= D = {D}")
     if m < d:
         raise InsufficientImages(f"{m} frames < d={d}")
-    R = np.linalg.qr(X, mode="r") if m < D else X
-    _, s, vt = np.linalg.svd(R, full_matrices=False)
+    # A is whichever of X and X^T is tall; its QR leaves a square R
+    wide = m >= D
+    A = X.T if wide else X
+    _, s, vt = np.linalg.svd(np.linalg.qr(A, mode="r"), full_matrices=False)
     if s[0] == 0.0 or s[d - 1] <= RANK_TOL * s[0]:
         raise RankDeficient(f"set of {m} columns has numerical rank < {d}")
-    right = vt[:d].T.copy()
-    u = (X @ right) / s[:d]
+    a_right = vt[:d].T.copy()
+    a_left = (A @ a_right) / s[:d]
+    u, right = (a_right, a_left) if wide else (a_left, a_right)
     basis = u @ np.linalg.inv(np.linalg.cholesky(u.T @ u)).T
     return basis, s[:d], right
 

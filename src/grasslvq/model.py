@@ -16,6 +16,7 @@ follows its own gradient step, is clipped to be nonnegative, and
 renormalized onto the simplex.
 """
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import islice
 
@@ -295,7 +296,7 @@ def train_step(model: ModelState, sample: Subspace, label: int,
 
 def init_prototypes(dataset, d: int, strategy: str, rng,
                     prototypes_per_class: int = 1,
-                    class_matrices: dict | None = None) -> list[Prototype]:
+                    class_matrices: Mapping | None = None) -> list[Prototype]:
     """Create prototypes_per_class prototypes for every class in the dataset.
 
     Strategies:
@@ -303,6 +304,9 @@ def init_prototypes(dataset, d: int, strategy: str, rng,
       * ``example`` -- copies of randomly selected same-class sample subspaces,
       * ``pca``     -- top-d left singular vectors of all class images
         concatenated; requires ``class_matrices`` mapping label -> D x n matrix.
+        Each class's matrix is read once, in label order, and dropped after
+        its ``subspace_from_set``, so a mapping that builds matrices when they
+        are read (``dataio.class_image_matrices``) holds one at a time.
     """
     if not dataset:
         raise ConfigError("dataset is empty")
@@ -329,7 +333,7 @@ def init_prototypes(dataset, d: int, strategy: str, rng,
 
 
 def fit(dataset, config: TrainConfig, init: str = "random",
-        prototypes_per_class: int = 1, class_matrices: dict | None = None,
+        prototypes_per_class: int = 1, class_matrices: Mapping | None = None,
         model: ModelState | None = None):
     """Train on a list of (subspace, label) pairs; returns (model, epoch stats).
 

@@ -2,6 +2,7 @@
 
 import shutil
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -171,6 +172,81 @@ class TestTrain:
         assert out["cv_std"] >= 0.0
         assert captured.err.count("fold=") == 4
         assert (tmp_path / "m.bin").is_file()
+
+    @staticmethod
+    def _fold_models(data, monkeypatch, tmp_path):
+        """(config, stack) of every fit a pca-init --folds 2 --repeats 2 run
+        makes, fold runs first, then the final fit on every set."""
+        runs = []
+
+        def recording_fit(dataset, config, **kwargs):
+            model, stats = fit(dataset, config, **kwargs)
+            runs.append((config, model.stack.copy()))
+            return model, stats
+
+        monkeypatch.setattr(cli, "fit", recording_fit)
+        assert main(["train", "--data", str(data), "--d", "2", "--init", "pca",
+                     "--epochs", "2", "--seed", "1", "--folds", "2",
+                     "--repeats", "2", "--model-out", str(tmp_path / "m.bin")]) == 0
+        return runs
+
+    @staticmethod
+    def _held_out(count):
+        """The held-out indices of each fold run, in run order."""
+        return [set(np.random.default_rng(1 + r).permutation(count)[k::2].tolist())
+                for r in range(2) for k in range(2)]
+
+    def test_folds_pca_init_reads_kept_sets_only(self, workspace, tmp_path,
+                                                 monkeypatch):
+        _, data, _, _ = workspace
+        runs = self._fold_models(data / "train", monkeypatch, tmp_path)
+        sets, _, _ = dataio.read_imageset_dirs(data / "train")
+        folds = self._held_out(len(sets))
+        assert len(runs) == len(folds) + 1
+        for (config, stack), held in zip(runs, folds):
+            kept = [item for i, item in enumerate(sets) if i not in held]
+            grouped = {}
+            for X, label in kept:
+                grouped.setdefault(label, []).append(X)
+            expected, _ = fit(dataio.build_per_set_subspace_dataset(kept, 2),
+                              config, init="pca",
+                              class_matrices={label: np.hstack(xs)
+                                              for label, xs in grouped.items()})
+            assert np.array_equal(stack, expected.stack)
+
+    def test_folds_ignore_held_out_frames(self, workspace, tmp_path, monkeypatch):
+        _, data, _, _ = workspace
+        before = self._fold_models(data / "train", monkeypatch, tmp_path)
+        edited = tmp_path / "train"
+        shutil.copytree(data / "train", edited)
+        # set 0's first frame, inverted
+        set_dir = sorted(p for p in edited.glob("*/*") if p.is_dir())[0]
+        frame = sorted(set_dir.glob("*.pgm"))[0]
+        dataio.write_pgm(frame, 255 - dataio.read_pgm(frame))
+        after = self._fold_models(edited, monkeypatch, tmp_path)
+        folds = self._held_out(len(list(edited.glob("*/*"))))
+        for (_, old), (_, new), held in zip(before, after, folds):
+            # the frames of a kept set seed the pca init, so the model moves
+            assert np.array_equal(old, new) == (0 in held)
+
+    def test_idx_pca_train_holds_no_float64_copy_of_the_images(self, tmp_path):
+        # 2000 images of 784 pixels: one float64 copy is 12.5 MB
+        rng = np.random.default_rng(16)
+        images = rng.integers(0, 256, (2000, 28, 28), np.uint8)
+        paths = tmp_path / "images.idx", tmp_path / "labels.idx"
+        write_idx_images(paths[0], list(images))
+        write_idx_labels(paths[1], list(range(10)) * 200)
+        tracemalloc.start()
+        try:
+            rc = main(["train", "--task", "idx", "--init", "pca",
+                       "--images", str(paths[0]), "--labels", str(paths[1]),
+                       "--d", "3", "--m", "20", "--sets-per-class", "2",
+                       "--epochs", "1", "--model-out", str(tmp_path / "m.bin")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < images.size * 8
 
     def test_repeats_without_folds(self, workspace, tmp_path, capsys):
         _, data, model, _ = workspace

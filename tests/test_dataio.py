@@ -190,6 +190,48 @@ class TestSubspaceDatasets:
             assert la == lb
             assert np.array_equal(fa.basis, fb.basis)
 
+    def test_uint8_pixels_match_normalized_rows(self):
+        # draws and class matrices normalise uint8 rows as they gather them;
+        # normalize_pixels works row by row, so the bits are the whole's
+        rng = np.random.default_rng(13)
+        pixels = rng.integers(0, 256, (60, 49), dtype=np.uint8)
+        pixels[7] = 0  # an all-black image stays a zero row
+        labels = np.repeat([3, 5, 8], 20)
+        unit = dataio.normalize_pixels(pixels)
+        a = dataio.build_classwise_subspace_dataset(pixels, labels, 3, 10, 4, 2)
+        b = dataio.build_classwise_subspace_dataset(unit, labels, 3, 10, 4, 2)
+        assert len(a) == len(b) == 12
+        for (sa, la), (sb, lb) in zip(a, b):
+            assert la == lb
+            assert np.array_equal(sa.basis, sb.basis)
+        lazy = dataio.class_image_matrices(pixels, labels)
+        eager = dataio.class_image_matrices(unit, labels)
+        assert list(lazy) == list(eager) == [3, 5, 8]
+        for label in lazy:
+            assert np.array_equal(lazy[label], eager[label])
+            assert np.array_equal(eager[label], unit[labels == label].T)
+
+    def test_class_matrix_built_only_when_read(self, monkeypatch):
+        pixels = np.random.default_rng(14).integers(1, 256, (30, 16), dtype=np.uint8)
+        labels = np.repeat([1, 2, 4], 10)
+        gathered, gather = [], dataio._gather_rows
+        monkeypatch.setattr(dataio, "_gather_rows", lambda images, rows:
+                            gathered.append(rows.tolist()) or gather(images, rows))
+        matrices = dataio.class_image_matrices(pixels, labels)
+        assert len(matrices) == 3 and 2 in matrices and 3 not in matrices
+        assert gathered == []
+        assert matrices[2].shape == (16, 10)
+        assert gathered == [list(range(10, 20))]
+
+    def test_class_set_matrices_join_sets_in_item_order(self):
+        rng = np.random.default_rng(15)
+        sets = [(rng.standard_normal((6, k)), label)
+                for k, label in ((2, 1), (3, 2), (4, 1))]
+        matrices = dataio.class_set_matrices(sets)
+        assert list(matrices) == [1, 2]
+        assert np.array_equal(matrices[1], np.hstack([sets[0][0], sets[2][0]]))
+        assert np.array_equal(matrices[2], sets[1][0])
+
     def test_insufficient_images(self):
         images = np.eye(4)
         labels = np.array([1, 1, 2, 2])

@@ -151,6 +151,69 @@ class TestSubspaceFromSet:
         assert np.max(np.abs(X @ M - pd.principal_left)) < 1e-10
 
 
+def planted_wide_set(rng, D, m, d):
+    """A D x m set (m >= D) with d singular values near 10 to 5 and the rest
+    near 1 to 0.01, so its leading d-span is well separated. The right
+    factor is a Gaussian's Cholesky QR, cheaper than Householder's at
+    6000 x 784 and orthonormal to about eps * cond^2, close enough for the
+    gap."""
+    s = np.concatenate([np.linspace(10, 5, d), np.logspace(0, -2, D - d)])
+    G = rng.standard_normal((m, D))
+    V = G @ np.linalg.inv(np.linalg.cholesky(G.T @ G)).T
+    return (random_orthogonal(rng, D) * s) @ V.T
+
+
+class TestWideSets:
+    """The m >= D branch: the SVD of R from the QR of X^T."""
+
+    @pytest.mark.parametrize("D, m", [(120, 120), (120, 180), (120, 480), (784, 6000)])
+    def test_spans_match_gesdd(self, D, m):
+        # m = D, 1.5 D, 4 D and a whole MNIST class
+        rng = np.random.default_rng(m)
+        d = 12
+        X = planted_wide_set(rng, D, m, d)
+        basis, values, right = _factor_set(X, d)
+        # the SVD of X^T (quicker than that of X) has X's factors swapped
+        v, s, ut = np.linalg.svd(X.T, full_matrices=False)
+        assert basis.shape == (D, d) and right.shape == (m, d)
+        assert largest_angle_sine(ut[:d].T, basis) <= 1e-14
+        assert largest_angle_sine(v[:, :d], right) <= 1e-12
+        assert np.allclose(values, s[:d], rtol=1e-13, atol=0)
+        assert np.max(np.abs(basis.T @ basis - np.eye(d))) <= 1e-14
+
+    @pytest.mark.parametrize("ratio", [1e2, 1e6, 1e11])
+    def test_planted_spectrum(self, ratio):
+        # the tall test's spectra on a 20 x 60 set; the span must lie within
+        # the first-order bound eps * s_1 / (s_d - s_(d+1)) of the planted
+        # one, which LAPACK's gesdd meets too (both reach about a third of it)
+        rng = np.random.default_rng(int(np.log10(ratio)))
+        D, m, d = 20, 60, 5
+        U = random_orthogonal(rng, D)
+        top = np.logspace(0, -np.log10(ratio), d)
+        s = np.concatenate([top, top[-1] / 2 * np.logspace(0, -3, D - d)])
+        X = U * s @ np.linalg.qr(rng.standard_normal((m, D)))[0].T
+        basis = subspace_from_set(X, d).basis
+        assert np.max(np.abs(basis.T @ basis - np.eye(d))) <= 1e-14
+        bound = np.finfo(float).eps * s[0] / (s[d - 1] - s[d])
+        assert largest_angle_sine(U[:, :d], basis) <= bound
+
+    def test_all_zero_set_rejected_without_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RankDeficient):
+                subspace_from_set(np.zeros((5, 8)), 2)
+
+    def test_contribution_recovers_principal_vectors(self):
+        rng = np.random.default_rng(21)
+        X = rng.random((784, 1000))
+        X /= np.linalg.norm(X, axis=0)
+        pd = principal_decomposition(subspace_from_set(X, 12),
+                                     random_subspace(rng, 784, 12))
+        M = image_contribution(X, pd)
+        assert M.shape == (1000, 12)
+        assert np.max(np.abs(X @ M - pd.principal_left)) < 1e-10
+
+
 class TestPrincipalDecomposition:
     def test_given_product_matches_computed(self):
         rng = np.random.default_rng(40)
