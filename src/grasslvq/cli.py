@@ -258,18 +258,18 @@ def cmd_predict(args):
         raise ConfigError("--explain and --out-dir apply to --set, not --image")
     if args.out_dir and not args.explain:
         raise ConfigError("--out-dir applies only with --explain")
+    if not args.image and not args.set:
+        raise ConfigError("predict requires --set <dir> or --image <pgm>")
     model = _load_model(args.model)
     if args.image:
         sample = dataio.normalize_pixels(dataio.read_pgm(args.image).reshape(1, -1))[0]
         if not sample.any():
             raise RankDeficient(f"{args.image}: all-black image has rank 0 < 1")
         kind, column = "vectors", "theta1"
-    elif args.set:
+    else:
         X, (height, width) = dataio.read_set(args.set)
         sample = subspace_from_set(X, model.subspace_dim)
         kind, column = "sets", "distance"
-    else:
-        raise ConfigError("predict requires --set <dir> or --image <pgm>")
     row = scores(model, [sample], kind)[0]
     winner = int(np.argmin(row))
     print(f"label={model.labels[winner]}")

@@ -226,6 +226,9 @@ def _set_dirs(root):
             except ValueError:
                 raise ConfigError(f"{manifest}:{lineno}: expected "
                                   "'<class-dir> <integer>'") from None
+            if not -2 ** 63 <= lab < 2 ** 63:
+                raise ConfigError(f"{manifest}:{lineno}: label {lab} is outside "
+                                  "the int64 range")
             if name not in labels:
                 raise ConfigError(f"{manifest}:{lineno}: {name!r} names "
                                   "no class directory")
@@ -535,9 +538,9 @@ def export_pixel_influence(pd, index, width, height, path) -> None:
 def export_distance_matrix_csv(model: ModelState, dataset, path) -> None:
     """Symmetric (N+P) x (N+P) matrix of adaptive squared distances among the N
     subspaces of ``dataset`` (first) and the P prototypes; the header names each
-    column. Shapes are checked as ``scores`` checks them. Each row's upper
-    triangle is one kernel call on a pixel-major (D, N+P, d) stack of all the
-    bases, then mirrored. External embedding tools (e.g. t-SNE) read it as is.
+    column. Shapes are checked as ``scores`` checks them. Row i's upper triangle
+    is one kernel call, column i against the later columns of a pixel-major
+    (D, N+P, d) stack of all the bases, mirrored; t-SNE and the like read it as is.
     """
     samples = []
     for i, (sample, _) in enumerate(dataset, 1):
@@ -549,7 +552,7 @@ def export_distance_matrix_csv(model: ModelState, dataset, path) -> None:
     del samples  # the stack is the one copy of the sample bases
     dist = np.zeros((len(names), len(names)))
     for i in range(len(names) - 1):
-        later = bases[:, i + 1:].transpose(1, 0, 2)  # a strided view, no copy
-        dist[i, i + 1:] = principal_angles_to_stack(bases[:, i], later) ** 2 @ model.relevance
+        angles = principal_angles_to_stack(bases[:, i:i + 1], bases[:, i + 1:])
+        dist[i, i + 1:] = angles[0] ** 2 @ model.relevance
     dist += dist.T
     write_csv(path, names, dist)

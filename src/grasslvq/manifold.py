@@ -178,15 +178,15 @@ def adaptive_squared_distance(pd: PrincipalDecomposition, weights) -> float:
     return float(np.sum(weights * pd.angles ** 2))
 
 
-def principal_angles_to_stack(bases, stack) -> np.ndarray:
+def principal_angles_to_stack(samples, stack) -> np.ndarray:
     """Principal angles between each sample subspace and every subspace of a stack.
 
-    ``bases`` is one sample, a D x k orthonormal matrix or a length-D unit
-    vector (a D x 1 basis), or a (B, D, k) block of B samples; ``stack`` is a
-    (P, D, d) array of orthonormal bases. All B x P products basis^T W_p come
+    Both arguments are pixel-major: ``samples`` is a (D, B, k) array of B
+    orthonormal D x k bases (k = 1 for unit vectors) and ``stack`` a (D, P, d)
+    array of P orthonormal D x d bases. All B x P products basis^T W_p come
     from one GEMM, of the samples side by side, D x (B k), transposed, by
     the stack side by side, D x (P d). Returns ascending angles,
-    (P, min(k, d)) for one sample and (B, P, min(k, d)) for a block.
+    (B, P, min(k, d)).
 
     For k > 1 the cosines are singular values only (no singular vectors) and
     the angles their arccosines. arccos is ill-conditioned near 1, but theta^2
@@ -197,31 +197,24 @@ def principal_angles_to_stack(bases, stack) -> np.ndarray:
     accurate below) is the residual formed, giving atan2(||x - W c||, ||c||).
     Raises InconsistentDims when D differs.
     """
-    bases = np.asarray(bases, dtype=np.float64)
-    block = bases.ndim == 3
-    if not block:
-        bases = bases.reshape(1, bases.shape[0], -1)
-    if bases.shape[1] != stack.shape[1]:
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.shape[0] != stack.shape[0]:
         raise InconsistentDims(
-            f"sample has D = {bases.shape[1]} pixels, prototypes have "
-            f"D = {stack.shape[1]}")
-    (B, D, k), (P, _, d) = bases.shape, stack.shape
+            f"sample has D = {samples.shape[0]} pixels, prototypes have "
+            f"D = {stack.shape[0]}")
+    (D, B, k), (_, P, d) = samples.shape, stack.shape
     if k == 1:
         # before the product, so that the check's B x D temporary is freed first
-        norms = np.linalg.norm(bases[:, :, 0], axis=1)
+        norms = np.linalg.norm(samples[:, :, 0], axis=0)
         if not np.abs(norms - 1.0).max(initial=0.0) <= 1e-8:
             # a NaN or infinite entry fails the norm test too
-            if not np.all(np.isfinite(bases)):
+            if not np.all(np.isfinite(samples)):
                 raise ValueError("non-finite entries")
             raise ValueError("x must be a unit vector")
-    # the samples' side is a view when the block is stored pixel-major, (D, B, k)
-    products = (bases.transpose(1, 0, 2).reshape(D, B * k).T
-                @ stack.transpose(1, 0, 2).reshape(D, P * d)).reshape(B, k, P, d)
+    products = (samples.reshape(D, B * k).T @ stack.reshape(D, P * d)).reshape(B, k, P, d)
     if k == 1:
-        angles = _vector_angles(bases[:, :, 0], products[:, 0], stack)[:, :, None]
-    else:
-        angles = angles_from_products(products.transpose(0, 2, 1, 3))
-    return angles if block else angles[0]
+        return _vector_angles(samples[:, :, 0], products[:, 0], stack)[:, :, None]
+    return angles_from_products(products.swapaxes(1, 2))
 
 
 def angles_from_products(products) -> np.ndarray:
@@ -232,18 +225,18 @@ def angles_from_products(products) -> np.ndarray:
 
 
 def _vector_angles(x, coeffs, stack) -> np.ndarray:
-    """(B, P) angles between the unit rows of x (B, D) and a (P, D, d) stack,
-    given their (B, P, d) coefficients x^T W_p.
+    """(B, P) angles between the unit columns of x (D, B) and a (D, P, d)
+    stack, given their (B, P, d) coefficients x^T W_p.
 
     The small-angle refinement runs once per prototype, over all its flagged
-    rows at once.
+    columns at once.
     """
     cosines = np.linalg.norm(coeffs, axis=2)
     angles = np.arccos(np.minimum(cosines, 1.0))
     flagged = cosines > 0.9
     for p in np.flatnonzero(flagged.any(axis=0)):
         rows = flagged[:, p]
-        residual = x[rows] - coeffs[rows, p] @ stack[p].T
+        residual = x[:, rows].T - coeffs[rows, p] @ stack[:, p].T
         sines = np.sqrt(np.einsum("ij,ij->i", residual, residual))
         angles[rows, p] = np.arctan2(sines, cosines[rows, p])
     return angles
@@ -251,7 +244,8 @@ def _vector_angles(x, coeffs, stack) -> np.ndarray:
 
 def single_vector_angle(x, w: Subspace) -> float:
     """First principal angle between span{x} (x a unit vector) and span(W)."""
-    return float(principal_angles_to_stack(x, w.basis[None])[0, 0])
+    return float(principal_angles_to_stack(np.reshape(x, (-1, 1, 1)),
+                                           w.basis[:, None])[0, 0, 0])
 
 
 def g_matrix_diagonal(pd: PrincipalDecomposition, weights) -> np.ndarray:

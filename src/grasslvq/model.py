@@ -395,8 +395,8 @@ def scores(model: ModelState, samples, kind: str) -> np.ndarray:
     iterable, pulled one block of ``eval_block_size`` samples at a time: each
     block's shapes are checked, a bad sample named by its position in all of
     ``samples`` counted from 1 (InconsistentDims for another D, else
-    ValueError), then scored in one kernel call and dropped before the next
-    block is pulled.
+    ValueError), then scored pixel-major in one kernel call and dropped
+    before the next block is pulled.
     """
     want, block = _sample_shape(model, kind), eval_block_size(model, kind)
     vectors = kind == "vectors"
@@ -405,13 +405,13 @@ def scores(model: ModelState, samples, kind: str) -> np.ndarray:
                     for s in islice(samples, block)]:
         for i, shape in enumerate((b.shape for b in bases), len(rows) * block + 1):
             _check_shape(f"sample {i}", shape, want)
-        # the kernel reads either block as one D x (B k) matrix without a
-        # copy: (B, D) vectors as they are, sets stacked pixel-major, (D, B, k);
-        # np.array copies B rows without np.stack's B expanded views
-        stacked = (np.array(bases)[:, :, None] if vectors
-                   else np.stack(bases, axis=1).transpose(1, 0, 2))
+        # the kernel reads either pixel-major block, (D, B, k), as one
+        # D x (B k) matrix without a copy; np.array copies B vectors without
+        # np.stack's B expanded views, and its transpose is a view
+        stacked = (np.array(bases).T[:, :, None] if vectors
+                   else np.stack(bases, axis=1))
         del bases  # the next block is pulled with no sample of this one alive
-        angles = principal_angles_to_stack(stacked, model.stack)
+        angles = principal_angles_to_stack(stacked, model.stack.transpose(1, 0, 2))
         del stacked
         # a vector is labelled by its first principal angle alone
         rows.append(angles[:, :, 0] if vectors else angles ** 2 @ model.relevance)

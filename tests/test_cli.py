@@ -613,11 +613,15 @@ def _encoded(text):
     return text if isinstance(text, bytes) else text.encode()
 
 
+def _manifest_copy(data, tmp, split, text):
+    """tmp, holding a copy of data/<split> whose labels.txt reads ``text``."""
+    shutil.copytree(data / split, tmp / split)
+    (tmp / split / "labels.txt").write_bytes(_encoded(text))
+    return tmp
+
+
 def _with_manifest(data, model, tmp, text):
-    root = tmp / "tree"
-    shutil.copytree(data / "test", root)
-    (root / "labels.txt").write_bytes(_encoded(text))
-    return _eval(model, root)
+    return _eval(model, _manifest_copy(data, tmp, "test", text) / "test")
 
 
 def _predict_image(data, model, *flags):
@@ -829,6 +833,14 @@ MALFORMED_INPUTS = {
         "ConfigError", "labels.txt:3: not UTF-8",
         lambda data, model, tmp: _with_manifest(
             data, model, tmp, b"class_01 1\nclass_02 2\n\xff\n")),
+    "manifest-label-beyond-int64": (
+        "ConfigError", "labels.txt:1: label 9223372036854775808 is outside the int64 range",
+        lambda data, model, tmp: _with_manifest(
+            data, model, tmp, "class_01 9223372036854775808\nclass_02 2\n")),
+    "train-manifest-label-beyond-int64": (
+        "ConfigError", "labels.txt:2: label -9223372036854775809 is outside the int64 range",
+        lambda data, model, tmp: _train(_manifest_copy(
+            data, tmp, "train", "class_01 1\nclass_02 -9223372036854775809\n"), tmp)),
     "manifest-unlisted-class": (
         "ConfigError", "labels.txt: class directory 'class_01' is not listed",
         lambda data, model, tmp: _with_manifest(data, model, tmp, "class_02 1\n")),
@@ -846,6 +858,9 @@ MALFORMED_INPUTS = {
         lambda data, model, tmp: [
             "predict", "--model", str(model), "--set",
             str(data / "test" / "class_01" / "set_001"), "--out-dir", str(tmp / "out")]),
+    "predict-without-set-or-image": (
+        "ConfigError", "predict requires --set <dir> or --image <pgm>",
+        lambda data, model, tmp: ["predict", "--model", str(tmp / "nothere.bin")]),
     "eval-data-and-images": (
         "ConfigError", "eval takes --data or --images/--labels, not both",
         lambda data, model, tmp: _eval(model, data / "test") + [

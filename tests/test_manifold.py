@@ -292,8 +292,9 @@ class TestPrincipalDecomposition:
             p1, p2 = pair_with_angles(rng, 30, angles)
             assert np.abs(principal_decomposition(p1, p2).angles - angles).max() <= 1e-15
             if angles[0] < np.arccos(0.9):  # where the vector kernel forms the residual
-                vector_angle = principal_angles_to_stack(p1.basis[:, 0], p2.basis[None])
-                assert abs(vector_angle[0, 0] - angles[0]) <= 1e-15
+                vector_angle = principal_angles_to_stack(p1.basis[:, :1, None],
+                                                         p2.basis[:, None])
+                assert abs(vector_angle[0, 0, 0] - angles[0]) <= 1e-15
 
     def test_clamp_keeps_angles_finite(self):
         rng = np.random.default_rng(6)
@@ -448,55 +449,59 @@ class TestPrincipalAnglesToStack:
                           @ random_orthogonal(rng, d))
         protos.append(b @ random_orthogonal(rng, d))
         weights = rng.dirichlet(np.ones(d))
-        stack = np.array(protos)
+        stack = np.stack(protos, axis=1)
 
         def reference(basis):
             return [adaptive_squared_distance(principal_decomposition(
                 Subspace(basis), Subspace(w)), weights) for w in protos]
 
-        kernel = principal_angles_to_stack(a, stack) ** 2 @ weights
+        kernel = principal_angles_to_stack(a[:, None], stack)[0] ** 2 @ weights
         assert np.max(np.abs(kernel - reference(a))) < 1e-12
         # the same sample inside a block, beside span(B) and a generic sample
         block = [b, a, random_subspace(rng, D, d).basis]
-        kernel = principal_angles_to_stack(np.array(block), stack) ** 2 @ weights
+        kernel = principal_angles_to_stack(np.stack(block, axis=1), stack) ** 2 @ weights
         for basis, row in zip(block, kernel):
             assert np.max(np.abs(row - reference(basis))) < 1e-12
 
     def test_shape_and_order(self):
         rng = np.random.default_rng(50)
-        stack = np.array([random_subspace(rng, 9, 3).basis for _ in range(4)])
-        angles = principal_angles_to_stack(random_subspace(rng, 9, 2).basis, stack)
-        assert angles.shape == (4, 2)
-        assert np.all(np.diff(angles, axis=1) >= 0)
+        stack = np.stack([random_subspace(rng, 9, 3).basis for _ in range(4)], axis=1)
+        for k in (2, 3, 5):
+            samples = np.stack([random_subspace(rng, 9, k).basis for _ in range(2)], axis=1)
+            angles = principal_angles_to_stack(samples, stack)
+            assert angles.shape == (2, 4, min(k, 3))
+            assert np.all(np.diff(angles, axis=2) >= 0)
 
     def test_in_span_vector_is_refined(self):
         # bare arccos of a cosine that rounds just below 1 gives ~1.5e-8
         rng = np.random.default_rng(51)
-        stack = np.array([random_subspace(rng, 50, 4).basis for _ in range(3)])
+        stack = np.stack([random_subspace(rng, 50, 4).basis for _ in range(3)], axis=1)
         block = []
         for _ in range(20):
-            x = stack[1] @ rng.standard_normal(4)
+            x = stack[:, 1] @ rng.standard_normal(4)
             x /= np.linalg.norm(x)
-            angles = principal_angles_to_stack(x, stack)
-            assert angles.shape == (3, 1)
-            assert angles[1, 0] < 1e-12
+            angles = principal_angles_to_stack(x[:, None, None], stack)
+            assert angles.shape == (1, 3, 1)
+            assert angles[0, 1, 0] < 1e-12
             block += [x, random_subspace(rng, 50, 1).basis[:, 0]]
-        angles = principal_angles_to_stack(np.array(block)[:, :, None], stack)
+        angles = principal_angles_to_stack(np.stack(block, axis=1)[:, :, None], stack)
         assert angles.shape == (40, 3, 1)
         assert np.all(angles[::2, 1, 0] < 1e-12)
 
     def test_ambient_dimension_mismatch(self):
         rng = np.random.default_rng(52)
-        stack = np.array([random_subspace(rng, 12, 2).basis])
+        stack = random_subspace(rng, 12, 2).basis[:, None]
         with pytest.raises(InconsistentDims, match="D = 9.*D = 12"):
-            principal_angles_to_stack(random_subspace(rng, 9, 2).basis, stack)
+            principal_angles_to_stack(random_subspace(rng, 9, 2).basis[:, None], stack)
         with pytest.raises(InconsistentDims, match="D = 9.*D = 12"):
-            principal_angles_to_stack(e(0, 9), stack)
+            principal_angles_to_stack(e(0, 9)[:, None, None], stack)
 
     def test_vector_must_be_unit(self):
-        stack = np.eye(4)[None, :, :2]
-        with pytest.raises(ValueError):
-            principal_angles_to_stack(2 * e(0, 4), stack)
+        stack = np.eye(4)[:, None, :2]
+        with pytest.raises(ValueError, match="x must be a unit vector"):
+            principal_angles_to_stack(2 * e(0, 4)[:, None, None], stack)
+        with pytest.raises(ValueError, match="non-finite entries"):
+            principal_angles_to_stack(np.full((4, 1, 1), np.nan), stack)
 
 
 class TestGMatrix:

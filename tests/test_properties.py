@@ -44,22 +44,19 @@ def test_block_equals_single_calls(data):
     P = data.draw(st.integers(1, 5), label="P")
     B = data.draw(st.integers(1, 6), label="B")
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1), label="seed"))
-    stack = np.array([_orthonormal(rng, D, d) for _ in range(P)])
-    samples = np.array([_orthonormal(rng, D, k) for _ in range(B)])
+    stack = np.stack([_orthonormal(rng, D, d) for _ in range(P)], axis=1)
+    samples = np.stack([_orthonormal(rng, D, k) for _ in range(B)], axis=1)
     if k <= d and data.draw(st.booleans(), label="in span"):
         # a sample inside a prototype's span takes the small-angle paths
         p = data.draw(st.integers(0, P - 1), label="prototype")
-        samples[0] = stack[p] @ _orthonormal(rng, d, k)
+        samples[:, 0] = stack[:, p] @ _orthonormal(rng, d, k)
 
     block = principal_angles_to_stack(samples, stack)
     assert block.shape == (B, P, min(k, d))
-    for basis, angles in zip(samples, block):
-        single = principal_angles_to_stack(basis, stack)
-        assert single.shape == (P, min(k, d))
-        assert np.max(np.abs(angles ** 2 - single ** 2)) < 1e-12
-        if k == 1:
-            assert np.array_equal(principal_angles_to_stack(basis[:, 0], stack),
-                                  single)
+    for i in range(B):
+        single = principal_angles_to_stack(samples[:, i:i + 1], stack)
+        assert single.shape == (1, P, min(k, d))
+        assert np.max(np.abs(block[i] ** 2 - single[0] ** 2)) < 1e-12
 
 
 @settings(max_examples=80, deadline=None)
