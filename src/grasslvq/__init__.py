@@ -26,6 +26,7 @@ from .model import (
     init_prototypes,
     prototype_gradient,
     relevance_gradient,
+    score_blocks,
     scores,
     train_step,
 )
@@ -38,7 +39,7 @@ __all__ = [
     "ModelState", "Prototype", "SampleOutcome", "TrainConfig",
     "apply_prototype_update", "apply_relevance_update", "evaluate",
     "find_winners", "fit", "init_prototypes", "prototype_gradient",
-    "relevance_gradient", "scores", "train_step",
+    "relevance_gradient", "score_blocks", "scores", "train_step",
 ]
 
 __version__ = "0.1.0"

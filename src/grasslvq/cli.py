@@ -14,13 +14,27 @@ from functools import partial
 import numpy as np
 
 from . import dataio, synth
-from .errors import ConfigError, GrasslvqError, ModelNotFound, RankDeficient
+from .errors import (
+    ConfigError,
+    GrasslvqError,
+    InconsistentDims,
+    ModelNotFound,
+    RankDeficient,
+)
 from .manifold import (
     image_contribution,
     principal_decomposition,
     subspace_from_set,
 )
-from .model import TrainConfig, eval_block_size, evaluate, fit, scores
+from .model import (
+    TrainConfig,
+    confusion_from_scores,
+    eval_block_size,
+    evaluate,
+    fit,
+    score_blocks,
+    scores,
+)
 
 # Presets bundle the hyperparameters reported for each benchmark. Epoch counts
 # for yaleb/eth80/ucf and the m / sets-per-class draws for mnist/yale are
@@ -215,23 +229,25 @@ def _load_model(path):
     return dataio.load_model(path)
 
 
-def _eval_dataset(args, model):
-    """(iterator of (sample, label), kind) that reads, builds and normalises
-    one ``scores`` block of samples at a time. Every check that needs the
-    whole dataset (labels.txt, the set directories, all-black images) runs
-    before the first sample is scored."""
-    block = eval_block_size(model, "vectors" if args.images else "sets")
-    if args.images:
-        pixels, labels, _, _ = dataio.read_idx_dataset(args.images, args.labels,
-                                                       normalize=False)
-        black = np.flatnonzero(~pixels.any(axis=1))
-        if black.size:
-            raise RankDeficient(f"{args.images}: image {black[0]} is all black "
-                                "(rank 0 < 1)")
-        images = (x for start in range(0, len(pixels), block)
-                  for x in dataio.normalize_pixels(pixels[start:start + block]))
-        return zip(images, labels), "vectors"
-    return dataio.iter_imageset_subspaces(args.data, model.subspace_dim, block), "sets"
+def _score_idx_images(args, model):
+    """(N, P) ``score_blocks`` table and (N,) labels of the IDX images. Every
+    check runs before the first block is normalised: the files' decode and
+    counts, all-black images, then the pixel count against the model's D.
+    Each block of ``eval_block_size`` rows is normalised and passed as its
+    pixel-major (D, B, 1) view, with no per-image array."""
+    pixels, labels, _, _ = dataio.read_idx_dataset(args.images, args.labels,
+                                                   normalize=False)
+    black = np.flatnonzero(~pixels.any(axis=1))
+    if black.size:
+        raise RankDeficient(f"{args.images}: image {black[0]} is all black "
+                            "(rank 0 < 1)")
+    if pixels.shape[1] != model.ambient_dim:
+        raise InconsistentDims(f"{args.images}: images have D = {pixels.shape[1]} "
+                               f"pixels, prototypes have D = {model.ambient_dim}")
+    block = eval_block_size(model, "vectors")
+    blocks = (dataio.normalize_pixels(pixels[start:start + block]).T[:, :, None]
+              for start in range(0, len(pixels), block))
+    return score_blocks(model, blocks, "vectors"), labels
 
 
 def cmd_eval(args):
@@ -243,8 +259,14 @@ def cmd_eval(args):
     if not args.data and not args.images:
         raise ConfigError("eval requires --data or --images/--labels")
     model = _load_model(args.model)
-    dataset, kind = _eval_dataset(args, model)
-    accuracy, confusion = evaluate(model, dataset, kind)
+    if args.images:
+        accuracy, confusion = confusion_from_scores(model, *_score_idx_images(args, model))
+    else:
+        # reads, builds and scores one block of sets at a time, after every
+        # check that needs the whole tree (labels.txt, the set directories)
+        dataset = dataio.iter_imageset_subspaces(
+            args.data, model.subspace_dim, eval_block_size(model, "sets"))
+        accuracy, confusion = evaluate(model, dataset, "sets")
     print(f"accuracy={accuracy!r}")
     if args.confusion_out:
         dataio.write_csv(args.confusion_out, None, confusion)

@@ -389,33 +389,70 @@ def eval_block_size(model: ModelState, kind: str) -> int:
     return max(1, EVAL_BLOCK_BYTES // (8 * int(np.prod(_sample_shape(model, kind)))))
 
 
-def scores(model: ModelState, samples, kind: str) -> np.ndarray:
-    """(N, P) scores, lowest nearest: angles^2 @ relevance for "sets" (Subspace
-    samples), the first angle for "vectors" (unit vectors). ``samples`` is any
-    iterable, pulled one block of ``eval_block_size`` samples at a time: each
-    block's shapes are checked, a bad sample named by its position in all of
-    ``samples`` counted from 1 (InconsistentDims for another D, else
-    ValueError), then scored pixel-major in one kernel call and dropped
-    before the next block is pulled.
+def score_blocks(model: ModelState, blocks, kind: str) -> np.ndarray:
+    """(N, P) scores of pixel-major sample blocks, lowest nearest:
+    angles^2 @ relevance for "sets", the first angle for "vectors".
+
+    ``blocks`` is any iterable of (D, B, k) arrays: B unit vectors (k = 1)
+    for "vectors", B orthonormal D x d bases (k = d) for "sets". Each block
+    is scored in one kernel call and dropped before the next one is pulled.
+    A block with another k raises ValueError; the kernel raises
+    InconsistentDims for another D.
     """
+    vectors, rows = kind == "vectors", []
+    k = 1 if vectors else _sample_shape(model, kind)[1]  # raises for another kind
+    for samples in blocks:
+        if samples.ndim != 3 or samples.shape[2] != k:
+            raise ValueError(f"block of shape {samples.shape}, not (D, B, {k})")
+        angles = principal_angles_to_stack(samples, model.stack.transpose(1, 0, 2))
+        del samples  # the next block is pulled with this one dropped
+        # a vector is labelled by its first principal angle alone
+        rows.append(angles[:, :, 0] if vectors else angles ** 2 @ model.relevance)
+    return np.concatenate(rows) if rows else np.empty((0, len(model.labels)))
+
+
+def _sample_blocks(model: ModelState, samples, kind: str):
+    """Pixel-major (D, B, k) blocks of ``eval_block_size`` samples, each
+    sample's shape checked and named by its position counted from 1."""
     want, block = _sample_shape(model, kind), eval_block_size(model, kind)
-    vectors = kind == "vectors"
-    samples, rows = iter(samples), []
+    vectors, samples, start = kind == "vectors", iter(samples), 1
     while bases := [np.asarray(s if vectors else s.basis)
                     for s in islice(samples, block)]:
-        for i, shape in enumerate((b.shape for b in bases), len(rows) * block + 1):
+        for i, shape in enumerate((b.shape for b in bases), start):
             _check_shape(f"sample {i}", shape, want)
+        start += len(bases)
         # the kernel reads either pixel-major block, (D, B, k), as one
         # D x (B k) matrix without a copy; np.array copies B vectors without
         # np.stack's B expanded views, and its transpose is a view
         stacked = (np.array(bases).T[:, :, None] if vectors
                    else np.stack(bases, axis=1))
-        del bases  # the next block is pulled with no sample of this one alive
-        angles = principal_angles_to_stack(stacked, model.stack.transpose(1, 0, 2))
-        del stacked
-        # a vector is labelled by its first principal angle alone
-        rows.append(angles[:, :, 0] if vectors else angles ** 2 @ model.relevance)
-    return np.concatenate(rows) if rows else np.empty((0, len(model.labels)))
+        del bases  # the kernel runs with no sample of this block alive
+        yield stacked
+        del stacked  # before the next block's samples are pulled
+
+
+def scores(model: ModelState, samples, kind: str) -> np.ndarray:
+    """(N, P) scores, lowest nearest: angles^2 @ relevance for "sets" (Subspace
+    samples), the first angle for "vectors" (unit vectors). ``samples`` is any
+    iterable, grouped into blocks of ``eval_block_size`` samples for
+    ``score_blocks``: each block's shapes are checked, a bad sample named by
+    its position in all of ``samples`` counted from 1 (InconsistentDims for
+    another D, else ValueError), before the block is stacked and scored.
+    """
+    return score_blocks(model, _sample_blocks(model, samples, kind), kind)
+
+
+def confusion_from_scores(model: ModelState, table, truth):
+    """Accuracy and C x C confusion matrix of the row argmins of an (N, P)
+    ``scores`` table against the N true labels ``truth``. Labels index the
+    matrix in sorted order of the union of true and prototype labels."""
+    truth = np.asarray(truth, dtype=np.int64)
+    pred = model.labels[np.argmin(table, axis=1)]
+    labels = np.union1d(model.labels, truth)
+    confusion = np.zeros((len(labels), len(labels)), dtype=np.int64)
+    np.add.at(confusion, tuple(np.searchsorted(labels, [truth, pred])), 1)
+    accuracy = float(np.trace(confusion) / max(confusion.sum(), 1))
+    return accuracy, confusion
 
 
 def evaluate(model: ModelState, dataset, kind: str = "sets"):
@@ -424,9 +461,8 @@ def evaluate(model: ModelState, dataset, kind: str = "sets"):
     ``dataset`` is any iterable of (sample, label) pairs; ``kind`` selects
     subspace samples ("sets") or unit-vector samples ("vectors"). ``scores``
     pulls it one block at a time, so only the labels and the (N, P) score
-    table (160 KB at N = 2000, P = 10) outlive a block. Labels index the
-    confusion matrix in sorted order of the union of dataset and prototype
-    labels; predictions are the row argmins of the table.
+    table (160 KB at N = 2000, P = 10) outlive a block; then
+    ``confusion_from_scores`` counts the table's argmins.
     """
     truth = []
 
@@ -435,9 +471,4 @@ def evaluate(model: ModelState, dataset, kind: str = "sets"):
             truth.append(int(label))
             yield sample
 
-    pred = model.labels[np.argmin(scores(model, samples(), kind), axis=1)]
-    labels = np.array(sorted(set(model.labels.tolist()) | set(truth)))
-    confusion = np.zeros((len(labels), len(labels)), dtype=np.int64)
-    np.add.at(confusion, tuple(np.searchsorted(labels, [truth, pred])), 1)
-    accuracy = float(np.trace(confusion) / max(confusion.sum(), 1))
-    return accuracy, confusion
+    return confusion_from_scores(model, scores(model, samples(), kind), truth)

@@ -1,6 +1,7 @@
 """Shared construction helpers for the test suite."""
 
 import struct
+import weakref
 
 import numpy as np
 
@@ -12,6 +13,7 @@ from grasslvq import (
     adaptive_squared_distance,
     principal_decomposition,
 )
+from grasslvq import model as model_module
 
 
 def random_subspace(rng, D, d):
@@ -95,3 +97,29 @@ def write_idx_labels(path, labels):
     with open(path, "wb") as f:
         f.write(struct.pack(">ii", 0x00000801, len(labels)))
         f.write(bytes(labels))
+
+
+def track_kernel_blocks(monkeypatch):
+    """Wrap the distance kernel as ``grasslvq.model`` binds it. Each call
+    asserts that every block an earlier call received is dead, then records
+    weakrefs to its own ``samples`` block and to the array that block views.
+    Returns (shapes, all_dead): the shape of every block received, and a
+    function that asserts every block received so far is dead, for a sample
+    source to call as it makes the next block's samples."""
+    refs, shapes = [], []
+    kernel = model_module.principal_angles_to_stack
+
+    def all_dead():
+        alive = [i for i, ref in enumerate(refs) if ref() is not None]
+        assert not alive, f"kernel blocks {alive} outlive their call"
+
+    def tracked(samples, stack):
+        all_dead()
+        shapes.append(samples.shape)
+        refs.append(weakref.ref(samples))
+        if samples.base is not None:
+            refs.append(weakref.ref(samples.base))
+        return kernel(samples, stack)
+
+    monkeypatch.setattr(model_module, "principal_angles_to_stack", tracked)
+    return shapes, all_dead

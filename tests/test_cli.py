@@ -17,8 +17,9 @@ from grasslvq import (
     scores,
     subspace_from_set,
 )
+from grasslvq import model as model_module
 from grasslvq.cli import TRAIN_DEFAULTS, main
-from helpers import write_idx_images, write_idx_labels
+from helpers import track_kernel_blocks, write_idx_images, write_idx_labels
 
 
 # synth --ambient 12 without --width/--height writes one-row frames
@@ -377,6 +378,53 @@ class TestEval:
                                list(zip(images, labels)), "vectors")
         assert line == f"accuracy={accuracy!r}"
         assert accuracy > 0.5
+
+    @staticmethod
+    def _idx_files(tmp, n):
+        """Seeded 3x4 IDX images (no black one) and labels 1 to 3."""
+        rng = np.random.default_rng(11)
+        paths = tmp / "images.idx", tmp / "labels.idx"
+        write_idx_images(paths[0], list(rng.integers(1, 256, (n, 3, 4), np.uint8)))
+        write_idx_labels(paths[1], rng.integers(1, 4, n).tolist())
+        return paths
+
+    def test_idx_eval_holds_one_block_at_a_time(self, workspace, tmp_path,
+                                               monkeypatch):
+        _, _, model, _ = workspace
+        block = model_module.eval_block_size(dataio.load_model(model), "vectors")
+        paths = self._idx_files(tmp_path, 3 * block + 2)
+        shapes, all_dead = track_kernel_blocks(monkeypatch)
+        normalize = dataio.normalize_pixels
+
+        def checked(pixels):
+            all_dead()  # no scored block is alive while the next is made
+            return normalize(pixels)
+
+        monkeypatch.setattr(dataio, "normalize_pixels", checked)
+        assert main(["eval", "--model", str(model), "--images", str(paths[0]),
+                     "--labels", str(paths[1])]) == 0
+        assert shapes == [(12, block, 1)] * 3 + [(12, 2, 1)]
+
+    def test_idx_eval_matches_evaluate_without_scores(self, workspace, tmp_path,
+                                                      monkeypatch, capsys):
+        _, _, model, _ = workspace
+        state = dataio.load_model(model)
+        paths = self._idx_files(tmp_path, model_module.eval_block_size(state, "vectors") + 5)
+        images, labels, _, _ = dataio.read_idx_dataset(*paths)
+        accuracy, confusion = evaluate(state, list(zip(images, labels)), "vectors")
+        dataio.write_csv(tmp_path / "want.csv", None, confusion)
+
+        def refused(*args):
+            raise AssertionError("eval --images called scores")
+
+        monkeypatch.setattr(model_module, "scores", refused)
+        monkeypatch.setattr(cli, "scores", refused)
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--images", str(paths[0]),
+                     "--labels", str(paths[1]),
+                     "--confusion-out", str(tmp_path / "got.csv")]) == 0
+        assert capsys.readouterr().out == f"accuracy={accuracy!r}\n"
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_missing_model(self, workspace, tmp_path, capsys):
         _, data, _, _ = workspace
@@ -875,6 +923,9 @@ MALFORMED_INPUTS = {
         lambda data, model, tmp: [
             "predict", "--model", str(model),
             "--set", str(_small_frames(tmp / "set", 4))]),
+    "eval-images-size-vs-model": (
+        "InconsistentDims", "D = 9 pixels, prototypes have D = 12",
+        lambda data, model, tmp: _raw_idx_eval(model, tmp, (3, 3, 3), 3, pixels=27)),
     "eval-size-vs-model": (
         "InconsistentDims", "D = 9 pixels, prototypes have D = 12",
         lambda data, model, tmp: _eval(

@@ -22,6 +22,7 @@ from grasslvq import (
     prototype_gradient,
     geodesic_distance,
     relevance_gradient,
+    score_blocks,
     scores,
     subspace_from_set,
     train_step,
@@ -34,12 +35,14 @@ from grasslvq.errors import (
     MissingClassPrototype,
     RankDeficient,
 )
+from grasslvq import dataio
 from grasslvq import model as model_module
 from grasslvq.model import EVAL_BLOCK_BYTES
 from helpers import (
     make_outcome,
     random_subspace,
     synthetic_subspace_dataset,
+    track_kernel_blocks,
     two_class_model,
 )
 
@@ -727,12 +730,24 @@ class TestStreaming:
         model = TestEvaluate._model(rng, D, d)
         block = model_module.eval_block_size(model, kind)
         n = {"0": 0, "1": 1, "block": block, "block+1": block + 1}[size]
-        samples = self._samples(rng, model, kind, n)
+        starts = range(0, n, block)
+        if kind == "vectors":
+            # eval --images passes normalize_pixels blocks as (D, B, 1) views
+            pixels = rng.integers(0, 256, (n, D), np.uint8)
+            samples = list(dataio.normalize_pixels(pixels))
+            blocks = (dataio.normalize_pixels(pixels[s:s + block]).T[:, :, None]
+                      for s in starts)
+        else:
+            samples = self._samples(rng, model, kind, n)
+            blocks = (np.stack([x.basis for x in samples[s:s + block]], axis=1)
+                      for s in starts)
         dataset = list(zip(samples, rng.integers(1, 4, n).tolist()))
         table = scores(model, samples, kind)
         streamed = scores(model, (s for s in samples), kind)
-        assert streamed.shape == table.shape == (n, 3)
+        blocked = score_blocks(model, blocks, kind)
+        assert streamed.shape == blocked.shape == table.shape == (n, 3)
         assert streamed.tobytes() == table.tobytes()
+        assert blocked.tobytes() == table.tobytes()
         accuracy, confusion = evaluate(model, dataset, kind)
         streamed_accuracy, streamed_confusion = evaluate(model, iter(dataset), kind)
         assert streamed_accuracy == accuracy
@@ -768,6 +783,31 @@ class TestStreaming:
         accuracy, confusion = evaluate(model, dataset(), "sets")
         assert confusion.sum() == 3 * block + 2
         assert 1 <= peak <= block
+
+    @pytest.mark.parametrize("kind, D, d", [("sets", 400, 25), ("vectors", 784, 3)])
+    def test_scores_holds_one_block_at_a_time(self, kind, D, d, monkeypatch):
+        rng = np.random.default_rng(39)
+        model = TestEvaluate._model(rng, D, d)
+        block = model_module.eval_block_size(model, kind)
+        shapes, all_dead = track_kernel_blocks(monkeypatch)
+
+        def samples():
+            # no block the kernel has scored is alive while the next is made
+            for sample in self._samples(rng, model, kind, 3 * block + 2):
+                all_dead()
+                yield sample
+
+        table = scores(model, samples(), kind)
+        assert table.shape == (3 * block + 2, 3)
+        assert [shape[1] for shape in shapes] == [block, block, block, 2]
+        all_dead()
+
+    @pytest.mark.parametrize("kind, shape", [
+        ("sets", (784, 1, 2)), ("vectors", (784, 1, 3)), ("vectors", (784, 1))])
+    def test_block_of_another_width(self, kind, shape):
+        model = TestEvaluate._model(np.random.default_rng(40), 784, 3)
+        with pytest.raises(ValueError, match="block of shape"):
+            score_blocks(model, [np.zeros(shape)], kind)
 
 
 class TestConfigValidation:
