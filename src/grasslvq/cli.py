@@ -229,12 +229,11 @@ def _load_model(path):
     return dataio.load_model(path)
 
 
-def _score_idx_images(args, model):
-    """(N, P) ``score_blocks`` table and (N,) labels of the IDX images. Every
-    check runs before the first block is normalised: the files' decode and
-    counts, all-black images, then the pixel count against the model's D.
-    Each block of ``eval_block_size`` rows is normalised and passed as its
-    pixel-major (D, B, 1) view, with no per-image array."""
+def _idx_image_blocks(args, model):
+    """(N,) labels and pixel-major (D, B, 1) blocks of the IDX images, each
+    the transpose of ``eval_block_size`` normalised rows. Every check runs
+    before the first block is made: the files' decode and counts, all-black
+    images, then the pixel count against the model's D."""
     pixels, labels, _, _ = dataio.read_idx_dataset(args.images, args.labels,
                                                    normalize=False)
     black = np.flatnonzero(~pixels.any(axis=1))
@@ -245,9 +244,8 @@ def _score_idx_images(args, model):
         raise InconsistentDims(f"{args.images}: images have D = {pixels.shape[1]} "
                                f"pixels, prototypes have D = {model.ambient_dim}")
     block = eval_block_size(model, "vectors")
-    blocks = (dataio.normalize_pixels(pixels[start:start + block]).T[:, :, None]
-              for start in range(0, len(pixels), block))
-    return score_blocks(model, blocks, "vectors"), labels
+    return labels, (dataio.normalize_pixels(pixels[start:start + block]).T[:, :, None]
+                    for start in range(0, len(pixels), block))
 
 
 def cmd_eval(args):
@@ -259,14 +257,12 @@ def cmd_eval(args):
     if not args.data and not args.images:
         raise ConfigError("eval requires --data or --images/--labels")
     model = _load_model(args.model)
-    if args.images:
-        accuracy, confusion = confusion_from_scores(model, *_score_idx_images(args, model))
-    else:
-        # reads, builds and scores one block of sets at a time, after every
-        # check that needs the whole tree (labels.txt, the set directories)
-        dataset = dataio.iter_imageset_subspaces(
-            args.data, model.subspace_dim, eval_block_size(model, "sets"))
-        accuracy, confusion = evaluate(model, dataset, "sets")
+    kind = "vectors" if args.images else "sets"
+    # the IDX files, or the tree and its labels.txt, are checked here
+    labels, blocks = (_idx_image_blocks(args, model) if args.images else
+                      dataio.iter_imageset_blocks(args.data, model.subspace_dim,
+                                                  eval_block_size(model, kind)))
+    accuracy, confusion = confusion_from_scores(model, score_blocks(model, blocks, kind), labels)
     print(f"accuracy={accuracy!r}")
     if args.confusion_out:
         dataio.write_csv(args.confusion_out, None, confusion)
@@ -321,6 +317,9 @@ def cmd_inspect(args):
         raise ConfigError("--distance-out requires --data")
     if args.data and not args.distance_out:
         raise ConfigError("--data applies only with --distance-out")
+    if not (args.relevance_out or args.prototype_dir or args.distance_out):
+        raise ConfigError("inspect requires --relevance-out, --prototype-dir "
+                          "or --distance-out")
     model = _load_model(args.model)
     if args.relevance_out:
         dataio.write_csv(args.relevance_out, ["index", "lambda"],
@@ -329,9 +328,9 @@ def cmd_inspect(args):
         dataio.export_prototype_images(model, args.width, args.height,
                                        args.prototype_dir)
     if args.distance_out:
-        dataset = dataio.iter_imageset_subspaces(
+        labels, blocks = dataio.iter_imageset_blocks(
             args.data, model.subspace_dim, eval_block_size(model, "sets"))
-        dataio.export_distance_matrix_csv(model, dataset, args.distance_out)
+        dataio.export_distance_matrix_csv(model, len(labels), blocks, args.distance_out)
     return 0
 
 

@@ -12,7 +12,6 @@ so every column entering a subspace construction has unit norm, except that
 an all-black image stays zero.
 """
 
-import itertools
 import math
 import os
 import re
@@ -255,20 +254,18 @@ def _set_dirs(root):
     return set_dirs
 
 
-def _read_sets(set_dirs):
-    """Yield (D x m matrix, label, (height, width)) of each (set directory,
-    label) in turn, read by ``read_set``. A set whose frames differ in shape
-    from the first set's raises InconsistentDims."""
-    dims = None
+def _read_sets(set_dirs, dims=None):
+    """([(D x m matrix, label)], (height, width)) of the (set directory,
+    label) items, read by ``read_set``. A set whose frames differ in shape
+    from ``dims``, by default the first set's, raises InconsistentDims."""
+    sets = []
     for set_path, label in set_dirs:
         X, set_dims = read_set(set_path)
-        if dims is None:
-            dims = set_dims
-        elif set_dims != dims:
-            raise InconsistentDims(
-                f"{set_path}: frames {set_dims} differ from {dims}"
-            )
-        yield X, label, set_dims
+        dims = dims or set_dims
+        if set_dims != dims:
+            raise InconsistentDims(f"{set_path}: frames {set_dims} differ from {dims}")
+        sets.append((X, label))
+    return sets, dims
 
 
 def read_imageset_dirs(root):
@@ -280,9 +277,8 @@ def read_imageset_dirs(root):
     ("<class_dir> <label>" per line) overrides them. The manifest must list
     every class directory and name no other, or ConfigError is raised.
     """
-    sets = list(_read_sets(_set_dirs(root)))
-    height, width = sets[0][2]
-    return [(X, label) for X, label, _ in sets], width, height
+    sets, (height, width) = _read_sets(_set_dirs(root))
+    return sets, width, height
 
 
 # ---------------------------------------------------------------- subspace datasets
@@ -339,27 +335,27 @@ def build_per_set_subspace_dataset(sets, d, start=0):
     return dataset
 
 
-def iter_imageset_subspaces(root, d, block):
-    """(Subspace, label) of every set under ``root``, in ``read_imageset_dirs``
-    order, as an iterator that holds at most one block of sets: it reads
-    ``block`` sets, builds their subspaces, and drops both before it reads
-    the next block. The tree's directories and labels.txt are checked when
-    this is called, before any set is read. Errors name a set by its index
-    in the whole tree.
-    """
-    sets = _read_sets(_set_dirs(root))
+def iter_imageset_blocks(root, d, block):
+    """(N,) int64 labels and pixel-major (D, B, d) blocks of the sets under
+    ``root``, in ``read_imageset_dirs`` order. The tree and labels.txt are
+    checked, and the labels taken, before any frame is read. ``blocks``
+    reads ``block`` sets, builds their subspaces (errors name a set by its
+    index in the tree) and stacks their bases, dropping the frames and the
+    Subspaces before it yields the block."""
+    set_dirs = _set_dirs(root)
 
     def blocks():
-        for start in itertools.count(0, block):
-            built = build_per_set_subspace_dataset(
-                [(X, label) for X, label, _ in itertools.islice(sets, block)],
-                d, start)
-            if not built:
-                return
-            yield from built
+        dims = None
+        for start in range(0, len(set_dirs), block):
+            sets, dims = _read_sets(set_dirs[start:start + block], dims)
+            built = build_per_set_subspace_dataset(sets, d, start)
+            del sets  # the frames, before the bases are stacked
+            stacked = np.stack([s.basis for s, _ in built], axis=1)
             del built
+            yield stacked
+            del stacked  # before the next block's frames are read
 
-    return blocks()
+    return np.array([label for _, label in set_dirs], dtype=np.int64), blocks()
 
 
 class _ClassMatrices(Mapping):
@@ -535,21 +531,25 @@ def export_pixel_influence(pd, index, width, height, path) -> None:
     write_pgm(path, img.reshape(height, width))
 
 
-def export_distance_matrix_csv(model: ModelState, dataset, path) -> None:
-    """Symmetric (N+P) x (N+P) matrix of adaptive squared distances among the N
-    subspaces of ``dataset`` (first) and the P prototypes; the header names each
-    column. Shapes are checked as ``scores`` checks them. Row i's upper triangle
-    is one kernel call, column i against the later columns of a pixel-major
-    (D, N+P, d) stack of all the bases, mirrored; t-SNE and the like read it as is.
-    """
-    samples = []
-    for i, (sample, _) in enumerate(dataset, 1):
-        _check_shape(f"sample {i}", sample.basis.shape, model.stack.shape[1:])
-        samples.append(sample.basis)
-    names = ([f"sample_{i + 1}" for i in range(len(samples))]
+def export_distance_matrix_csv(model: ModelState, count, blocks, path) -> None:
+    """Symmetric (N+P) x (N+P) matrix of adaptive squared distances among the
+    N = ``count`` samples of the pixel-major (D, B, d) ``blocks`` (first) and
+    the P prototypes, under a header naming each column. Each block is checked
+    as ``_check_shape`` checks its first sample, then copied into one
+    (D, N+P, d) stack. Row i's upper triangle is one kernel call, column i
+    against the later columns, mirrored; t-SNE and the like read it as is."""
+    D, d = model.stack.shape[1:]
+    bases = np.empty((D, count + len(model.labels), d))
+    start = 0
+    for block in blocks:
+        _check_shape(f"sample {start + 1}", block.shape[::2], (D, d))
+        bases[:, start:start + block.shape[1]] = block
+        start += block.shape[1]
+    if start != count:
+        raise ValueError(f"blocks hold {start} samples, not {count}")
+    bases[:, count:] = model.stack.transpose(1, 0, 2)
+    names = ([f"sample_{i + 1}" for i in range(count)]
              + [f"prototype_{i + 1}" for i in range(len(model.labels))])
-    bases = np.stack(samples + list(model.stack), axis=1)
-    del samples  # the stack is the one copy of the sample bases
     dist = np.zeros((len(names), len(names)))
     for i in range(len(names) - 1):
         angles = principal_angles_to_stack(bases[:, i:i + 1], bases[:, i + 1:])

@@ -3,12 +3,15 @@
 import shutil
 import struct
 import tracemalloc
+import weakref
 import zlib
 
 import numpy as np
 import pytest
 
 from grasslvq import (
+    ModelState,
+    Prototype,
     cli,
     dataio,
     evaluate,
@@ -19,7 +22,12 @@ from grasslvq import (
 )
 from grasslvq import model as model_module
 from grasslvq.cli import TRAIN_DEFAULTS, main
-from helpers import track_kernel_blocks, write_idx_images, write_idx_labels
+from helpers import (
+    random_subspace,
+    track_kernel_blocks,
+    write_idx_images,
+    write_idx_labels,
+)
 
 
 # synth --ambient 12 without --width/--height writes one-row frames
@@ -77,6 +85,22 @@ def workspace(tmp_path_factory):
                "--log-out", str(log)])
     assert rc == 0
     return root, data, model, log
+
+
+@pytest.fixture(scope="module")
+def yaleb_tree(tmp_path_factory):
+    """36 test sets of 30 20x20 frames (D = 400) in 3 classes, and a model of
+    random d = 25 prototypes, one per class; about 13 sets fill an eval block."""
+    root = tmp_path_factory.mktemp("yaleb")
+    assert main(["synth", "--out", str(root / "data"), "--classes", "3",
+                 "--ambient", "400", "--width", "20", "--height", "20",
+                 "--dim", "25", "--frames", "30", "--train-sets", "1",
+                 "--test-sets", "12", "--seed", "8"]) == 0
+    rng = np.random.default_rng(8)
+    protos = [Prototype(random_subspace(rng, 400, 25), label) for label in (1, 2, 3)]
+    model = root / "model.bin"
+    dataio.save_model(ModelState(protos, np.full(25, 1 / 25), "grlgq", 25, 400), model)
+    return root / "data" / "test", model
 
 
 class TestSynth:
@@ -426,6 +450,54 @@ class TestEval:
         assert capsys.readouterr().out == f"accuracy={accuracy!r}\n"
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
+    def test_set_eval_matches_evaluate_without_it(self, workspace, tmp_path,
+                                                  monkeypatch, capsys):
+        _, data, model, _ = workspace
+        state = dataio.load_model(model)
+        sets, _, _ = dataio.read_imageset_dirs(data / "test")
+        accuracy, confusion = evaluate(
+            state, dataio.build_per_set_subspace_dataset(sets, state.subspace_dim))
+        dataio.write_csv(tmp_path / "want.csv", None, confusion)
+        # 3 sets per block: the 8 test sets span 3 blocks
+        monkeypatch.setattr(model_module, "EVAL_BLOCK_BYTES", 3 * 8 * 12 * 2)
+        shapes, _ = track_kernel_blocks(monkeypatch)
+
+        def refused(*args):
+            raise AssertionError("eval --data called evaluate or scores")
+
+        for module, name in ((model_module, "evaluate"), (model_module, "scores"),
+                             (cli, "evaluate")):
+            monkeypatch.setattr(module, name, refused)
+        capsys.readouterr()
+        assert main(["eval", "--model", str(model), "--data", str(data / "test"),
+                     "--confusion-out", str(tmp_path / "got.csv")]) == 0
+        assert capsys.readouterr().out == f"accuracy={accuracy!r}\n"
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert shapes == [(12, 3, 2), (12, 3, 2), (12, 2, 2)]
+
+    def test_set_eval_scores_with_no_subspace_alive(self, yaleb_tree, monkeypatch):
+        data, model = yaleb_tree
+        built = []
+        build = dataio.subspace_from_set
+
+        def recorded(X, d):
+            subspace = build(X, d)
+            built.append(weakref.ref(subspace))
+            return subspace
+
+        kernel, blocks = model_module.principal_angles_to_stack, []
+
+        def checked(samples, stack):
+            alive = [i for i, ref in enumerate(built) if ref() is not None]
+            assert not alive, f"subspaces {alive} alive while block {len(blocks)} is scored"
+            blocks.append(samples.shape[1])
+            return kernel(samples, stack)
+
+        monkeypatch.setattr(dataio, "subspace_from_set", recorded)
+        monkeypatch.setattr(model_module, "principal_angles_to_stack", checked)
+        assert main(["eval", "--model", str(model), "--data", str(data)]) == 0
+        assert blocks == [13, 13, 10] and len(built) == 36
+
     def test_missing_model(self, workspace, tmp_path, capsys):
         _, data, _, _ = workspace
         rc = main(["eval", "--model", str(tmp_path / "nope.bin"),
@@ -573,6 +645,24 @@ class TestInspect:
         assert main(["inspect", "--model", str(model), "--data",
                      str(data / "test"), "--distance-out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 11
+
+    def test_distance_matrix_holds_one_stack(self, yaleb_tree, tmp_path,
+                                             monkeypatch):
+        data, model = yaleb_tree
+        # one set per block, so the blocks add no more than one set at a time
+        monkeypatch.setattr(model_module, "EVAL_BLOCK_BYTES", 400 * 25 * 8)
+        stack_bytes = 400 * (36 + 3) * 25 * 8
+        out = tmp_path / "dist.csv"
+        tracemalloc.start()
+        try:
+            rc = main(["inspect", "--model", str(model), "--data", str(data),
+                       "--distance-out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert len(out.read_text().splitlines()) == 1 + 36 + 3
+        assert peak < 1.5 * stack_bytes, peak / stack_bytes
 
 
 def _black_frames(directory, count):
@@ -972,6 +1062,9 @@ MALFORMED_INPUTS = {
         "ConfigError", "--data applies only with --distance-out",
         lambda data, model, tmp: [
             "inspect", "--model", str(model), "--data", str(data / "test")]),
+    "inspect-without-export": (
+        "ConfigError", "inspect requires --relevance-out, --prototype-dir or --distance-out",
+        lambda data, model, tmp: ["inspect", "--model", str(tmp / "nothere.bin")]),
     "inspect-size-without-prototype-dir": (
         "ConfigError", "--width and --height apply only with --prototype-dir",
         lambda data, model, tmp: [

@@ -1,4 +1,3 @@
-import itertools
 import struct
 import zlib
 
@@ -268,37 +267,62 @@ class TestSubspaceDatasets:
 
 
 class TestStreamedSubspaces:
-    """iter_imageset_subspaces reads and builds one block of sets at a time."""
+    """iter_imageset_blocks reads, builds and stacks one block of sets at a time."""
 
     @pytest.mark.parametrize("block", [1, 2, 5, 6, 7])
     def test_matches_list_build_bitwise(self, tmp_path, block):
         build_imageset_fixture(tmp_path, classes=2, sets=3, frames=4)
         sets, _, _ = dataio.read_imageset_dirs(tmp_path)
         listed = dataio.build_per_set_subspace_dataset(sets, 2)
-        streamed = list(dataio.iter_imageset_subspaces(tmp_path, 2, block))
-        assert [y for _, y in streamed] == [y for _, y in listed] == [1, 1, 1, 2, 2, 2]
-        for (a, _), (b, _) in zip(streamed, listed):
-            assert a.basis.tobytes() == b.basis.tobytes()
+        labels, blocks = dataio.iter_imageset_blocks(tmp_path, 2, block)
+        blocks = list(blocks)
+        assert labels.dtype == np.int64
+        assert labels.tolist() == [y for _, y in listed] == [1, 1, 1, 2, 2, 2]
+        assert [b.shape[1] for b in blocks] == [
+            min(block, 6 - start) for start in range(0, 6, block)]
+        streamed = np.concatenate(blocks, axis=1)
+        stacked = np.stack([s.basis for s, _ in listed], axis=1)
+        assert streamed.shape == (6, 6, 2)
+        assert streamed.tobytes() == stacked.tobytes()
 
-    def test_tree_checked_before_any_set_is_read(self, tmp_path):
+    def test_tree_checked_before_any_set_is_read(self, tmp_path, monkeypatch):
+        def unread(path):
+            raise AssertionError(f"{path} read before the tree was checked")
+
+        monkeypatch.setattr(dataio, "_pgm_payload", unread)
         # a class without sets, then a bad manifest: each raises at the call
         (tmp_path / "empty" / "c1").mkdir(parents=True)
         with pytest.raises(EmptySet, match="no image-set directories"):
-            dataio.iter_imageset_subspaces(tmp_path / "empty", 2, 4)
+            dataio.iter_imageset_blocks(tmp_path / "empty", 2, 4)
         build_imageset_fixture(tmp_path / "tree")
         (tmp_path / "tree" / "labels.txt").write_text("class1 1\n")
         with pytest.raises(ConfigError, match="'class2' is not listed"):
-            dataio.iter_imageset_subspaces(tmp_path / "tree", 2, 4)
+            dataio.iter_imageset_blocks(tmp_path / "tree", 2, 4)
+        # a good tree: the labels come back with no frame read
+        (tmp_path / "tree" / "labels.txt").write_text("class1 7\nclass2 -3\n")
+        labels, _ = dataio.iter_imageset_blocks(tmp_path / "tree", 2, 4)
+        assert labels.tolist() == [7, 7, -3, -3]
 
     def test_failing_set_in_a_later_block_named_by_tree_index(self, tmp_path):
         build_imageset_fixture(tmp_path, classes=2, sets=3, frames=4)
         frame = np.full((2, 3), 9, dtype=np.uint8)
         for f in range(4):  # set 4, class2/set2, lies in the second block of 3
             dataio.write_pgm(tmp_path / "class2" / "set2" / f"frame{f + 1}.pgm", frame)
-        stream = dataio.iter_imageset_subspaces(tmp_path, 2, 3)
-        assert [y for _, y in itertools.islice(stream, 3)] == [1, 1, 1]
+        _, blocks = dataio.iter_imageset_blocks(tmp_path, 2, 3)
+        assert next(blocks).shape == (6, 3, 2)
         with pytest.raises(RankDeficient, match=r"^set 4 \(label 2\): "):
-            next(stream)
+            next(blocks)
+
+
+    def test_frame_shape_checked_across_blocks(self, tmp_path):
+        build_imageset_fixture(tmp_path, classes=2, sets=3, frames=4)
+        frame = np.full((3, 2), 9, dtype=np.uint8)  # 6 pixels, as 2 x 3 has
+        for f in range(4):  # set 4 lies in the second block of 3
+            dataio.write_pgm(tmp_path / "class2" / "set2" / f"frame{f + 1}.pgm", frame)
+        _, blocks = dataio.iter_imageset_blocks(tmp_path, 2, 3)
+        next(blocks)
+        with pytest.raises(InconsistentDims, match=r"set2: frames \(3, 2\) differ from \(2, 3\)"):
+            next(blocks)
 
 
 class TestModelPersistence:
@@ -420,7 +444,10 @@ class TestExporters:
         model = self._two_per_class_model(rng, 8, 3)
         dataset = [(random_subspace(rng, 8, 3), 1 + i % 2) for i in range(6)]
         path = tmp_path / "dist.csv"
-        dataio.export_distance_matrix_csv(model, iter(dataset), path)
+        # blocks of 4 and 2 samples, pulled once
+        blocks = (np.stack([s.basis for s, _ in dataset[i:i + 4]], axis=1)
+                  for i in (0, 4))
+        dataio.export_distance_matrix_csv(model, len(dataset), blocks, path)
         header, mat = self._read_matrix(path)
         assert header == ([f"sample_{i}" for i in range(1, 7)]
                           + [f"prototype_{i}" for i in range(1, 5)])
@@ -438,7 +465,7 @@ class TestExporters:
         rng = np.random.default_rng(6)
         model = self._two_per_class_model(rng, 8, 3)
         path = tmp_path / "dist.csv"
-        dataio.export_distance_matrix_csv(model, [], path)
+        dataio.export_distance_matrix_csv(model, 0, [], path)
         header, mat = self._read_matrix(path)
         assert header == [f"prototype_{i}" for i in range(1, 5)]
         assert mat.shape == (4, 4)
@@ -452,10 +479,22 @@ class TestExporters:
                                                       error, fragment):
         rng = np.random.default_rng(7)
         model = self._two_per_class_model(rng, 8, 3)
-        dataset = [(random_subspace(rng, 8, 3), 1), (random_subspace(rng, *shape), 2)]
+        # the misshapen block starts at sample 2
+        blocks = [random_subspace(rng, 8, 3).basis[:, None],
+                  np.stack([random_subspace(rng, *shape).basis] * 2, axis=1)]
         path = tmp_path / "dist.csv"
         with pytest.raises(error, match=fragment):
-            dataio.export_distance_matrix_csv(model, dataset, path)
+            dataio.export_distance_matrix_csv(model, 3, blocks, path)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_distance_matrix_needs_the_sample_count(self, tmp_path, count):
+        rng = np.random.default_rng(8)
+        model = self._two_per_class_model(rng, 8, 3)
+        blocks = [np.stack([random_subspace(rng, 8, 3).basis] * 3, axis=1)]
+        path = tmp_path / "dist.csv"
+        with pytest.raises(ValueError, match=f"blocks hold 3 samples, not {count}"):
+            dataio.export_distance_matrix_csv(model, count, blocks, path)
         assert not path.exists()
 
     def test_prototype_images(self, tmp_path):
