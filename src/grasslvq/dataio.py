@@ -5,7 +5,7 @@ File formats:
   * binary 8-bit PGM (P5) for image frames, prototype images, and influence maps,
   * CSV with ',' separators and '\\n' line endings for everything plottable,
   * a versioned binary model file (header line, length-prefixed float64
-    little-endian payload, trailing CRC32).
+    little-endian payload, trailing CRC32 of the bytes before it).
 
 Ingested image vectors are L2-normalized by one helper, ``normalize_pixels``,
 so every column entering a subspace construction has unit norm, except that
@@ -40,7 +40,9 @@ from .model import ModelState, Prototype, _check_shape
 IDX_IMAGES_MAGIC = 0x00000803
 IDX_LABELS_MAGIC = 0x00000801
 MODEL_MAGIC = "GRASSLVQ"
-MODEL_VERSION = 1
+# v2's CRC32 covers every byte before it, header line included; v1's, which
+# load_model still reads, covers only the payload.
+MODEL_VERSION = 2
 
 # P5 magic, then width, height and maxval as whitespace-separated tokens with
 # '#' comments running to end of line, then one whitespace byte before pixels.
@@ -121,32 +123,33 @@ def read_idx_dataset(images_path, labels_path, normalize=True):
 
 def read_pgm(path) -> np.ndarray:
     """Read a binary 8-bit PGM (P5) file into an (h, w) uint8 array."""
-    pixels, shape = _pgm_payload(path)
-    return np.frombuffer(pixels, dtype=np.uint8).reshape(shape)
-
-
-def _pgm_payload(path):
-    """(pixel bytes, (height, width)) of a binary 8-bit PGM (P5) file, after
-    every header check. The file is read whole in one unbuffered call."""
     with open(path, "rb", buffering=0) as f:
         data = f.read()
-    if not data.startswith(b"P5"):
-        raise UnsupportedFormat(f"{path}: not a binary PGM (P5) file")
+    header, shape = _check_pgm(data, path)
+    return np.frombuffer(data, np.uint8, shape[0] * shape[1], header.end()).reshape(shape)
+
+
+def _check_pgm(data, path):
+    """(header match, (height, width)) of the bytes ``data`` of a binary 8-bit
+    PGM (P5) file, after every check of its header and of its pixel count;
+    errors name ``path``. The one PGM parser of ``read_pgm`` and ``read_set``."""
     header = _PGM_HEADER.match(data)
     if header is None:
+        if not data.startswith(b"P5"):
+            raise UnsupportedFormat(f"{path}: not a binary PGM (P5) file")
         raise TruncatedFile(f"{path}: header ends early")
-    if not all(t.isdigit() for t in header.groups()):
+    tokens = header.groups()
+    if not all(map(bytes.isdigit, tokens)):
         raise UnsupportedFormat(f"{path}: malformed PGM header")
-    width, height, maxval = (int(t) for t in header.groups())
+    width, height, maxval = map(int, tokens)
     if maxval != 255:
         raise UnsupportedFormat(f"{path}: only 8-bit PGM supported (maxval={maxval})")
     if width * height == 0:
         raise UnsupportedFormat(f"{path}: image of {width} x {height} pixels")
-    pos = header.end()
-    pixels = data[pos:pos + width * height]
-    if len(pixels) != width * height:
-        raise TruncatedFile(f"{path}: expected {width * height} pixels, got {len(pixels)}")
-    return pixels, (height, width)
+    pixels = len(data) - header.end()
+    if pixels < width * height:
+        raise TruncatedFile(f"{path}: expected {width * height} pixels, got {pixels}")
+    return header, (height, width)
 
 
 def write_pgm(path, image: np.ndarray) -> None:
@@ -183,23 +186,49 @@ def read_set(set_dir):
 
     Frames are taken in sorted file-name order, one column each,
     L2-normalized by ``normalize_pixels`` (an all-black frame becomes a zero
-    column). Each frame passes every check ``read_pgm`` makes; their pixel
-    bytes are joined and decoded as one (m, D) array, and X is its
-    transpose, a Fortran-ordered view. Returns (X, (height, width)).
+    column). Each frame is read whole by ``_read_frame`` and passes every
+    check ``read_pgm`` makes, by the same ``_check_pgm``. Their pixel bytes
+    are joined and decoded as one (m, D) array, and X is its transpose, a
+    Fortran-ordered view. Returns (X, (height, width)).
     """
     frames = sorted(e for e in os.listdir(set_dir) if e.endswith(".pgm"))
     if not frames:
         raise EmptySet(f"{set_dir}: no .pgm frames")
-    payloads, dims = [], None
-    for frame in frames:
-        pixels, shape = _pgm_payload(os.path.join(set_dir, frame))
-        if dims is None:
-            dims = shape
-        elif shape != dims:
-            raise InconsistentDims(f"{set_dir}/{frame}: {shape} differs from {dims}")
-        payloads.append(pixels)
+    prefix = os.path.join(set_dir, "")  # prefix + frame is the frame's path
+    payloads, dims, size = [], None, 0
+    dir_fd = os.open(set_dir, os.O_RDONLY | os.O_DIRECTORY)
+    try:
+        for frame in frames:
+            data = _read_frame(frame, dir_fd, size)
+            header, shape = _check_pgm(data, prefix + frame)
+            if dims is None:
+                dims = shape
+            elif shape != dims:
+                raise InconsistentDims(f"{set_dir}/{frame}: {shape} differs from {dims}")
+            size = len(data)
+            payloads.append(data[header.end():header.end() + dims[0] * dims[1]])
+    except OSError as exc:
+        exc.filename = prefix + frame  # the path open() would name
+        raise
+    finally:
+        os.close(dir_fd)
     rows = np.frombuffer(b"".join(payloads), dtype=np.uint8)
     return normalize_pixels(rows.reshape(len(frames), dims[0] * dims[1])).T, dims
+
+
+def _read_frame(name, dir_fd, size):
+    """The bytes of the file ``name`` in the directory open at ``dir_fd``.
+    One os.read asks for ``size`` + 1 bytes, one more than the set's previous
+    frame holds; only a file that fills it (a set's first frame, or one
+    longer than the previous) is read on to its end."""
+    fd = os.open(name, os.O_RDONLY, dir_fd=dir_fd)
+    try:
+        data = os.read(fd, size + 1)
+        if len(data) > size:
+            data += open(fd, "rb", buffering=0, closefd=False).read()
+        return data
+    finally:
+        os.close(fd)
 
 
 def _set_dirs(root):
@@ -403,7 +432,8 @@ def class_set_matrices(sets):
 # ---------------------------------------------------------------- model persistence
 
 def save_model(model: ModelState, path) -> None:
-    """Write a model file: header line, float64-LE payload with length prefix, CRC32."""
+    """Write a v2 model file: header line, float64-LE payload with length
+    prefix, then the CRC32 of all of those bytes."""
     header = (
         f"{MODEL_MAGIC} v{MODEL_VERSION} mode={model.mode} "
         f"D={model.ambient_dim} d={model.subspace_dim} "
@@ -411,28 +441,30 @@ def save_model(model: ModelState, path) -> None:
     )
     payload = np.concatenate([model.stack.ravel(),
                               model.relevance]).astype("<f8").tobytes()
+    head = header.encode() + struct.pack("<Q", len(payload) // 8)
     with open(path, "wb") as f:
-        f.write(header.encode())
-        f.write(struct.pack("<Q", len(payload) // 8))
+        f.write(head)
         f.write(payload)
-        f.write(struct.pack("<I", zlib.crc32(payload)))
+        f.write(struct.pack("<I", zlib.crc32(payload, zlib.crc32(head))))
 
 
 def load_model(path) -> ModelState:
-    """Read a model file written by save_model; bit-exact round trip."""
+    """Read a v1 or v2 model file written by save_model; bit-exact round trip."""
     with open(path, "rb") as f:
-        header = f.readline().decode(errors="replace").strip()
+        line = f.readline()
+        header = line.decode(errors="replace").strip()
         fields = header.split()
         if len(fields) < 2 or fields[0] != MODEL_MAGIC:
             raise CorruptModel(f"{path}: unrecognized header")
-        if fields[1] != f"v{MODEL_VERSION}":
-            raise VersionMismatch(f"{path}: format {fields[1]}, expected v{MODEL_VERSION}")
+        if fields[1] not in ("v1", f"v{MODEL_VERSION}"):
+            raise VersionMismatch(f"{path}: format {fields[1]}, "
+                                  f"expected v1 or v{MODEL_VERSION}")
         try:
             meta = {}
             for key, value in (field.split("=", 1) for field in fields[2:]):
                 if key in meta:
-                    # the CRC covers only the payload, so nothing else would
-                    # catch a second labels= or D= field
+                    # a v1 CRC covers only the payload, so nothing else would
+                    # catch a second labels= or D= field there
                     raise CorruptModel(f"{path}: header field {key!r} repeats")
                 meta[key] = value
             mode = meta["mode"]
@@ -453,7 +485,8 @@ def load_model(path) -> ModelState:
     if len(payload) != count * 8 or len(raw) < 8 + count * 8 + 4:
         raise CorruptModel(f"{path}: truncated payload")
     (crc,) = struct.unpack("<I", raw[8 + count * 8: 8 + count * 8 + 4])
-    if zlib.crc32(payload) != crc:
+    head_crc = zlib.crc32(raw[:8], zlib.crc32(line)) if fields[1] != "v1" else 0
+    if zlib.crc32(payload, head_crc) != crc:
         raise CorruptModel(f"{path}: checksum failure")
     values = np.frombuffer(payload, dtype="<f8")
     if count != len(labels) * D * d + d:

@@ -724,12 +724,29 @@ def _with_header(data, model, tmp, header):
 
 
 def _resealed(tmp, header, values):
-    """A model file of ``header`` and float64 ``values`` whose checksum matches."""
+    """A model file of ``header`` and float64 ``values`` whose checksum
+    matches: a v2 checksum covers every byte before it, a v1 one the payload."""
     payload = np.asarray(values, dtype="<f8").tobytes()
+    body = header + b"\n" + struct.pack("<Q", len(payload) // 8) + payload
+    covered = payload if header.startswith(b"GRASSLVQ v1 ") else body
     bad = tmp / "bad.bin"
-    bad.write_bytes(header + b"\n" + struct.pack("<Q", len(payload) // 8) + payload
-                    + struct.pack("<I", zlib.crc32(payload)))
+    bad.write_bytes(body + struct.pack("<I", zlib.crc32(covered)))
     return bad
+
+
+def _relabeled(tmp):
+    """eval --data of a three-class tree against its model, whose header
+    field labels=1,2,3 is edited in place to labels=3,1,2."""
+    data, model = tmp / "three", tmp / "three.bin"
+    assert main(["synth", "--out", str(data), "--classes", "3", "--ambient", "30",
+                 "--dim", "3", "--train-sets", "4", "--test-sets", "3",
+                 "--frames", "8", "--seed", "1"]) == 0
+    assert main(["train", "--data", str(data / "train"), "--d", "3", "--epochs", "1",
+                 "--model-out", str(model)]) == 0
+    raw = model.read_bytes()
+    assert raw.count(b" labels=1,2,3\n") == 1
+    model.write_bytes(raw.replace(b" labels=1,2,3\n", b" labels=3,1,2\n"))
+    return _eval(model, data / "test")
 
 
 def _with_header_label(model, tmp, label):
@@ -853,6 +870,9 @@ MALFORMED_INPUTS = {
     "header-repeated-labels": (
         "CorruptModel", "header field 'labels' repeats", lambda data, model, tmp: _with_header(
             data, model, tmp, b"GRASSLVQ v1 mode=grlgq D=12 d=2 labels=1,2 labels=2,1")),
+    # the v2 checksum covers the header: labels edited in place, accuracy 0
+    "header-labels-edited": ("CorruptModel", "checksum failure",
+                             lambda data, model, tmp: _relabeled(tmp)),
     "header-negative-dims": (
         "CorruptModel", "header needs 1 <= d <= D, got D=-2 d=-1",
         lambda data, model, tmp: [

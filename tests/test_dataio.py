@@ -123,6 +123,101 @@ class TestPgm:
             dataio.read_pgm(path)
 
 
+class TestSetFrames:
+    """read_set checks every frame's header as read_pgm does, and reads
+    every frame whole, whether it is longer or shorter than the one before."""
+
+    PLAIN = b"P5\n3 2\n255\n"
+    # each longer than PLAIN, so a reader that took every frame's pixels at
+    # the first frame's offset would read the wrong bytes
+    SPELLINGS = {
+        "comment": b"P5\n# scanned 2024\n3 2\n255\n",
+        "whitespace": b"P5 \t\n3  2\r\n255 ",
+        "zero-padded": b"P5\n0003 00002\n000255\n",
+    }
+
+    @staticmethod
+    def _set(root, contents):
+        """root/set holding frame<i>.pgm of bytes contents[i]."""
+        set_dir = root / "set"
+        set_dir.mkdir()
+        for i, content in enumerate(contents):
+            (set_dir / f"frame{i}.pgm").write_bytes(content)
+        return set_dir
+
+    @staticmethod
+    def _frames(*headers):
+        """Each header followed by six random pixels."""
+        rng = np.random.default_rng(1)
+        return [h + rng.integers(0, 256, 6, dtype=np.uint8).tobytes() for h in headers]
+
+    @staticmethod
+    def _assert_reads_as_read_pgm(set_dir):
+        X, dims = dataio.read_set(set_dir)
+        rows = [dataio.normalize_pixels(dataio.read_pgm(f).reshape(1, -1))
+                for f in sorted(set_dir.glob("*.pgm"))]
+        assert dims == dataio.read_pgm(set_dir / "frame0.pgm").shape
+        assert X.T.tobytes() == np.concatenate(rows).tobytes()
+
+    @pytest.mark.parametrize("spelling", sorted(SPELLINGS))
+    def test_later_header_spellings(self, tmp_path, spelling):
+        other = self.SPELLINGS[spelling]
+        self._assert_reads_as_read_pgm(self._set(
+            tmp_path, self._frames(self.PLAIN, other, other, self.PLAIN, other)))
+
+    def test_first_header_longer_than_later_ones(self, tmp_path):
+        self._assert_reads_as_read_pgm(self._set(
+            tmp_path, self._frames(self.SPELLINGS["comment"], self.PLAIN, self.PLAIN)))
+
+    @pytest.mark.parametrize("frame, error, detail", [
+        (PLAIN + bytes(5), TruncatedFile, "frame1.pgm: expected 6 pixels, got 5"),
+        (b"P5\n3 2", TruncatedFile, "frame1.pgm: header ends early"),
+        (b"P5\n3 2\n65535\n" + bytes(12), UnsupportedFormat,
+         "frame1.pgm: only 8-bit PGM supported (maxval=65535)"),
+        (b"P5\n2 3\n255\n" + bytes(6), InconsistentDims,
+         "frame1.pgm: (3, 2) differs from (2, 3)"),
+    ], ids=["truncated", "header-cut", "16-bit", "other-dims"])
+    def test_later_frame_checked(self, tmp_path, frame, error, detail):
+        first, last = self._frames(self.PLAIN, self.PLAIN)
+        set_dir = self._set(tmp_path, [first, frame, last])
+        with pytest.raises(error) as info:
+            dataio.read_set(set_dir)
+        assert str(info.value) == f"{set_dir}/{detail}"
+
+    def test_set_dir_with_trailing_slash(self, tmp_path):
+        # errors name the frame as os.path.join(set_dir, frame) does
+        first, last = self._frames(self.PLAIN, self.PLAIN)
+        set_dir = self._set(tmp_path, [first, self.PLAIN + bytes(5), last])
+        with pytest.raises(TruncatedFile) as info:
+            dataio.read_set(f"{set_dir}/")
+        assert str(info.value) == f"{set_dir}/frame1.pgm: expected 6 pixels, got 5"
+
+    def test_large_first_frame_read_whole(self, tmp_path):
+        # 307 KB of pixels; a set's first frame has no previous size to go by
+        rng = np.random.default_rng(2)
+        set_dir = tmp_path / "set"
+        set_dir.mkdir()
+        for i in range(2):
+            dataio.write_pgm(set_dir / f"frame{i}.pgm",
+                             rng.integers(0, 256, (480, 640), dtype=np.uint8))
+        self._assert_reads_as_read_pgm(set_dir)
+
+    def test_os_errors_name_the_frame_path(self, tmp_path):
+        # as open() would: the set directory joined with the frame's name
+        set_dir = self._set(tmp_path, self._frames(self.PLAIN))
+        (set_dir / "frame1.pgm").mkdir()
+        with pytest.raises(IsADirectoryError) as info:
+            dataio.read_set(set_dir)
+        assert str(info.value) == (f"[Errno 21] Is a directory: "
+                                   f"'{set_dir / 'frame1.pgm'}'")
+        (set_dir / "frame1.pgm").rmdir()
+        (set_dir / "frame1.pgm").symlink_to(tmp_path / "gone.pgm")
+        with pytest.raises(FileNotFoundError) as info:
+            dataio.read_set(set_dir)
+        assert str(info.value) == (f"[Errno 2] No such file or directory: "
+                                   f"'{set_dir / 'frame1.pgm'}'")
+
+
 def build_imageset_fixture(root, classes=2, sets=2, frames=3, shape=(2, 3)):
     rng = np.random.default_rng(0)
     for c in range(classes):
@@ -286,10 +381,13 @@ class TestStreamedSubspaces:
         assert streamed.tobytes() == stacked.tobytes()
 
     def test_tree_checked_before_any_set_is_read(self, tmp_path, monkeypatch):
-        def unread(path):
-            raise AssertionError(f"{path} read before the tree was checked")
+        def unread(name, *args):
+            raise AssertionError(f"{name} read before the tree was checked")
 
-        monkeypatch.setattr(dataio, "_pgm_payload", unread)
+        # every frame of a set is read by _read_frame, and every PGM parsed
+        # by _check_pgm
+        monkeypatch.setattr(dataio, "_read_frame", unread)
+        monkeypatch.setattr(dataio, "_check_pgm", unread)
         # a class without sets, then a bad manifest: each raises at the call
         (tmp_path / "empty" / "c1").mkdir(parents=True)
         with pytest.raises(EmptySet, match="no image-set directories"):
@@ -389,9 +487,37 @@ class TestModelPersistence:
         path = tmp_path / "model.bin"
         dataio.save_model(model, path)
         data = path.read_bytes()
-        assert data.startswith(b"GRASSLVQ v1 ")
-        path.write_bytes(data.replace(b"GRASSLVQ v1 ", b"GRASSLVQ v2 ", 1))
+        assert data.startswith(b"GRASSLVQ v2 ")
+        path.write_bytes(data.replace(b"GRASSLVQ v2 ", b"GRASSLVQ v3 ", 1))
         with pytest.raises(VersionMismatch):
+            dataio.load_model(path)
+
+    def test_v1_file_round_trips(self, tmp_path):
+        # a v1 file, as earlier releases wrote it: the CRC covers the payload only
+        model, _ = self._trained_model()
+        path = tmp_path / "model.bin"
+        dataio.save_model(model, path)
+        header, rest = path.read_bytes().split(b"\n", 1)
+        assert header.startswith(b"GRASSLVQ v2 ")
+        payload = rest[8:-4]
+        path.write_bytes(header.replace(b" v2 ", b" v1 ", 1) + b"\n" + rest[:-4]
+                         + struct.pack("<I", zlib.crc32(payload)))
+        loaded = dataio.load_model(path)
+        assert loaded.mode == model.mode
+        assert loaded.labels.tolist() == model.labels.tolist()
+        assert loaded.stack.tobytes() == model.stack.tobytes()
+        assert loaded.relevance.tobytes() == model.relevance.tobytes()
+
+    @pytest.mark.parametrize("old, new", [(b"labels=1,2", b"labels=2,1"),
+                                          (b"mode=grlgq", b"mode=glgq ")])
+    def test_v2_header_edit_fails_checksum(self, tmp_path, old, new):
+        model, _ = self._trained_model()
+        path = tmp_path / "model.bin"
+        dataio.save_model(model, path)
+        data = path.read_bytes()
+        assert old in data.split(b"\n", 1)[0]
+        path.write_bytes(data.replace(old, new, 1))
+        with pytest.raises(CorruptModel, match="checksum failure"):
             dataio.load_model(path)
 
     @pytest.mark.parametrize("index, value, fragment", [
@@ -409,8 +535,9 @@ class TestModelPersistence:
         values = np.frombuffer(data[start:-4], dtype="<f8").copy()
         values[index] = value
         payload = values.tobytes()
+        # a v2 checksum covers the header line and length prefix too
         path.write_bytes(data[:start] + payload
-                         + struct.pack("<I", zlib.crc32(payload)))
+                         + struct.pack("<I", zlib.crc32(data[:start] + payload)))
         with pytest.raises(CorruptModel, match=fragment) as info:
             dataio.load_model(path)
         assert str(path) in str(info.value)

@@ -26,8 +26,9 @@ from grasslvq import (  # noqa: E402
     prototype_gradient,
     subspace_from_set,
 )
+from grasslvq import dataio  # noqa: E402
 from grasslvq.cli import main  # noqa: E402
-from grasslvq.errors import RankDeficient  # noqa: E402
+from grasslvq.errors import RankDeficient, TruncatedFile  # noqa: E402
 
 
 def _orthonormal(rng, D, k):
@@ -281,6 +282,48 @@ def test_pgm_frame_loads_or_fails_with_one_line(cli_tree, frame):
         else:
             assert_one_error_line(status, lines)
             assert lines[0].startswith(f"error: {want}: "), (argv[0], lines[0])
+
+
+@st.composite
+def pgm_sets(draw):
+    """Bytes of 1-6 frames of 2 x 3 pixels, each frame's header spelled with
+    its own drawn separators and zero-padded tokens, one frame in eight one
+    pixel short."""
+    frames = []
+    for _ in range(draw(st.integers(1, 6))):
+        seps = [draw(st.sampled_from(PGM_SEPARATORS)) for _ in range(3)]
+        header = (b"P5" + seps[0] + draw(st.sampled_from([b"3", b"03", b"0003"]))
+                  + seps[1] + draw(st.sampled_from([b"2", b"002"])) + seps[2]
+                  + draw(st.sampled_from([b"255", b"0255"]))
+                  + draw(st.sampled_from([b"\n", b" ", b"\t"])))
+        pixels = draw(st.binary(min_size=6, max_size=6))
+        frames.append(header + pixels[:5 if draw(st.integers(0, 7)) == 0 else 6])
+    return frames
+
+
+@settings(max_examples=80, deadline=None)
+@given(frames=pgm_sets())
+def test_set_frames_read_as_read_pgm_reads_them(tmp_path_factory, frames):
+    # read_set sizes each frame's read by the frame before it; whatever the
+    # spellings, it returns the per-frame read_pgm rows, or raises
+    # read_pgm's error for the first short frame
+    set_dir = tmp_path_factory.mktemp("set")
+    rows, error = [], None
+    for i, content in enumerate(frames):
+        path = set_dir / f"frame_{i}.pgm"
+        path.write_bytes(content)
+        try:
+            rows.append(dataio.normalize_pixels(dataio.read_pgm(path).reshape(1, -1)))
+        except TruncatedFile as exc:
+            error = error or exc
+    if error is None:
+        X, dims = dataio.read_set(set_dir)
+        assert dims == (2, 3)
+        assert X.T.tobytes() == np.concatenate(rows).tobytes()
+    else:
+        with pytest.raises(TruncatedFile) as info:
+            dataio.read_set(set_dir)
+        assert str(info.value) == str(error)
 
 
 @st.composite
