@@ -125,13 +125,12 @@ def _load_training_data(args, cfg):
     init's label -> D x n mapping (``dataio.class_image_matrices``) for the
     dataset items at the indices ``kept``, or None for any other init.
 
-    The idx task keeps the IDX pixels as uint8, one byte per pixel, and
-    normalises each drawn set's rows and each class matrix's rows as they
-    are gathered. Its mapping holds every image whatever ``kept`` is: sets
-    are independent draws from a class's whole pool, so a held-out set
-    shares images with the kept ones. The sets task's mapping joins the
-    frames of the kept sets only. Either mapping builds one class matrix
-    at a time, when the pca init reads it.
+    Both tasks keep their pixels as uint8, one byte per pixel, until a
+    subspace or a class matrix is built. The idx task's mapping holds every
+    image whatever ``kept`` is: sets are independent draws from a class's
+    whole pool, so a held-out set shares images with the kept ones. The sets
+    task's mapping holds the frames of the kept sets only, in item order.
+    Either mapping builds one class matrix at a time, when it is read.
     """
     pca = cfg["init"] == "pca"
     if cfg["task"] == "idx":
@@ -149,7 +148,10 @@ def _load_training_data(args, cfg):
     dataset = dataio.build_per_set_subspace_dataset(sets, cfg["d"])
     if not pca:
         return dataset, lambda kept: None
-    return dataset, lambda kept: dataio.class_set_matrices(sets[i] for i in kept)
+    # one (n, D) uint8 array of the kept frames, one label per frame
+    return dataset, lambda kept: dataio.class_image_matrices(
+        np.concatenate([sets[i][0].T for i in kept]),
+        np.repeat([sets[i][1] for i in kept], [sets[i][0].shape[1] for i in kept]))
 
 
 def _cross_validate(train, dataset, class_matrices, train_config, folds, repeats):
@@ -285,7 +287,8 @@ def cmd_predict(args):
             raise RankDeficient(f"{args.image}: all-black image has rank 0 < 1")
         kind, column = "vectors", "theta1"
     else:
-        X, (height, width) = dataio.read_set(args.set)
+        pixels, (height, width) = dataio.read_set(args.set)
+        X = dataio.unit_columns(pixels)
         sample = subspace_from_set(X, model.subspace_dim)
         kind, column = "sets", "distance"
     row = scores(model, [sample], kind)[0]

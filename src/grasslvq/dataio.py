@@ -7,9 +7,9 @@ File formats:
   * a versioned binary model file (header line, length-prefixed float64
     little-endian payload, trailing CRC32 of the bytes before it).
 
-Ingested image vectors are L2-normalized by one helper, ``normalize_pixels``,
-so every column entering a subspace construction has unit norm, except that
-an all-black image stays zero.
+Ingested images stay 8-bit pixels until ``unit_columns`` L2-normalizes them
+for a subspace or class matrix, so every column entering a subspace
+construction has unit norm, except that an all-black image stays zero.
 """
 
 import math
@@ -182,14 +182,14 @@ def read_text_lines(path) -> list[tuple[int, str]]:
 # ---------------------------------------------------------------- image-set dirs
 
 def read_set(set_dir):
-    """Read one image-set directory of PGM frames into a D x m data matrix.
+    """Read one image-set directory of PGM frames into a D x m uint8 matrix.
 
-    Frames are taken in sorted file-name order, one column each,
-    L2-normalized by ``normalize_pixels`` (an all-black frame becomes a zero
-    column). Each frame is read whole by ``_read_frame`` and passes every
-    check ``read_pgm`` makes, by the same ``_check_pgm``. Their pixel bytes
-    are joined and decoded as one (m, D) array, and X is its transpose, a
-    Fortran-ordered view. Returns (X, (height, width)).
+    Frames are taken in sorted file-name order, one column of pixels each
+    (``unit_columns`` normalises them where they are built). Each frame is
+    read whole by ``_read_frame`` and passes every check ``read_pgm`` makes,
+    by the same ``_check_pgm``. Their pixel bytes are joined and decoded as
+    one (m, D) array, and X is its transpose, a Fortran-ordered view.
+    Returns (X, (height, width)).
     """
     frames = sorted(e for e in os.listdir(set_dir) if e.endswith(".pgm"))
     if not frames:
@@ -213,7 +213,7 @@ def read_set(set_dir):
     finally:
         os.close(dir_fd)
     rows = np.frombuffer(b"".join(payloads), dtype=np.uint8)
-    return normalize_pixels(rows.reshape(len(frames), dims[0] * dims[1])).T, dims
+    return rows.reshape(len(frames), dims[0] * dims[1]).T, dims
 
 
 def _read_frame(name, dir_fd, size):
@@ -300,8 +300,8 @@ def _read_sets(set_dirs, dims=None):
 def read_imageset_dirs(root):
     """Read the root/<class>/<set>/<frame>.pgm layout into labeled data matrices.
 
-    Returns (sets, width, height) where sets is a list of (D x m matrix, label)
-    with unit-norm columns (see ``read_set``). Class ids follow sorted
+    Returns (sets, width, height) where sets is a list of (D x m uint8
+    matrix, label) (see ``read_set``). Class ids follow sorted
     class-directory order (1-based); a ``labels.txt`` manifest at the root
     ("<class_dir> <label>" per line) overrides them. The manifest must list
     every class directory and name no other, or ConfigError is raised.
@@ -315,13 +315,12 @@ def read_imageset_dirs(root):
 def build_classwise_subspace_dataset(images, labels, d, m, sets_per_class, seed):
     """Sample subspaces per class from single images (for image classification).
 
-    ``images`` is (n, D): the uint8 pixel rows of an IDX file, normalised by
-    ``normalize_pixels`` as each draw gathers them, or float rows used as
-    they are. For each class, draws ``sets_per_class`` independent groups of
-    ``m`` images (without replacement within a group) and converts each
-    group to a d-dimensional subspace. Returns (Subspace, label) pairs;
-    deterministic under the seed, and bitwise the same for uint8 pixels as
-    for their ``normalize_pixels`` rows. Before any draw, raises ConfigError
+    ``images`` is (n, D): the uint8 pixel rows of an IDX file or float rows
+    (see ``unit_columns``). For each class, draws ``sets_per_class``
+    independent groups of ``m`` images (without replacement within a group)
+    and converts each group to a d-dimensional subspace. Returns (Subspace,
+    label) pairs; deterministic under the seed, and bitwise the same for
+    uint8 pixels as for their ``normalize_pixels`` rows. Before any draw, raises ConfigError
     when d is outside [1, D], then InsufficientImages when m < d or a class
     has fewer than m images.
     """
@@ -335,21 +334,22 @@ def build_classwise_subspace_dataset(images, labels, d, m, sets_per_class, seed)
         if len(idx) < m:
             raise InsufficientImages(f"class {label}: {len(idx)} images < m={m}")
     rng = np.random.default_rng(seed)
-    draws = ((_gather_rows(images, rng.choice(idx, size=m, replace=False)).T, label)
+    draws = ((images[rng.choice(idx, size=m, replace=False)].T, label)
              for label, idx in classes for _ in range(sets_per_class))
     return build_per_set_subspace_dataset(draws, d)
 
 
-def _gather_rows(images, rows):
-    """images[rows]; uint8 pixel rows come back through ``normalize_pixels``,
-    which works row by row, so a gathered row has the bits it would have
-    in the normalised whole."""
-    picked = images[rows]
-    return normalize_pixels(picked) if picked.dtype == np.uint8 else picked
+def unit_columns(X):
+    """The D x n matrix X for a subspace or class matrix: uint8 columns are
+    pixels and go through ``normalize_pixels``, row by row on X^T, so a
+    column has the bits it has in the normalised whole; float columns are
+    used as they are."""
+    return normalize_pixels(X.T).T if X.dtype == np.uint8 else X
 
 
 def build_per_set_subspace_dataset(sets, d, start=0):
-    """One d-dimensional subspace per (D x m matrix, label) item of ``sets``.
+    """One d-dimensional subspace per (D x m matrix, label) item of ``sets``,
+    the matrix's columns taken by ``unit_columns``.
 
     Returns (Subspace, label) pairs; errors name the offending set by its
     index counted from ``start``.
@@ -357,7 +357,7 @@ def build_per_set_subspace_dataset(sets, d, start=0):
     dataset = []
     for i, (X, label) in enumerate(sets, start):
         try:
-            dataset.append((subspace_from_set(X, d), int(label)))
+            dataset.append((subspace_from_set(unit_columns(X), d), int(label)))
         except Exception as exc:
             exc.args = (f"set {i} (label {label}): {exc}",)
             raise
@@ -410,23 +410,13 @@ class _ClassMatrices(Mapping):
 
 
 def class_image_matrices(images, labels):
-    """Per-class D x n matrices of all images, for the pca prototype init, as
-    a read-only mapping label -> matrix. A class's rows are gathered, and
-    uint8 pixels normalised, only when its label is read (see
-    ``build_classwise_subspace_dataset`` for ``images``)."""
+    """Per-class D x n matrices of the (n, D) ``images`` rows, each class's
+    in row order, for the pca prototype init, as a read-only mapping label
+    -> matrix. A class's rows are gathered, and uint8 pixels normalised by
+    ``unit_columns``, only when its label is read."""
     return _ClassMatrices({int(lab): np.flatnonzero(labels == lab)
                            for lab in np.unique(labels)},
-                          lambda rows: _gather_rows(images, rows).T)
-
-
-def class_set_matrices(sets):
-    """Per-class D x n matrices of (D x m matrix, label) items, each class's
-    sets side by side in item order, as a mapping like
-    ``class_image_matrices``'s that joins a class's sets when it is read."""
-    grouped = {}
-    for X, label in sets:
-        grouped.setdefault(int(label), []).append(X)
-    return _ClassMatrices(grouped, np.hstack)
+                          lambda rows: unit_columns(images[rows].T))
 
 
 # ---------------------------------------------------------------- model persistence
@@ -481,7 +471,7 @@ def load_model(path) -> ModelState:
     if len(raw) < 8:
         raise CorruptModel(f"{path}: missing length prefix")
     (count,) = struct.unpack("<Q", raw[:8])
-    payload = raw[8:8 + count * 8]
+    payload = memoryview(raw)[8:8 + count * 8]  # a view; ModelState makes the one copy
     if len(payload) != count * 8 or len(raw) < 8 + count * 8 + 4:
         raise CorruptModel(f"{path}: truncated payload")
     (crc,) = struct.unpack("<I", raw[8 + count * 8: 8 + count * 8 + 4])

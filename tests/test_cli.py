@@ -230,9 +230,10 @@ class TestTrain:
         assert len(runs) == len(folds) + 1
         for (config, stack), held in zip(runs, folds):
             kept = [item for i, item in enumerate(sets) if i not in held]
+            # each class's kept frames, normalised, side by side in item order
             grouped = {}
             for X, label in kept:
-                grouped.setdefault(label, []).append(X)
+                grouped.setdefault(label, []).append(dataio.normalize_pixels(X.T).T)
             expected, _ = fit(dataio.build_per_set_subspace_dataset(kept, 2),
                               config, init="pca",
                               class_matrices={label: np.hstack(xs)
@@ -272,6 +273,25 @@ class TestTrain:
             tracemalloc.stop()
         assert rc == 0
         assert peak < images.size * 8
+
+    @pytest.mark.parametrize("init", ["example", "pca"])
+    def test_sets_train_holds_no_float64_copy_of_the_frames(self, tmp_path, init):
+        # 8 classes of 4 sets of 40 30x30 frames: one float64 copy of them
+        # all is 8.3 MB, a class's 1 MB
+        assert main(["synth", "--out", str(tmp_path / "data"), "--classes", "8",
+                     "--ambient", "900", "--width", "30", "--height", "30",
+                     "--dim", "2", "--frames", "40", "--train-sets", "4",
+                     "--test-sets", "1", "--seed", "4"]) == 0
+        tracemalloc.start()
+        try:
+            rc = main(["train", "--data", str(tmp_path / "data" / "train"),
+                       "--d", "2", "--init", init, "--epochs", "1",
+                       "--model-out", str(tmp_path / "m.bin")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 8 * 4 * 40 * 900 * 8
 
     def test_repeats_without_folds(self, workspace, tmp_path, capsys):
         _, data, model, _ = workspace

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -18,7 +19,7 @@ from grasslvq.errors import (
     UnsupportedFormat,
     VersionMismatch,
 )
-from grasslvq.manifold import adaptive_squared_distance, principal_decomposition
+from grasslvq.manifold import Subspace, adaptive_squared_distance, principal_decomposition
 from grasslvq.model import ModelState, Prototype, TrainConfig, evaluate, fit
 from helpers import (
     random_subspace,
@@ -125,7 +126,8 @@ class TestPgm:
 
 class TestSetFrames:
     """read_set checks every frame's header as read_pgm does, and reads
-    every frame whole, whether it is longer or shorter than the one before."""
+    every frame whole, whether it is longer or shorter than the one before:
+    its pixel bytes are exactly read_pgm's."""
 
     PLAIN = b"P5\n3 2\n255\n"
     # each longer than PLAIN, so a reader that took every frame's pixels at
@@ -154,9 +156,9 @@ class TestSetFrames:
     @staticmethod
     def _assert_reads_as_read_pgm(set_dir):
         X, dims = dataio.read_set(set_dir)
-        rows = [dataio.normalize_pixels(dataio.read_pgm(f).reshape(1, -1))
-                for f in sorted(set_dir.glob("*.pgm"))]
+        rows = [dataio.read_pgm(f).reshape(1, -1) for f in sorted(set_dir.glob("*.pgm"))]
         assert dims == dataio.read_pgm(set_dir / "frame0.pgm").shape
+        assert X.dtype == np.uint8
         assert X.T.tobytes() == np.concatenate(rows).tobytes()
 
     @pytest.mark.parametrize("spelling", sorted(SPELLINGS))
@@ -237,9 +239,14 @@ class TestImagesetDirs:
         assert (width, height) == (3, 2)
         labels = [label for _, label in sets]
         assert labels == [1, 1, 2, 2]
-        for X, _ in sets:
-            assert X.shape == (6, 3)
-            assert np.allclose(np.linalg.norm(X, axis=0), 1.0, atol=1e-10)
+        for (X, _), set_dir in zip(sets, sorted(tmp_path.glob("*/*"))):
+            # frames stay 8-bit pixels; the build gives them unit norm
+            assert X.shape == (6, 3) and X.dtype == np.uint8
+            frames = sorted(set_dir.glob("*.pgm"))
+            assert np.array_equal(X, np.column_stack([dataio.read_pgm(f).ravel()
+                                                      for f in frames]))
+            assert np.allclose(np.linalg.norm(dataio.unit_columns(X), axis=0),
+                               1.0, atol=1e-10)
 
     def test_manifest_overrides_labels(self, tmp_path):
         build_imageset_fixture(tmp_path)
@@ -265,10 +272,12 @@ class TestImagesetDirs:
         dataio.write_pgm(set_dir / "frame0.pgm", np.zeros((2, 3), np.uint8))
         X, dims = dataio.read_set(set_dir)
         assert dims == (2, 3)
-        assert X.shape == (6, 3)
-        # sorted frame order puts the black frame0 first
-        assert np.allclose(np.linalg.norm(X, axis=0), [0.0, 1.0, 1.0],
-                           atol=1e-12)
+        assert X.shape == (6, 3) and X.dtype == np.uint8
+        # sorted frame order puts the black frame0 first; it stays a zero
+        # column when the build normalises the frames
+        assert not X[:, 0].any()
+        assert np.allclose(np.linalg.norm(dataio.unit_columns(X), axis=0),
+                           [0.0, 1.0, 1.0], atol=1e-12)
 
 
 class TestSubspaceDatasets:
@@ -285,8 +294,9 @@ class TestSubspaceDatasets:
             assert np.array_equal(fa.basis, fb.basis)
 
     def test_uint8_pixels_match_normalized_rows(self):
-        # draws and class matrices normalise uint8 rows as they gather them;
-        # normalize_pixels works row by row, so the bits are the whole's
+        # draws, per-set builds and class matrices normalise uint8 pixels
+        # where they build; normalize_pixels works row by row, so the bits
+        # are the whole's
         rng = np.random.default_rng(13)
         pixels = rng.integers(0, 256, (60, 49), dtype=np.uint8)
         pixels[7] = 0  # an all-black image stays a zero row
@@ -304,27 +314,30 @@ class TestSubspaceDatasets:
         for label in lazy:
             assert np.array_equal(lazy[label], eager[label])
             assert np.array_equal(eager[label], unit[labels == label].T)
+        # D x m sets of frames, one with an all-black frame, which stays a
+        # zero column
+        frames = [(pixels[i:i + 5].T, labels[i]) for i in range(0, 60, 5)]
+        assert not frames[1][0][:, 2].any()
+        floats = [(unit[i:i + 5].T, labels[i]) for i in range(0, 60, 5)]
+        assert not floats[1][0][:, 2].any()
+        a = dataio.build_per_set_subspace_dataset(frames, 3)
+        b = dataio.build_per_set_subspace_dataset(floats, 3)
+        assert len(a) == len(b) == 12
+        for (sa, la), (sb, lb) in zip(a, b):
+            assert la == lb
+            assert np.array_equal(sa.basis, sb.basis)
 
     def test_class_matrix_built_only_when_read(self, monkeypatch):
         pixels = np.random.default_rng(14).integers(1, 256, (30, 16), dtype=np.uint8)
         labels = np.repeat([1, 2, 4], 10)
-        gathered, gather = [], dataio._gather_rows
-        monkeypatch.setattr(dataio, "_gather_rows", lambda images, rows:
-                            gathered.append(rows.tolist()) or gather(images, rows))
+        built, unit = [], dataio.unit_columns
+        monkeypatch.setattr(dataio, "unit_columns", lambda X:
+                            built.append(X.copy()) or unit(X))
         matrices = dataio.class_image_matrices(pixels, labels)
         assert len(matrices) == 3 and 2 in matrices and 3 not in matrices
-        assert gathered == []
-        assert matrices[2].shape == (16, 10)
-        assert gathered == [list(range(10, 20))]
-
-    def test_class_set_matrices_join_sets_in_item_order(self):
-        rng = np.random.default_rng(15)
-        sets = [(rng.standard_normal((6, k)), label)
-                for k, label in ((2, 1), (3, 2), (4, 1))]
-        matrices = dataio.class_set_matrices(sets)
-        assert list(matrices) == [1, 2]
-        assert np.array_equal(matrices[1], np.hstack([sets[0][0], sets[2][0]]))
-        assert np.array_equal(matrices[2], sets[1][0])
+        assert built == []
+        assert np.array_equal(matrices[2], dataio.normalize_pixels(pixels[10:20]).T)
+        assert len(built) == 1 and np.array_equal(built[0], pixels[10:20].T)
 
     def test_insufficient_images(self):
         images = np.eye(4)
@@ -507,6 +520,24 @@ class TestModelPersistence:
         assert loaded.labels.tolist() == model.labels.tolist()
         assert loaded.stack.tobytes() == model.stack.tobytes()
         assert loaded.relevance.tobytes() == model.relevance.tobytes()
+
+    def test_load_holds_the_file_and_the_stack_only(self, tmp_path):
+        # 4 prototypes of D = 20000, d = 10: a 6.4 MB file; the bytes read
+        # and the model's stack are the two copies load_model may hold
+        basis = np.zeros((20000, 10))
+        basis[np.arange(10), np.arange(10)] = 1.0
+        protos = [Prototype(Subspace(basis), label) for label in (1, 2, 3, 4)]
+        path = tmp_path / "model.bin"
+        dataio.save_model(ModelState(protos, np.full(10, 0.1), "grlgq", 10, 20000), path)
+        size = path.stat().st_size
+        tracemalloc.start()
+        try:
+            loaded = dataio.load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.stack.tobytes() == np.stack([basis] * 4).tobytes()
+        assert peak < 2.5 * size, peak / size
 
     @pytest.mark.parametrize("old, new", [(b"labels=1,2", b"labels=2,1"),
                                           (b"mode=grlgq", b"mode=glgq ")])

@@ -305,7 +305,7 @@ def pgm_sets(draw):
 @given(frames=pgm_sets())
 def test_set_frames_read_as_read_pgm_reads_them(tmp_path_factory, frames):
     # read_set sizes each frame's read by the frame before it; whatever the
-    # spellings, it returns the per-frame read_pgm rows, or raises
+    # spellings, it returns the per-frame read_pgm pixel bytes, or raises
     # read_pgm's error for the first short frame
     set_dir = tmp_path_factory.mktemp("set")
     rows, error = [], None
@@ -313,12 +313,12 @@ def test_set_frames_read_as_read_pgm_reads_them(tmp_path_factory, frames):
         path = set_dir / f"frame_{i}.pgm"
         path.write_bytes(content)
         try:
-            rows.append(dataio.normalize_pixels(dataio.read_pgm(path).reshape(1, -1)))
+            rows.append(dataio.read_pgm(path).reshape(1, -1))
         except TruncatedFile as exc:
             error = error or exc
     if error is None:
         X, dims = dataio.read_set(set_dir)
-        assert dims == (2, 3)
+        assert dims == (2, 3) and X.dtype == np.uint8
         assert X.T.tobytes() == np.concatenate(rows).tobytes()
     else:
         with pytest.raises(TruncatedFile) as info:
