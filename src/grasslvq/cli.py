@@ -25,6 +25,7 @@ from .manifold import (
     image_contribution,
     principal_decomposition,
     subspace_from_set,
+    unit_columns,
 )
 from .model import (
     TrainConfig,
@@ -125,19 +126,17 @@ def _load_training_data(args, cfg):
     init's label -> D x n mapping (``dataio.class_image_matrices``) for the
     dataset items at the indices ``kept``, or None for any other init.
 
-    Both tasks keep their pixels as uint8, one byte per pixel, until a
-    subspace or a class matrix is built. The idx task's mapping holds every
-    image whatever ``kept`` is: sets are independent draws from a class's
-    whole pool, so a held-out set shares images with the kept ones. The sets
-    task's mapping holds the frames of the kept sets only, in item order.
-    Either mapping builds one class matrix at a time, when it is read.
+    The idx task's mapping holds every image whatever ``kept`` is: sets are
+    independent draws from a class's whole pool, so a held-out set shares
+    images with the kept ones. The sets task's mapping holds the uint8 frames
+    of the kept sets only, in item order. Either mapping builds one class
+    matrix at a time, when it is read.
     """
     pca = cfg["init"] == "pca"
     if cfg["task"] == "idx":
         if not args.images or not args.labels:
             raise ConfigError("idx task requires --images and --labels")
-        images, labels, _, _ = dataio.read_idx_dataset(args.images, args.labels,
-                                                       normalize=False)
+        images, labels, _, _ = dataio.read_idx_dataset(args.images, args.labels)
         dataset = dataio.build_classwise_subspace_dataset(
             images, labels, cfg["d"], cfg["m"], cfg["sets_per_class"], cfg["seed"])
         matrices = dataio.class_image_matrices(images, labels) if pca else None
@@ -200,6 +199,7 @@ def cmd_train(args):
         print(f"cv_accuracy={float(np.mean(accs))!r}")
         print(f"cv_std={float(np.std(accs))!r}")
     every = class_matrices(range(len(dataset)))
+    del class_matrices  # it holds the sets task's frames, which every copies
     model, stats = train(dataset, train_config, class_matrices=every)
     if args.repeats > 1 and args.folds is None:
         # independent restarts with consecutive seeds; the saved model is run 1's
@@ -233,11 +233,10 @@ def _load_model(path):
 
 def _idx_image_blocks(args, model):
     """(N,) labels and pixel-major (D, B, 1) blocks of the IDX images, each
-    the transpose of ``eval_block_size`` normalised rows. Every check runs
+    ``eval_block_size`` pixel rows through ``unit_columns``. Every check runs
     before the first block is made: the files' decode and counts, all-black
     images, then the pixel count against the model's D."""
-    pixels, labels, _, _ = dataio.read_idx_dataset(args.images, args.labels,
-                                                   normalize=False)
+    pixels, labels, _, _ = dataio.read_idx_dataset(args.images, args.labels)
     black = np.flatnonzero(~pixels.any(axis=1))
     if black.size:
         raise RankDeficient(f"{args.images}: image {black[0]} is all black "
@@ -246,7 +245,7 @@ def _idx_image_blocks(args, model):
         raise InconsistentDims(f"{args.images}: images have D = {pixels.shape[1]} "
                                f"pixels, prototypes have D = {model.ambient_dim}")
     block = eval_block_size(model, "vectors")
-    return labels, (dataio.normalize_pixels(pixels[start:start + block]).T[:, :, None]
+    return labels, (unit_columns(pixels[start:start + block].T)[:, :, None]
                     for start in range(0, len(pixels), block))
 
 
@@ -282,13 +281,13 @@ def cmd_predict(args):
         raise ConfigError("predict requires --set <dir> or --image <pgm>")
     model = _load_model(args.model)
     if args.image:
-        sample = dataio.normalize_pixels(dataio.read_pgm(args.image).reshape(1, -1))[0]
+        sample = dataio.read_pgm(args.image).ravel()  # pixels; scores normalises them
         if not sample.any():
             raise RankDeficient(f"{args.image}: all-black image has rank 0 < 1")
         kind, column = "vectors", "theta1"
     else:
         pixels, (height, width) = dataio.read_set(args.set)
-        X = dataio.unit_columns(pixels)
+        X = unit_columns(pixels)
         sample = subspace_from_set(X, model.subspace_dim)
         kind, column = "sets", "distance"
     row = scores(model, [sample], kind)[0]

@@ -7,9 +7,9 @@ File formats:
   * a versioned binary model file (header line, length-prefixed float64
     little-endian payload, trailing CRC32 of the bytes before it).
 
-Ingested images stay 8-bit pixels until ``unit_columns`` L2-normalizes them
-for a subspace or class matrix, so every column entering a subspace
-construction has unit norm, except that an all-black image stays zero.
+Every reader returns 8-bit pixels; ``unit_columns`` alone L2-normalizes them,
+so every column entering a subspace construction or a score has unit norm,
+except that an all-black image stays zero.
 """
 
 import math
@@ -35,6 +35,7 @@ from .errors import (
     VersionMismatch,
 )
 from .manifold import Subspace, pixel_influence, principal_angles_to_stack, subspace_from_set
+from .manifold import normalize_pixels, unit_columns  # noqa: F401 (importable here)
 from .model import ModelState, Prototype, _check_shape
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -78,28 +79,16 @@ def _read_idx(path, magic, ndim):
     return np.frombuffer(raw, dtype=np.uint8), sizes
 
 
-def read_idx_images(path, normalize=True):
-    """Read an IDX image file; returns ((n, D) float64 unit-norm rows, rows, cols),
-    or with ``normalize=False`` the file's (n, D) uint8 pixel rows. A file of
-    no images raises EmptySet, and one of images with no pixels
+def read_idx_images(path):
+    """Read an IDX image file; returns ((n, D) uint8 pixel rows, rows, cols).
+    A file of no images raises EmptySet, and one of images with no pixels
     UnsupportedFormat: either payload is empty whatever the other sizes."""
     pixels, (count, rows, cols) = _read_idx(path, IDX_IMAGES_MAGIC, 3)
     if count == 0:
         raise EmptySet(f"{path}: no images")
     if rows * cols == 0:
         raise UnsupportedFormat(f"{path}: images of {rows} x {cols} pixels")
-    pixels = pixels.reshape(count, rows * cols)
-    return (normalize_pixels(pixels) if normalize else pixels), rows, cols
-
-
-def normalize_pixels(pixels) -> np.ndarray:
-    """L2-normalize (n, D) 8-bit pixel rows in one new float64 array (a /255
-    pass would be undone). An all-zero (black) row stays zero, so it adds no
-    direction to a subspace."""
-    images = pixels.astype(np.float64)
-    norms = np.sqrt(np.einsum("ij,ij->i", images, images))
-    norms[norms == 0] = 1.0
-    return np.divide(images, norms[:, None], out=images)
+    return pixels.reshape(count, rows * cols), rows, cols
 
 
 def read_idx_labels(path) -> np.ndarray:
@@ -107,10 +96,9 @@ def read_idx_labels(path) -> np.ndarray:
     return _read_idx(path, IDX_LABELS_MAGIC, 1)[0].astype(np.int64)
 
 
-def read_idx_dataset(images_path, labels_path, normalize=True):
-    """Read paired IDX files; returns (images (n, D), labels (n,), rows, cols),
-    the images as ``read_idx_images`` returns them for ``normalize``."""
-    images, rows, cols = read_idx_images(images_path, normalize)
+def read_idx_dataset(images_path, labels_path):
+    """Read paired IDX files; returns ((n, D) uint8 pixels, (n,) labels, rows, cols)."""
+    images, rows, cols = read_idx_images(images_path)
     labels = read_idx_labels(labels_path)
     if images.shape[0] != labels.shape[0]:
         raise CountMismatch(
@@ -337,14 +325,6 @@ def build_classwise_subspace_dataset(images, labels, d, m, sets_per_class, seed)
     draws = ((images[rng.choice(idx, size=m, replace=False)].T, label)
              for label, idx in classes for _ in range(sets_per_class))
     return build_per_set_subspace_dataset(draws, d)
-
-
-def unit_columns(X):
-    """The D x n matrix X for a subspace or class matrix: uint8 columns are
-    pixels and go through ``normalize_pixels``, row by row on X^T, so a
-    column has the bits it has in the normalised whole; float columns are
-    used as they are."""
-    return normalize_pixels(X.T).T if X.dtype == np.uint8 else X
 
 
 def build_per_set_subspace_dataset(sets, d, start=0):

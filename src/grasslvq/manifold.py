@@ -29,6 +29,24 @@ def _as_f64(a) -> np.ndarray:
     return a
 
 
+def normalize_pixels(pixels) -> np.ndarray:
+    """L2-normalize (n, D) 8-bit pixel rows in one new float64 array (a /255
+    pass would be undone). An all-zero (black) row stays zero, so it adds no
+    direction to a subspace."""
+    images = pixels.astype(np.float64)
+    norms = np.sqrt(np.einsum("ij,ij->i", images, images))
+    norms[norms == 0] = 1.0
+    return np.divide(images, norms[:, None], out=images)
+
+
+def unit_columns(X):
+    """The D x n matrix X for a subspace, a class matrix or a block of
+    vectors to score: uint8 columns are pixels and go through
+    ``normalize_pixels``, row by row on X^T, so a column has the bits it has
+    in the normalised whole; float columns are used as they are."""
+    return normalize_pixels(X.T).T if X.dtype == np.uint8 else X
+
+
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """An orthonormal basis for a d-dimensional subspace of R^D."""

@@ -39,6 +39,7 @@ from .manifold import (
     principal_angles_to_stack,
     principal_decomposition,
     subspace_from_set,
+    unit_columns,
 )
 
 MODES = ("glgq", "grlgq")
@@ -424,7 +425,7 @@ def _sample_blocks(model: ModelState, samples, kind: str):
         # the kernel reads either pixel-major block, (D, B, k), as one
         # D x (B k) matrix without a copy; np.array copies B vectors without
         # np.stack's B expanded views, and its transpose is a view
-        stacked = (np.array(bases).T[:, :, None] if vectors
+        stacked = (unit_columns(np.array(bases).T)[:, :, None] if vectors
                    else np.stack(bases, axis=1))
         del bases  # the kernel runs with no sample of this block alive
         yield stacked
@@ -433,11 +434,11 @@ def _sample_blocks(model: ModelState, samples, kind: str):
 
 def scores(model: ModelState, samples, kind: str) -> np.ndarray:
     """(N, P) scores, lowest nearest: angles^2 @ relevance for "sets" (Subspace
-    samples), the first angle for "vectors" (unit vectors). ``samples`` is any
-    iterable, grouped into blocks of ``eval_block_size`` samples for
-    ``score_blocks``: each block's shapes are checked, a bad sample named by
-    its position in all of ``samples`` counted from 1 (InconsistentDims for
-    another D, else ValueError), before the block is stacked and scored.
+    samples), the first angle for "vectors" (uint8 pixel rows or unit vectors).
+    ``samples`` is any iterable, grouped into blocks of ``eval_block_size``
+    samples for ``score_blocks``: each block's shapes are checked, a bad
+    sample named by its position in all of ``samples`` counted from 1
+    (InconsistentDims for another D, else ValueError), before it is scored.
     """
     return score_blocks(model, _sample_blocks(model, samples, kind), kind)
 
@@ -459,9 +460,9 @@ def evaluate(model: ModelState, dataset, kind: str = "sets"):
     """Accuracy and C x C confusion matrix of nearest-prototype predictions.
 
     ``dataset`` is any iterable of (sample, label) pairs; ``kind`` selects
-    subspace samples ("sets") or unit-vector samples ("vectors"). ``scores``
-    pulls it one block at a time, so only the labels and the (N, P) score
-    table (160 KB at N = 2000, P = 10) outlive a block; then
+    Subspaces ("sets") or uint8 pixel rows or unit vectors ("vectors").
+    ``scores`` pulls it one block at a time, so only the labels and the
+    (N, P) score table (160 KB at N = 2000, P = 10) outlive a block; then
     ``confusion_from_scores`` counts the table's argmins.
     """
     truth = []

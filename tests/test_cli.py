@@ -293,6 +293,36 @@ class TestTrain:
         assert rc == 0
         assert peak < 8 * 4 * 40 * 900 * 8
 
+    def test_sets_pca_train_holds_one_copy_of_the_frames(self, tmp_path, monkeypatch):
+        # 4 classes of 4 sets of 30 30x30 frames: 432 KB of uint8 pixels
+        frames = 4 * 4 * 30 * 900
+        assert main(["synth", "--out", str(tmp_path / "data"), "--classes", "4",
+                     "--ambient", "900", "--width", "30", "--height", "30",
+                     "--dim", "2", "--frames", "30", "--train-sets", "4",
+                     "--test-sets", "1", "--seed", "6"]) == 0
+        step, traced = model_module.train_step, {}
+
+        def train(init):
+            assert main(["train", "--data", str(tmp_path / "data" / "train"),
+                         "--d", "2", "--init", init, "--epochs", "1",
+                         "--model-out", str(tmp_path / "m.bin")]) == 0
+
+        def first_step(*args):
+            traced.setdefault(init, tracemalloc.get_traced_memory()[0])
+            return step(*args)
+
+        train("pca")  # untraced: modules the pca path imports on first use
+        monkeypatch.setattr(model_module, "train_step", first_step)
+        for init in ("example", "pca"):
+            tracemalloc.start()
+            try:
+                train(init)
+            finally:
+                tracemalloc.stop()
+        # the pca run's class matrices read one copy of the frames for every
+        # epoch; the example run holds none
+        assert traced["pca"] - traced["example"] < 1.5 * frames
+
     def test_repeats_without_folds(self, workspace, tmp_path, capsys):
         _, data, model, _ = workspace
         out = tmp_path / "m.bin"
@@ -359,6 +389,29 @@ class TestTrain:
         assert "d = 2\n" in text
         assert "epochs = 2\n" in text
         assert "mode = grlgq\n" in text
+
+    def test_preset_then_config_then_flags(self, tmp_path):
+        # sets of 26 frames of D = 30, so that yaleb's d = 25 fits
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--classes", "2", "--ambient", "30",
+                     "--dim", "25", "--frames", "26", "--train-sets", "2",
+                     "--test-sets", "1", "--seed", "2"]) == 0
+        config = tmp_path / "run.conf"
+        config.write_text("d = 24\nepochs = 2\n")
+
+        def summary(*flags):
+            out = tmp_path / "summary.txt"
+            assert main(["train", "--data", str(data / "train"), "--preset", "yaleb",
+                         "--model-out", str(tmp_path / "m.bin"),
+                         "--summary-out", str(out), *flags]) == 0
+            return dict(line.split(" = ") for line in out.read_text().splitlines())
+
+        keys = ("d", "epochs", "eta", "gamma", "init")
+        assert [summary()[k] for k in keys] == ["25", "100", "0.05", "0.0001", "example"]
+        assert ([summary("--config", str(config))[k] for k in keys]
+                == ["24", "2", "0.05", "0.0001", "example"])
+        assert ([summary("--config", str(config), "--d", "23")[k] for k in keys]
+                == ["23", "2", "0.05", "0.0001", "example"])
 
     def test_summary_lists_idx_defaults(self, tmp_path):
         summary = tmp_path / "summary.txt"
@@ -438,16 +491,19 @@ class TestEval:
         block = model_module.eval_block_size(dataio.load_model(model), "vectors")
         paths = self._idx_files(tmp_path, 3 * block + 2)
         shapes, all_dead = track_kernel_blocks(monkeypatch)
-        normalize = dataio.normalize_pixels
+        unit, made = cli.unit_columns, []
 
         def checked(pixels):
             all_dead()  # no scored block is alive while the next is made
-            return normalize(pixels)
+            made.append(pixels.shape)
+            return unit(pixels)
 
-        monkeypatch.setattr(dataio, "normalize_pixels", checked)
+        # the name _idx_image_blocks looks up
+        monkeypatch.setattr(cli, "unit_columns", checked)
         assert main(["eval", "--model", str(model), "--images", str(paths[0]),
                      "--labels", str(paths[1])]) == 0
         assert shapes == [(12, block, 1)] * 3 + [(12, 2, 1)]
+        assert made == [(12, block)] * 3 + [(12, 2)]
 
     def test_idx_eval_matches_evaluate_without_scores(self, workspace, tmp_path,
                                                       monkeypatch, capsys):
@@ -841,6 +897,21 @@ def _late_black_image(model, tmp, count):
             "--labels", str(paths[1])]
 
 
+def _idx_cut_in_header(model, tmp):
+    """eval --images of an IDX image file that ends 6 bytes into its 16-byte
+    header."""
+    argv = _raw_idx_eval(model, tmp, (3, 3, 4), 3)
+    (tmp / "images.idx").write_bytes(struct.pack(">ii", 0x00000803, 3)[:6])
+    return argv
+
+
+def _header_only(data, model, tmp):
+    """eval --data with ``model``'s header line alone."""
+    bad = tmp / "bad.bin"
+    bad.write_bytes(model.read_bytes().split(b"\n")[0] + b"\n")
+    return _eval(bad, data / "test")
+
+
 def _synth(tmp, *flags):
     return ["synth", "--out", str(tmp / "synth"), *flags]
 
@@ -1112,6 +1183,30 @@ MALFORMED_INPUTS = {
     "header-label-beyond-int64": (
         "CorruptModel", "header label 9223372036854775808 is outside the int64 range",
         lambda data, model, tmp: _eval(_with_header_label(model, tmp, 2 ** 63), data / "test")),
+    "eval-without-data-or-images": (
+        "ConfigError", "eval requires --data or --images/--labels",
+        lambda data, model, tmp: ["eval", "--model", str(model)]),
+    "inspect-prototype-dir-without-size": (
+        "ConfigError", "--prototype-dir requires --width and --height",
+        lambda data, model, tmp: [
+            "inspect", "--model", str(model), "--prototype-dir", str(tmp / "protos")]),
+    "inspect-distance-out-without-data": (
+        "ConfigError", "--distance-out requires --data",
+        lambda data, model, tmp: [
+            "inspect", "--model", str(model), "--distance-out", str(tmp / "dist.csv")]),
+    "train-sets-task-without-data": (
+        "ConfigError", "sets task requires --data <imageset root>",
+        lambda data, model, tmp: ["train", "--epochs", "1",
+                                  "--model-out", str(tmp / "m.bin")]),
+    "idx-shorter-than-header": ("TruncatedFile", "images.idx: expected 16 more bytes, got 6",
+                                lambda data, model, tmp: _idx_cut_in_header(model, tmp)),
+    "tree-without-class-directories": ("EmptySet", "no class directories",
+                                       lambda data, model, tmp: _eval(
+                                           model, _black_frames(tmp / "root", 0))),
+    "model-not-grasslvq": (
+        "CorruptModel", "unrecognized header", lambda data, model, tmp: _with_header(
+            data, model, tmp, b"NOTAMODEL v2 mode=grlgq D=12 d=2 labels=1,2")),
+    "model-ends-after-header": ("CorruptModel", "missing length prefix", _header_only),
     "class-without-sets": ("EmptySet", "no image-set directories",
                            lambda data, model, tmp: _eval(
                                model, _black_frames(tmp / "root" / "c1", 0).parent)),

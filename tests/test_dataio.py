@@ -38,11 +38,13 @@ class TestIdx:
         write_idx_images(path, imgs)
         images, rows, cols = dataio.read_idx_images(path)
         assert (rows, cols) == (2, 3)
-        assert images.shape == (2, 6)
-        # unit norm; the [0, 1] scale is undone by the normalisation
-        assert np.allclose(np.linalg.norm(images, axis=1), 1.0, atol=1e-10)
+        assert images.dtype == np.uint8 and images.shape == (2, 6)
+        assert np.array_equal(images, np.stack(imgs).reshape(2, 6))
+        # unit norm after unit_columns; the [0, 1] scale is undone by it
+        unit = dataio.unit_columns(images.T)
+        assert np.allclose(np.linalg.norm(unit, axis=0), 1.0, atol=1e-10)
         raw = np.arange(6) / 255.0
-        assert np.allclose(images[0], raw / np.linalg.norm(raw))
+        assert np.allclose(unit[:, 0], raw / np.linalg.norm(raw))
 
     def test_normalize_pixels_matches_scaled_form(self):
         pixels = np.random.default_rng(0).integers(0, 256, (50, 784), dtype=np.uint8)

@@ -732,10 +732,11 @@ class TestStreaming:
         n = {"0": 0, "1": 1, "block": block, "block+1": block + 1}[size]
         starts = range(0, n, block)
         if kind == "vectors":
-            # eval --images passes normalize_pixels blocks as (D, B, 1) views
+            # evaluate takes the pixel rows; eval --images passes unit_columns
+            # blocks of them, (D, B, 1) views
             pixels = rng.integers(0, 256, (n, D), np.uint8)
-            samples = list(dataio.normalize_pixels(pixels))
-            blocks = (dataio.normalize_pixels(pixels[s:s + block]).T[:, :, None]
+            samples = list(pixels)
+            blocks = (dataio.unit_columns(pixels[s:s + block].T)[:, :, None]
                       for s in starts)
         else:
             samples = self._samples(rng, model, kind, n)
