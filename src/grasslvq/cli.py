@@ -233,9 +233,11 @@ def _load_model(path):
 
 def _idx_image_blocks(args, model):
     """(N,) labels and pixel-major (D, B, 1) blocks of the IDX images, each
-    ``eval_block_size`` pixel rows through ``unit_columns``. Every check runs
-    before the first block is made: the files' decode and counts, all-black
-    images, then the pixel count against the model's D."""
+    ``eval_block_size`` pixel rows through ``unit_columns`` into one
+    (eval_block_size, D) float64 buffer, which every block views: a block is
+    valid until the next one is pulled. Every check runs before the first
+    block is made: the files' decode and counts, all-black images, then the
+    pixel count against the model's D."""
     pixels, labels, _, _ = dataio.read_idx_dataset(args.images, args.labels)
     black = np.flatnonzero(~pixels.any(axis=1))
     if black.size:
@@ -245,7 +247,10 @@ def _idx_image_blocks(args, model):
         raise InconsistentDims(f"{args.images}: images have D = {pixels.shape[1]} "
                                f"pixels, prototypes have D = {model.ambient_dim}")
     block = eval_block_size(model, "vectors")
-    return labels, (unit_columns(pixels[start:start + block].T)[:, :, None]
+    buffer = np.empty((min(block, len(pixels)), pixels.shape[1]))
+    # buffer[:n] clamps n to the buffer's length, so only the last block is short
+    return labels, (unit_columns(pixels[start:start + block].T,
+                                 out=buffer[:len(pixels) - start].T)[:, :, None]
                     for start in range(0, len(pixels), block))
 
 

@@ -403,19 +403,26 @@ def class_image_matrices(images, labels):
 
 def save_model(model: ModelState, path) -> None:
     """Write a v2 model file: header line, float64-LE payload with length
-    prefix, then the CRC32 of all of those bytes."""
+    prefix, then the CRC32 of all of those bytes. The payload is each
+    prototype's D x d basis in ``stack`` order, then the relevance vector;
+    it is written, and fed to the CRC, one prototype at a time, so no more
+    than one prototype's bytes are copied at once."""
     header = (
         f"{MODEL_MAGIC} v{MODEL_VERSION} mode={model.mode} "
         f"D={model.ambient_dim} d={model.subspace_dim} "
         f"labels={','.join(str(label) for label in model.labels)}\n"
     )
-    payload = np.concatenate([model.stack.ravel(),
-                              model.relevance]).astype("<f8").tobytes()
-    head = header.encode() + struct.pack("<Q", len(payload) // 8)
+    count = model.stack.size + model.relevance.size
+    head = header.encode() + struct.pack("<Q", count)
     with open(path, "wb") as f:
         f.write(head)
-        f.write(payload)
-        f.write(struct.pack("<I", zlib.crc32(payload, zlib.crc32(head))))
+        crc = zlib.crc32(head)
+        for part in (*model.stack, model.relevance):
+            chunk = np.ascontiguousarray(part, dtype="<f8")
+            f.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+            del chunk  # before the next prototype is copied
+        f.write(struct.pack("<I", crc))
 
 
 def load_model(path) -> ModelState:
@@ -550,7 +557,7 @@ def export_distance_matrix_csv(model: ModelState, count, blocks, path) -> None:
         start += block.shape[1]
     if start != count:
         raise ValueError(f"blocks hold {start} samples, not {count}")
-    bases[:, count:] = model.stack.transpose(1, 0, 2)
+    bases[:, count:] = model.pixel_stack
     names = ([f"sample_{i + 1}" for i in range(count)]
              + [f"prototype_{i + 1}" for i in range(len(model.labels))])
     dist = np.zeros((len(names), len(names)))

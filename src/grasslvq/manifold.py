@@ -29,22 +29,28 @@ def _as_f64(a) -> np.ndarray:
     return a
 
 
-def normalize_pixels(pixels) -> np.ndarray:
-    """L2-normalize (n, D) 8-bit pixel rows in one new float64 array (a /255
-    pass would be undone). An all-zero (black) row stays zero, so it adds no
-    direction to a subspace."""
-    images = pixels.astype(np.float64)
+def normalize_pixels(pixels, out=None) -> np.ndarray:
+    """L2-normalize (n, D) 8-bit pixel rows into one float64 array (a /255
+    pass would be undone): a new one, or ``out``, a C-contiguous (n, D)
+    float64 array, which is returned. An all-zero (black) row stays zero, so
+    it adds no direction to a subspace."""
+    images = np.empty_like(pixels, dtype=np.float64) if out is None else out
+    images[...] = pixels
     norms = np.sqrt(np.einsum("ij,ij->i", images, images))
     norms[norms == 0] = 1.0
     return np.divide(images, norms[:, None], out=images)
 
 
-def unit_columns(X):
+def unit_columns(X, out=None):
     """The D x n matrix X for a subspace, a class matrix or a block of
     vectors to score: uint8 columns are pixels and go through
     ``normalize_pixels``, row by row on X^T, so a column has the bits it has
-    in the normalised whole; float columns are used as they are."""
-    return normalize_pixels(X.T).T if X.dtype == np.uint8 else X
+    in the normalised whole; float columns are used as they are. Pixels are
+    normalised into ``out`` if given, a D x n float64 array whose transpose
+    is C-contiguous (a caller scoring blocks reuses one buffer)."""
+    if X.dtype != np.uint8:
+        return X
+    return normalize_pixels(X.T, None if out is None else out.T).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,8 +228,8 @@ def principal_angles_to_stack(samples, stack) -> np.ndarray:
             f"D = {stack.shape[0]}")
     (D, B, k), (_, P, d) = samples.shape, stack.shape
     if k == 1:
-        # before the product, so that the check's B x D temporary is freed first
-        norms = np.linalg.norm(samples[:, :, 0], axis=0)
+        # einsum sums the squares with no B x D temporary
+        norms = np.sqrt(np.einsum("ij,ij->j", samples[:, :, 0], samples[:, :, 0]))
         if not np.abs(norms - 1.0).max(initial=0.0) <= 1e-8:
             # a NaN or infinite entry fails the norm test too
             if not np.all(np.isfinite(samples)):

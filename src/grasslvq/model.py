@@ -60,11 +60,13 @@ class Prototype:
 class ModelState:
     """Labeled prototype subspaces plus the relevance vector.
 
-    The prototypes are stored in one (P, D, d) array, ``stack``, beside an
-    integer ``labels`` vector; that array is the only copy. ``prototypes``
-    returns Prototype items built on read-only views of it, so the items
-    change when the model trains; a caller who needs a snapshot must copy
-    the bases.
+    The prototypes are stored pixel-major in one C-contiguous (D, P, d)
+    array, ``pixel_stack``, beside an integer ``labels`` vector; that array
+    is the only copy. ``stack`` is its (P, D, d) view, ``stack[i]`` the
+    D x d basis of prototype i. The distance kernel reads ``pixel_stack``
+    as one D x (P d) matrix without a copy. ``prototypes`` returns Prototype
+    items built on read-only views of it, so the items change when the model
+    trains; a caller who needs a snapshot must copy the bases.
     """
 
     def __init__(self, prototypes: list[Prototype], relevance, mode: str,
@@ -81,7 +83,8 @@ class ModelState:
             raise ConfigError("relevance weights must be nonnegative and finite")
         if mode == "glgq" and not np.all(self.relevance == 1.0):
             raise ConfigError("glgq mode fixes the relevance vector at all-ones")
-        self.stack = np.empty((len(prototypes), ambient_dim, subspace_dim))
+        self.pixel_stack = np.empty((ambient_dim, len(prototypes), subspace_dim))
+        self.stack = self.pixel_stack.transpose(1, 0, 2)
         for i, p in enumerate(prototypes):
             if p.subspace.basis.shape != self.stack.shape[1:]:
                 raise ConfigError("prototype shape inconsistent with model dims")
@@ -171,8 +174,8 @@ def find_winners(model: ModelState, sample: Subspace, label: int) -> SampleOutco
     batched product basis^T W_p; ties break to the lowest prototype index.
     Only the two winners are decomposed, in one principal_decomposition call
     on their stack entries and products from that batch, which gives d+, d-,
-    mu and the gradients. The entries are read as raw arrays: every write to
-    the stack passed Subspace.
+    mu and the gradients. The entries are read as raw arrays, gathered
+    through the pixel-major stack: every write to the stack passed Subspace.
     """
     _check_shape("sample", sample.basis.shape, model.stack.shape[1:])
     products = sample.basis.T @ model.stack
@@ -183,7 +186,8 @@ def find_winners(model: ModelState, sample: Subspace, label: int) -> SampleOutco
     if same.all():
         raise MissingClassPrototype(f"no prototype with label != {label}")
     winners = [int(np.flatnonzero(mask)[np.argmin(dists[mask])]) for mask in (same, ~same)]
-    pair = principal_decomposition(sample, model.stack[winners], products[winners])
+    pair = principal_decomposition(sample, model.pixel_stack[:, winners].transpose(1, 0, 2),
+                                   products[winners])
     d_same, d_other = np.sum(model.relevance * pair.angles ** 2, axis=1).tolist()
     denom = d_same + d_other
     mu = (d_same - d_other) / denom if denom >= DEGENERATE_EPS else np.nan
@@ -258,9 +262,9 @@ def apply_prototype_update(model: ModelState, outcome: SampleOutcome, eta: float
         if n.min() <= RANK_TOL * n.max():
             raise RankDeficient(f"update of winner {which} (index {idx}) is rank deficient")
     updated /= norms[:, None, :]
-    bases = [Subspace(basis).basis for basis in updated]
-    for idx, basis in zip(winners, bases):
-        model.stack[idx] = basis
+    for basis in updated:
+        Subspace(basis)  # the orthonormality check, before either is written
+    model.pixel_stack[:, list(winners)] = updated.transpose(1, 0, 2)
 
 
 def apply_relevance_update(model: ModelState, grad, gamma: float) -> np.ndarray:
@@ -396,7 +400,8 @@ def score_blocks(model: ModelState, blocks, kind: str) -> np.ndarray:
 
     ``blocks`` is any iterable of (D, B, k) arrays: B unit vectors (k = 1)
     for "vectors", B orthonormal D x d bases (k = d) for "sets". Each block
-    is scored in one kernel call and dropped before the next one is pulled.
+    is scored in one kernel call, against ``model.pixel_stack`` as it is (no
+    copy of the model), and dropped before the next one is pulled.
     A block with another k raises ValueError; the kernel raises
     InconsistentDims for another D.
     """
@@ -405,7 +410,7 @@ def score_blocks(model: ModelState, blocks, kind: str) -> np.ndarray:
     for samples in blocks:
         if samples.ndim != 3 or samples.shape[2] != k:
             raise ValueError(f"block of shape {samples.shape}, not (D, B, {k})")
-        angles = principal_angles_to_stack(samples, model.stack.transpose(1, 0, 2))
+        angles = principal_angles_to_stack(samples, model.pixel_stack)
         del samples  # the next block is pulled with this one dropped
         # a vector is labelled by its first principal angle alone
         rows.append(angles[:, :, 0] if vectors else angles ** 2 @ model.relevance)

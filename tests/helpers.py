@@ -2,6 +2,7 @@
 
 import struct
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -99,27 +100,33 @@ def write_idx_labels(path, labels):
         f.write(bytes(labels))
 
 
-def track_kernel_blocks(monkeypatch):
-    """Wrap the distance kernel as ``grasslvq.model`` binds it. Each call
-    asserts that every block an earlier call received is dead, then records
-    weakrefs to its own ``samples`` block and to the array that block views.
-    Returns (shapes, all_dead): the shape of every block received, and a
-    function that asserts every block received so far is dead, for a sample
-    source to call as it makes the next block's samples."""
-    refs, shapes = [], []
+def track_kernel_blocks(monkeypatch, owners_die=True):
+    """Wrap the distance kernel as ``grasslvq.model`` binds it and record
+    every call in the returned namespace: ``shapes``, the shape of each
+    ``samples`` block; ``stacks``, each ``stack`` argument; ``owners``,
+    weakrefs to the array whose memory each block views (``samples.base``,
+    else the block itself). ``all_dead()`` asserts that every block received
+    so far is dead, and with ``owners_die`` every owner too. Each call runs
+    it first, and a sample source calls it as it makes the next block's
+    samples. A source that fills one reused buffer passes ``owners_die=False``
+    and checks ``owners`` itself."""
+    calls = SimpleNamespace(shapes=[], stacks=[], owners=[])
+    blocks = []
     kernel = model_module.principal_angles_to_stack
 
     def all_dead():
+        refs = blocks + calls.owners if owners_die else blocks
         alive = [i for i, ref in enumerate(refs) if ref() is not None]
         assert not alive, f"kernel blocks {alive} outlive their call"
 
     def tracked(samples, stack):
         all_dead()
-        shapes.append(samples.shape)
-        refs.append(weakref.ref(samples))
-        if samples.base is not None:
-            refs.append(weakref.ref(samples.base))
+        calls.shapes.append(samples.shape)
+        calls.stacks.append(stack)
+        blocks.append(weakref.ref(samples))
+        calls.owners.append(weakref.ref(samples if samples.base is None else samples.base))
         return kernel(samples, stack)
 
+    calls.all_dead = all_dead
     monkeypatch.setattr(model_module, "principal_angles_to_stack", tracked)
-    return shapes, all_dead
+    return calls

@@ -1,5 +1,6 @@
 """End-to-end tests that drive the console entry point via main(argv)."""
 
+import argparse
 import shutil
 import struct
 import tracemalloc
@@ -17,6 +18,7 @@ from grasslvq import (
     evaluate,
     fit,
     principal_decomposition,
+    score_blocks,
     scores,
     subspace_from_set,
 )
@@ -486,24 +488,54 @@ class TestEval:
         return paths
 
     def test_idx_eval_holds_one_block_at_a_time(self, workspace, tmp_path,
-                                               monkeypatch):
-        _, _, model, _ = workspace
-        block = model_module.eval_block_size(dataio.load_model(model), "vectors")
-        paths = self._idx_files(tmp_path, 3 * block + 2)
-        shapes, all_dead = track_kernel_blocks(monkeypatch)
-        unit, made = cli.unit_columns, []
+                                               monkeypatch, capsys):
+        self._eval_in_one_buffer(workspace, tmp_path, monkeypatch, capsys, 3, 2)
 
-        def checked(pixels):
-            all_dead()  # no scored block is alive while the next is made
-            made.append(pixels.shape)
-            return unit(pixels)
+    def test_idx_eval_ends_on_a_one_image_block(self, workspace, tmp_path,
+                                                monkeypatch, capsys):
+        # the last block is a (D, 1, 1) view
+        self._eval_in_one_buffer(workspace, tmp_path, monkeypatch, capsys, 2, 1)
+
+    def _eval_in_one_buffer(self, workspace, tmp_path, monkeypatch, capsys,
+                            full, rest):
+        """eval --images on ``full`` blocks and one of ``rest`` images: each
+        block views one (eval_block_size, D) buffer, filled by one
+        unit_columns call while no scored block is alive, and the output
+        and score table equal evaluate's and scores' bitwise."""
+        _, _, model, _ = workspace
+        state = dataio.load_model(model)
+        block = model_module.eval_block_size(state, "vectors")
+        paths = self._idx_files(tmp_path, full * block + rest)
+        images, labels, _, _ = dataio.read_idx_dataset(*paths)
+        accuracy, confusion = evaluate(state, list(zip(images, labels)), "vectors")
+        dataio.write_csv(tmp_path / "want.csv", None, confusion)
+        _, blocks = cli._idx_image_blocks(
+            argparse.Namespace(images=paths[0], labels=paths[1]), state)
+        table = score_blocks(state, blocks, "vectors")
+        assert table.tobytes() == scores(state, images, "vectors").tobytes()
+        calls = track_kernel_blocks(monkeypatch, owners_die=False)
+        unit, outs = cli.unit_columns, []
+
+        def checked(pixels, out=None):
+            calls.all_dead()  # no scored block is alive while the next is made
+            outs.append(out)  # keeps the buffer alive for the checks below
+            return unit(pixels, out=out)
 
         # the name _idx_image_blocks looks up
         monkeypatch.setattr(cli, "unit_columns", checked)
+        capsys.readouterr()
         assert main(["eval", "--model", str(model), "--images", str(paths[0]),
-                     "--labels", str(paths[1])]) == 0
-        assert shapes == [(12, block, 1)] * 3 + [(12, 2, 1)]
-        assert made == [(12, block)] * 3 + [(12, 2)]
+                     "--labels", str(paths[1]),
+                     "--confusion-out", str(tmp_path / "got.csv")]) == 0
+        assert capsys.readouterr().out == f"accuracy={accuracy!r}\n"
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        shapes = [(12, block, 1)] * full + [(12, rest, 1)]
+        assert calls.shapes == shapes
+        # unit_columns ran once per block, each time into the one buffer
+        assert [out.shape for out in outs] == [shape[:2] for shape in shapes]
+        buffer = outs[0].base
+        assert buffer.shape == (block, 12)
+        assert all(owner() is buffer for owner in calls.owners)
 
     def test_idx_eval_matches_evaluate_without_scores(self, workspace, tmp_path,
                                                       monkeypatch, capsys):
@@ -536,7 +568,7 @@ class TestEval:
         dataio.write_csv(tmp_path / "want.csv", None, confusion)
         # 3 sets per block: the 8 test sets span 3 blocks
         monkeypatch.setattr(model_module, "EVAL_BLOCK_BYTES", 3 * 8 * 12 * 2)
-        shapes, _ = track_kernel_blocks(monkeypatch)
+        calls = track_kernel_blocks(monkeypatch)
 
         def refused(*args):
             raise AssertionError("eval --data called evaluate or scores")
@@ -549,7 +581,7 @@ class TestEval:
                      "--confusion-out", str(tmp_path / "got.csv")]) == 0
         assert capsys.readouterr().out == f"accuracy={accuracy!r}\n"
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-        assert shapes == [(12, 3, 2), (12, 3, 2), (12, 2, 2)]
+        assert calls.shapes == [(12, 3, 2), (12, 3, 2), (12, 2, 2)]
 
     def test_set_eval_scores_with_no_subspace_alive(self, yaleb_tree, monkeypatch):
         data, model = yaleb_tree

@@ -541,6 +541,28 @@ class TestModelPersistence:
         assert loaded.stack.tobytes() == np.stack([basis] * 4).tobytes()
         assert peak < 2.5 * size, peak / size
 
+    def test_save_copies_one_prototype_at_a_time(self, tmp_path):
+        # 8 prototypes of D = 20000, d = 10: a 12.8 MB model; the file is
+        # the bytes of the whole model, concatenated and checksummed at once
+        rng = np.random.default_rng(9)
+        protos = [Prototype(random_subspace(rng, 20000, 10), label)
+                  for label in range(1, 9)]
+        model = ModelState(protos, np.full(10, 0.1), "grlgq", 10, 20000)
+        path = tmp_path / "model.bin"
+        tracemalloc.start()
+        try:
+            dataio.save_model(model, path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        head = (b"GRASSLVQ v2 mode=grlgq D=20000 d=10 labels=1,2,3,4,5,6,7,8\n"
+                + struct.pack("<Q", model.stack.size + 10))
+        payload = np.concatenate([model.stack.ravel(), model.relevance]).tobytes()
+        assert path.read_bytes() == (head + payload + struct.pack(
+            "<I", zlib.crc32(payload, zlib.crc32(head))))
+        size = model.stack.nbytes
+        assert peak < size / 4, peak / size
+
     @pytest.mark.parametrize("old, new", [(b"labels=1,2", b"labels=2,1"),
                                           (b"mode=grlgq", b"mode=glgq ")])
     def test_v2_header_edit_fails_checksum(self, tmp_path, old, new):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -146,6 +147,32 @@ class TestPrototypeStorage:
         model.stack[0] = random_subspace(rng, 8, 2).basis
         assert not np.array_equal(protos[0].subspace.basis, model.stack[0])
         assert model.labels.tolist() == [1, 2]
+
+    @staticmethod
+    def _built(how, tmp_path):
+        rng = np.random.default_rng(44)
+        if how == "ModelState":
+            return two_class_model(rng, 8, 3, mode="grlgq")
+        dataset = synthetic_subspace_dataset(rng, classes=2, D=8, d=3, per_class=3)
+        config = TrainConfig(eta=0.05, gamma=1e-3, epochs=2, seed=0, mode="grlgq")
+        model, _ = fit(dataset, config, init="example", prototypes_per_class=2)
+        if how == "train_step":
+            train_step(model, *dataset[0], config)
+        elif how == "load_model":
+            dataio.save_model(model, tmp_path / "model.bin")
+            model = dataio.load_model(tmp_path / "model.bin")
+        return model
+
+    @pytest.mark.parametrize("how", ["ModelState", "load_model", "fit", "train_step"])
+    def test_stack_views_one_pixel_major_array(self, how, tmp_path):
+        model = self._built(how, tmp_path)
+        buffer = model.pixel_stack
+        P, D, d = model.stack.shape
+        assert buffer.shape == (D, P, d) and buffer.flags.c_contiguous
+        assert model.stack.base is buffer and np.shares_memory(model.stack, buffer)
+        for i in range(P):
+            assert np.array_equal(model.stack[i], buffer[:, i])
+            assert np.shares_memory(model.subspace(i).basis, buffer)
 
     def test_wrong_shape_rejected(self):
         rng = np.random.default_rng(43)
@@ -790,18 +817,56 @@ class TestStreaming:
         rng = np.random.default_rng(39)
         model = TestEvaluate._model(rng, D, d)
         block = model_module.eval_block_size(model, kind)
-        shapes, all_dead = track_kernel_blocks(monkeypatch)
+        calls = track_kernel_blocks(monkeypatch)
 
         def samples():
             # no block the kernel has scored is alive while the next is made
             for sample in self._samples(rng, model, kind, 3 * block + 2):
-                all_dead()
+                calls.all_dead()
                 yield sample
 
         table = scores(model, samples(), kind)
         assert table.shape == (3 * block + 2, 3)
-        assert [shape[1] for shape in shapes] == [block, block, block, 2]
-        all_dead()
+        assert [shape[1] for shape in calls.shapes] == [block, block, block, 2]
+        calls.all_dead()
+
+    @staticmethod
+    def _blocks(rng, model, kind, sizes):
+        D, d = model.stack.shape[1:]
+        k = 1 if kind == "vectors" else d
+        return (np.linalg.qr(rng.standard_normal((D, n * k)))[0].reshape(D, n, k)
+                for n in sizes)
+
+    @pytest.mark.parametrize("kind", ["sets", "vectors"])
+    def test_every_block_meets_the_model_array(self, kind, monkeypatch):
+        rng = np.random.default_rng(41)
+        model = TestEvaluate._model(rng, 60, 3)
+        calls = track_kernel_blocks(monkeypatch)
+        table = score_blocks(model, self._blocks(rng, model, kind, [4, 4, 1]), kind)
+        assert table.shape == (9, 3)
+        assert len(calls.stacks) == 3
+        assert all(stack is model.pixel_stack for stack in calls.stacks)
+
+    @pytest.mark.parametrize("kind", ["sets", "vectors"])
+    def test_scoring_copies_no_model(self, kind, monkeypatch):
+        # 24 prototypes of 784 x 12 make a 1.8 MB model; a block is a quarter
+        # of it, and a copy of the model would lift the peak above it
+        rng = np.random.default_rng(42)
+        protos = [Prototype(random_subspace(rng, 784, 12), 1 + i % 3) for i in range(24)]
+        model = ModelState(protos, np.full(12, 1 / 12), "grlgq", 12, 784)
+        size = model.stack.nbytes
+        monkeypatch.setattr(model_module, "EVAL_BLOCK_BYTES", size // 4)
+        block = model_module.eval_block_size(model, kind)
+        blocks = list(self._blocks(rng, model, kind, [block] * 3 + [1]))
+        assert max(b.nbytes for b in blocks) <= size // 4
+        tracemalloc.start()
+        try:
+            table = score_blocks(model, iter(blocks), kind)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.shape == (3 * block + 1, 24)
+        assert peak < size, peak / size
 
     @pytest.mark.parametrize("kind, shape", [
         ("sets", (784, 1, 2)), ("vectors", (784, 1, 3)), ("vectors", (784, 1))])
