@@ -292,8 +292,7 @@ def cmd_predict(args):
         kind, column = "vectors", "theta1"
     else:
         pixels, (height, width) = dataio.read_set(args.set)
-        X = unit_columns(pixels)
-        sample = subspace_from_set(X, model.subspace_dim)
+        sample = subspace_from_set(pixels, model.subspace_dim)
         kind, column = "sets", "distance"
     row = scores(model, [sample], kind)[0]
     winner = int(np.argmin(row))
@@ -309,7 +308,7 @@ def cmd_predict(args):
             dataio.export_pixel_influence(
                 pd, k, width, height,
                 os.path.join(out_dir, f"influence_angle_{k + 1}.pgm"))
-        M = image_contribution(X, pd)
+        M = image_contribution(pixels, pd)
         dataio.write_csv(os.path.join(out_dir, "image_contribution.csv"),
                          [f"vector_{k + 1}" for k in range(M.shape[1])], M)
     return 0

@@ -8,8 +8,9 @@ File formats:
     little-endian payload, trailing CRC32 of the bytes before it).
 
 Every reader returns 8-bit pixels; ``unit_columns`` alone L2-normalizes them,
-so every column entering a subspace construction or a score has unit norm,
-except that an all-black image stays zero.
+inside ``subspace_from_set`` or where a class matrix or a block of vectors is
+made, so every column entering a subspace construction or a score has unit
+norm, except that an all-black image stays zero.
 """
 
 import math
@@ -34,8 +35,8 @@ from .errors import (
     UnsupportedFormat,
     VersionMismatch,
 )
-from .manifold import Subspace, pixel_influence, principal_angles_to_stack, subspace_from_set
-from .manifold import normalize_pixels, unit_columns  # noqa: F401 (importable here)
+from .manifold import (Subspace, pixel_influence, principal_angles_to_stack,
+                       subspace_from_set, unit_columns)
 from .model import ModelState, Prototype, _check_shape
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -173,7 +174,7 @@ def read_set(set_dir):
     """Read one image-set directory of PGM frames into a D x m uint8 matrix.
 
     Frames are taken in sorted file-name order, one column of pixels each
-    (``unit_columns`` normalises them where they are built). Each frame is
+    (``subspace_from_set`` normalises them as it builds). Each frame is
     read whole by ``_read_frame`` and passes every check ``read_pgm`` makes,
     by the same ``_check_pgm``. Their pixel bytes are joined and decoded as
     one (m, D) array, and X is its transpose, a Fortran-ordered view.
@@ -303,14 +304,14 @@ def read_imageset_dirs(root):
 def build_classwise_subspace_dataset(images, labels, d, m, sets_per_class, seed):
     """Sample subspaces per class from single images (for image classification).
 
-    ``images`` is (n, D): the uint8 pixel rows of an IDX file or float rows
-    (see ``unit_columns``). For each class, draws ``sets_per_class``
-    independent groups of ``m`` images (without replacement within a group)
-    and converts each group to a d-dimensional subspace. Returns (Subspace,
-    label) pairs; deterministic under the seed, and bitwise the same for
-    uint8 pixels as for their ``normalize_pixels`` rows. Before any draw, raises ConfigError
-    when d is outside [1, D], then InsufficientImages when m < d or a class
-    has fewer than m images.
+    ``images`` is (n, D): the uint8 pixel rows of an IDX file or float rows.
+    For each class, draws ``sets_per_class`` independent groups of ``m``
+    images (without replacement within a group) and converts each group to a
+    d-dimensional subspace by ``build_per_set_subspace_dataset``. Returns
+    (Subspace, label) pairs; deterministic under the seed, and bitwise the
+    same for uint8 pixels as for ``unit_columns(images.T).T``. Before any
+    draw, raises ConfigError when d is outside [1, D], then
+    InsufficientImages when m < d or a class has fewer than m images.
     """
     D = images.shape[1]
     if d < 1 or d > D:
@@ -329,7 +330,7 @@ def build_classwise_subspace_dataset(images, labels, d, m, sets_per_class, seed)
 
 def build_per_set_subspace_dataset(sets, d, start=0):
     """One d-dimensional subspace per (D x m matrix, label) item of ``sets``,
-    the matrix's columns taken by ``unit_columns``.
+    built by ``subspace_from_set``, which normalises uint8 pixel columns.
 
     Returns (Subspace, label) pairs; errors name the offending set by its
     index counted from ``start``.
@@ -337,7 +338,7 @@ def build_per_set_subspace_dataset(sets, d, start=0):
     dataset = []
     for i, (X, label) in enumerate(sets, start):
         try:
-            dataset.append((subspace_from_set(unit_columns(X), d), int(label)))
+            dataset.append((subspace_from_set(X, d), int(label)))
         except Exception as exc:
             exc.args = (f"set {i} (label {label}): {exc}",)
             raise
@@ -393,7 +394,8 @@ def class_image_matrices(images, labels):
     """Per-class D x n matrices of the (n, D) ``images`` rows, each class's
     in row order, for the pca prototype init, as a read-only mapping label
     -> matrix. A class's rows are gathered, and uint8 pixels normalised by
-    ``unit_columns``, only when its label is read."""
+    ``unit_columns`` (so the gather is freed before the pca factorisation),
+    only when its label is read."""
     return _ClassMatrices({int(lab): np.flatnonzero(labels == lab)
                            for lab in np.unique(labels)},
                           lambda rows: unit_columns(images[rows].T))

@@ -29,28 +29,21 @@ def _as_f64(a) -> np.ndarray:
     return a
 
 
-def normalize_pixels(pixels, out=None) -> np.ndarray:
-    """L2-normalize (n, D) 8-bit pixel rows into one float64 array (a /255
-    pass would be undone): a new one, or ``out``, a C-contiguous (n, D)
-    float64 array, which is returned. An all-zero (black) row stays zero, so
-    it adds no direction to a subspace."""
-    images = np.empty_like(pixels, dtype=np.float64) if out is None else out
-    images[...] = pixels
-    norms = np.sqrt(np.einsum("ij,ij->i", images, images))
-    norms[norms == 0] = 1.0
-    return np.divide(images, norms[:, None], out=images)
-
-
 def unit_columns(X, out=None):
     """The D x n matrix X for a subspace, a class matrix or a block of
-    vectors to score: uint8 columns are pixels and go through
-    ``normalize_pixels``, row by row on X^T, so a column has the bits it has
-    in the normalised whole; float columns are used as they are. Pixels are
-    normalised into ``out`` if given, a D x n float64 array whose transpose
-    is C-contiguous (a caller scoring blocks reuses one buffer)."""
+    vectors to score: uint8 columns are pixels, L2-normalised row by row on
+    X^T into float64, so a column has the bits it has in the normalised
+    whole; an all-zero (black) column stays zero. Float columns are used as
+    they are. Pixels are normalised into ``out`` if given, a D x n float64
+    array whose transpose is C-contiguous (a caller scoring blocks reuses
+    one buffer)."""
     if X.dtype != np.uint8:
         return X
-    return normalize_pixels(X.T, None if out is None else out.T).T
+    rows = np.empty_like(X.T, dtype=np.float64) if out is None else out.T
+    rows[...] = X.T
+    norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    norms[norms == 0] = 1.0
+    return np.divide(rows, norms[:, None], out=rows).T
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,10 +101,11 @@ class PrincipalDecomposition:
 def subspace_from_set(X, d: int) -> Subspace:
     """Build the d-dimensional subspace spanned by a set of column vectors.
 
-    X is a D x m data matrix (one image per column). The subspace is the span
-    of the first d left singular vectors. Raises ConfigError when d is
-    outside [1, D], then InsufficientImages when X has fewer than d columns,
-    then RankDeficient when s_d <= RANK_TOL * s_1.
+    X is a D x m data matrix (one image per column): uint8 pixels, which
+    ``unit_columns`` normalises here, or float columns, used as they are.
+    The subspace is the span of the first d left singular vectors. Raises
+    ConfigError when d is outside [1, D], then InsufficientImages when X has
+    fewer than d columns, then RankDeficient when s_d <= RANK_TOL * s_1.
 
     The factors come from the R-SVD (Chan, 1982) of whichever of X and X^T
     is tall: a Householder QR without Q, then the SVD of the square
@@ -131,8 +125,8 @@ def subspace_from_set(X, d: int) -> Subspace:
 def _factor_set(X, d: int):
     """(basis, s_d, V_d) of subspace_from_set: the orthonormal (D, d) basis,
     the first d singular values of X and its first d right singular vectors
-    as an (m, d) array."""
-    X = _as_f64(X)
+    as an (m, d) array, of X's columns as ``unit_columns`` takes them."""
+    X = _as_f64(unit_columns(np.asarray(X)))
     D, m = X.shape
     if d < 1 or d > D:
         raise ConfigError(f"d={d} must satisfy 1 <= d <= D = {D}")
@@ -297,8 +291,9 @@ def image_contribution(X, pd: PrincipalDecomposition) -> np.ndarray:
     """Contribution matrix M = V_d diag(1/s_d) Q_P mapping set columns to principal vectors.
 
     X is the data matrix whose subspace_from_set(X, pd.dim) was the left
-    subspace of ``pd``; it is factored again here, so X @ M recovers the
-    principal vectors U of ``pd`` to about eps * s_1 / s_d.
+    subspace of ``pd``; it is factored again here, uint8 pixels normalised
+    as there, so unit_columns(X) @ M recovers the principal vectors U of
+    ``pd`` to about eps * s_1 / s_d.
     """
     _, s, right = _factor_set(X, pd.dim)
     if np.any(s < 1e-12):

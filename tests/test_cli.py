@@ -235,7 +235,7 @@ class TestTrain:
             # each class's kept frames, normalised, side by side in item order
             grouped = {}
             for X, label in kept:
-                grouped.setdefault(label, []).append(dataio.normalize_pixels(X.T).T)
+                grouped.setdefault(label, []).append(dataio.unit_columns(X))
             expected, _ = fit(dataio.build_per_set_subspace_dataset(kept, 2),
                               config, init="pca",
                               class_matrices={label: np.hstack(xs)
@@ -605,6 +605,31 @@ class TestEval:
         monkeypatch.setattr(model_module, "principal_angles_to_stack", checked)
         assert main(["eval", "--model", str(model), "--data", str(data)]) == 0
         assert blocks == [13, 13, 10] and len(built) == 36
+
+    def test_error_order_follows_the_reads(self, workspace, tmp_path,
+                                           monkeypatch, capsys):
+        """Set 0 has only black frames and set 4 a truncated frame: a
+        block's sets are all read before any is built, so in one block set
+        4's read error is reported, and with one set per block set 0's
+        build error is; train --data reads every set first."""
+        _, data, model, _ = workspace
+        root = tmp_path / "tree"
+        shutil.copytree(data / "test", root)
+        for frame in (root / "class_01" / "set_001").iterdir():
+            dataio.write_pgm(frame, np.zeros(FRAME_SHAPE, dtype=np.uint8))
+        frame = sorted((root / "class_02" / "set_001").iterdir())[-1]
+        frame.write_bytes(frame.read_bytes()[:-1])
+        truncated = f"error: TruncatedFile: {frame}: expected 12 pixels, got 11"
+        black = ("error: RankDeficient: set 0 (label 1): "
+                 "set of 6 columns has numerical rank < 2")
+        for argv in (_eval(model, root), ["train", "--data", str(root), "--d", "2",
+                                          "--model-out", str(tmp_path / "m.bin")]):
+            capsys.readouterr()
+            assert main(argv) == 1
+            assert capsys.readouterr().err.splitlines() == [truncated]
+        monkeypatch.setattr(model_module, "EVAL_BLOCK_BYTES", 8 * 12 * 2)
+        assert main(_eval(model, root)) == 1
+        assert capsys.readouterr().err.splitlines() == [black]
 
     def test_missing_model(self, workspace, tmp_path, capsys):
         _, data, _, _ = workspace
@@ -1002,6 +1027,11 @@ MALFORMED_INPUTS = {
             "inspect", "--model", str(_resealed(
                 tmp, b"GRASSLVQ v1 mode=grlgq D=-2 d=-1 labels=1", [0.5])),
             "--relevance-out", str(tmp / "relevance.csv")]),
+    # a v1 checksum covers only the payload, so it passes this file
+    "v1-header-d-vs-payload": (
+        "CorruptModel", "bad.bin: payload size inconsistent with header",
+        lambda data, model, tmp: _eval(_resealed(
+            tmp, b"GRASSLVQ v1 mode=grlgq D=12 d=3 labels=1,2", [0.5] * 50), data / "test")),
     "nan-relevance": ("CorruptModel", "relevance weights must be nonnegative and finite",
                       lambda data, model, tmp: _eval(
                           _with_relevance(model, tmp, [np.nan]), data / "test")),
@@ -1017,6 +1047,9 @@ MALFORMED_INPUTS = {
     "config-not-utf8": (
         "ConfigError", "run.conf:1: not UTF-8: 'epochs = ",
         lambda data, model, tmp: _with_config(data, tmp, b"epochs = \xff3\n")),
+    "config-line-without-equals": (
+        "ConfigError", "run.conf:1: expected key = value",
+        lambda data, model, tmp: _with_config(data, tmp, "epochs 2\n")),
     "config-task-not-a-choice": (
         "ConfigError", "config key 'task': 'IDX' is not one of idx, sets",
         lambda data, model, tmp: _with_config(data, tmp, "task = IDX\n")),
@@ -1026,6 +1059,8 @@ MALFORMED_INPUTS = {
     "config-mode-not-a-choice": (
         "ConfigError", "config key 'mode'",
         lambda data, model, tmp: _with_config(data, tmp, "mode = nope\n")),
+    "epochs-zero": ("ConfigError", "epochs must be positive",
+                    lambda data, model, tmp: _train(data, tmp, "--epochs", "0")),
     "eta-nan": ("ConfigError", "eta must be positive and finite, got nan",
                 lambda data, model, tmp: _train(data, tmp, "--eta", "nan")),
     "eta-overflow": ("RankDeficient", "rank deficient",
@@ -1063,6 +1098,11 @@ MALFORMED_INPUTS = {
                      lambda data, model, tmp: _train(data, tmp, "--repeats", "0")),
     "folds-zero": ("ConfigError", "--folds must be in [2, 10]",
                    lambda data, model, tmp: _train(data, tmp, "--folds", "0")),
+    "synth-fewer-frames-than-dim": (
+        "ConfigError", "frames=1 must be >= dim=2",
+        lambda data, model, tmp: _synth(tmp, "--frames", "1", "--dim", "2")),
+    "synth-one-class": ("ConfigError", "need at least 2 classes",
+                        lambda data, model, tmp: _synth(tmp, "--classes", "1")),
     "synth-width-without-height": (
         "ConfigError", "width and height must be given together",
         lambda data, model, tmp: _synth(tmp, "--width", "20")),
@@ -1226,6 +1266,9 @@ MALFORMED_INPUTS = {
         "ConfigError", "--distance-out requires --data",
         lambda data, model, tmp: [
             "inspect", "--model", str(model), "--distance-out", str(tmp / "dist.csv")]),
+    "train-idx-task-with-data-only": (
+        "ConfigError", "idx task requires --images and --labels",
+        lambda data, model, tmp: _train(data, tmp, "--task", "idx")),
     "train-sets-task-without-data": (
         "ConfigError", "sets task requires --data <imageset root>",
         lambda data, model, tmp: ["train", "--epochs", "1",

@@ -46,10 +46,10 @@ class TestIdx:
         raw = np.arange(6) / 255.0
         assert np.allclose(unit[:, 0], raw / np.linalg.norm(raw))
 
-    def test_normalize_pixels_matches_scaled_form(self):
+    def test_unit_columns_matches_scaled_form(self):
         pixels = np.random.default_rng(0).integers(0, 256, (50, 784), dtype=np.uint8)
         pixels[7] = 0
-        out = dataio.normalize_pixels(pixels)
+        out = dataio.unit_columns(pixels.T).T
         scaled = pixels / 255.0
         norms = np.linalg.norm(scaled, axis=1)
         norms[7] = 1.0
@@ -297,13 +297,13 @@ class TestSubspaceDatasets:
 
     def test_uint8_pixels_match_normalized_rows(self):
         # draws, per-set builds and class matrices normalise uint8 pixels
-        # where they build; normalize_pixels works row by row, so the bits
-        # are the whole's
+        # where they build; unit_columns works row by row on X^T, so the
+        # bits are the whole's
         rng = np.random.default_rng(13)
         pixels = rng.integers(0, 256, (60, 49), dtype=np.uint8)
         pixels[7] = 0  # an all-black image stays a zero row
         labels = np.repeat([3, 5, 8], 20)
-        unit = dataio.normalize_pixels(pixels)
+        unit = dataio.unit_columns(pixels.T).T
         a = dataio.build_classwise_subspace_dataset(pixels, labels, 3, 10, 4, 2)
         b = dataio.build_classwise_subspace_dataset(unit, labels, 3, 10, 4, 2)
         assert len(a) == len(b) == 12
@@ -338,7 +338,7 @@ class TestSubspaceDatasets:
         matrices = dataio.class_image_matrices(pixels, labels)
         assert len(matrices) == 3 and 2 in matrices and 3 not in matrices
         assert built == []
-        assert np.array_equal(matrices[2], dataio.normalize_pixels(pixels[10:20]).T)
+        assert np.array_equal(matrices[2], unit(pixels[10:20].T))
         assert len(built) == 1 and np.array_equal(built[0], pixels[10:20].T)
 
     def test_insufficient_images(self):
@@ -692,6 +692,20 @@ class TestExporters:
         assert img.shape == (3, 4)
         assert img.min() == 0 and img.max() == 255  # full 8-bit range
 
+    def test_constant_prototype_vector_is_an_all_zero_image(self, tmp_path):
+        # a unit vector of equal entries has no range to rescale
+        flat = Subspace(np.full((6, 1), 1 / np.sqrt(6)))
+        edge = Subspace(np.eye(6)[:, :1])
+        model = ModelState([Prototype(flat, 3), Prototype(edge, 4)],
+                           np.ones(1), "grlgq", 1, 6)
+        out = tmp_path / "protos"
+        dataio.export_prototype_images(model, 3, 2, out)
+        img = dataio.read_pgm(out / "prototype_0_vector_1.pgm")
+        assert img.shape == (2, 3) and not img.any()
+        value = float(flat.basis[0, 0])
+        assert (out / "rescale.txt").read_text().splitlines()[1] == (
+            f"prototype_0_vector_1.pgm label=3 min={value!r} max={value!r}")
+
     def test_write_csv_format(self, tmp_path):
         path = tmp_path / "table.csv"
         floats = [0.1, 1 / 3, -2.5e-300, np.float64(np.pi)]
@@ -721,3 +735,11 @@ class TestExporters:
         assert img.shape == (3, 4)
         # pre-rescale values satisfy the cosine summation identity
         assert abs(pixel_influence(pd, 0).sum() - pd.cosines[0]) < 1e-10
+
+    def test_all_zero_influence_map_is_mid_grey(self, tmp_path):
+        # span(e_0) against span(e_1): the principal vectors share no pixel
+        eye = np.eye(6)
+        pd = principal_decomposition(Subspace(eye[:, :1]), Subspace(eye[:, 1:2]))
+        path = tmp_path / "inf.pgm"
+        dataio.export_pixel_influence(pd, 0, 3, 2, path)
+        assert np.array_equal(dataio.read_pgm(path), np.full((2, 3), 128, np.uint8))

@@ -16,7 +16,7 @@ from grasslvq import (
     subspace_from_set,
 )
 from grasslvq.errors import InconsistentDims, RankDeficient, SingularFactor
-from grasslvq.manifold import _factor_set
+from grasslvq.manifold import _factor_set, unit_columns
 from helpers import pair_with_angles, random_orthogonal, random_subspace
 
 
@@ -598,3 +598,24 @@ class TestImageContribution:
         pd = principal_decomposition(subspace_from_set(X, 2), random_subspace(rng, 6, 2))
         with pytest.raises(SingularFactor):
             image_contribution(X, pd)
+
+
+class TestPixelsIntoSubspaces:
+    """The builder applies the pixel rule itself: uint8 columns give bitwise
+    what their unit_columns give, tall or wide, and float columns are used
+    as they are."""
+
+    @pytest.mark.parametrize("shape", [(20, 6), (6, 20)])
+    def test_uint8_set_builds_its_unit_columns(self, shape):
+        rng = np.random.default_rng(31)
+        pixels = rng.integers(0, 256, shape, dtype=np.uint8)
+        pixels[:, 1] = 0  # a black frame stays a zero column
+        unit = unit_columns(pixels)
+        sample = subspace_from_set(pixels, 3)
+        assert sample.basis.tobytes() == subspace_from_set(unit, 3).basis.tobytes()
+        pd = principal_decomposition(sample, random_subspace(rng, shape[0], 3))
+        assert (image_contribution(pixels, pd).tobytes()
+                == image_contribution(unit, pd).tobytes())
+        # the span of the raw 0-255 columns is another subspace
+        raw = subspace_from_set(pixels.astype(np.float64), 3)
+        assert largest_angle_sine(raw.basis, sample.basis) > 1e-3

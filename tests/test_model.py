@@ -38,6 +38,7 @@ from grasslvq.errors import (
 )
 from grasslvq import dataio
 from grasslvq import model as model_module
+from grasslvq.manifold import unit_columns
 from grasslvq.model import EVAL_BLOCK_BYTES
 from helpers import (
     make_outcome,
@@ -516,6 +517,21 @@ class TestInitPrototypes:
                                  class_matrices={1: images, 2: images})
         pd = principal_decomposition(protos[0].subspace, center)
         assert geodesic_distance(pd) < 1e-6
+
+    def test_pca_fit_takes_uint8_class_matrices(self):
+        # the pca init builds from pixels bitwise what it builds from their
+        # unit_columns, and so does the whole run after it
+        rng = np.random.default_rng(22)
+        dataset = synthetic_subspace_dataset(rng, classes=2, D=16, d=2, per_class=4)
+        pixels = {label: rng.integers(0, 256, (16, 12), dtype=np.uint8)
+                  for label in (1, 2)}
+        config = TrainConfig(eta=0.05, gamma=1e-4, epochs=2, seed=3, mode="grlgq")
+        got, got_stats = fit(dataset, config, init="pca", class_matrices=pixels)
+        want, want_stats = fit(dataset, config, init="pca", class_matrices={
+            label: unit_columns(X) for label, X in pixels.items()})
+        assert got.pixel_stack.tobytes() == want.pixel_stack.tobytes()
+        assert got.relevance.tobytes() == want.relevance.tobytes()
+        assert got_stats == want_stats
 
     def test_pca_runs_one_svd_per_class(self, monkeypatch):
         rng = np.random.default_rng(20)
