@@ -14,19 +14,8 @@ from functools import partial
 import numpy as np
 
 from . import dataio, synth
-from .errors import (
-    ConfigError,
-    GrasslvqError,
-    InconsistentDims,
-    ModelNotFound,
-    RankDeficient,
-)
-from .manifold import (
-    image_contribution,
-    principal_decomposition,
-    subspace_from_set,
-    unit_columns,
-)
+from .errors import ConfigError, GrasslvqError, RankDeficient
+from .manifold import image_contribution, principal_decomposition, subspace_from_set
 from .model import (
     TrainConfig,
     confusion_from_scores,
@@ -225,35 +214,6 @@ def cmd_train(args):
     return 0
 
 
-def _load_model(path):
-    if not os.path.isfile(path):
-        raise ModelNotFound(path)
-    return dataio.load_model(path)
-
-
-def _idx_image_blocks(args, model):
-    """(N,) labels and pixel-major (D, B, 1) blocks of the IDX images, each
-    ``eval_block_size`` pixel rows through ``unit_columns`` into one
-    (eval_block_size, D) float64 buffer, which every block views: a block is
-    valid until the next one is pulled. Every check runs before the first
-    block is made: the files' decode and counts, all-black images, then the
-    pixel count against the model's D."""
-    pixels, labels, _, _ = dataio.read_idx_dataset(args.images, args.labels)
-    black = np.flatnonzero(~pixels.any(axis=1))
-    if black.size:
-        raise RankDeficient(f"{args.images}: image {black[0]} is all black "
-                            "(rank 0 < 1)")
-    if pixels.shape[1] != model.ambient_dim:
-        raise InconsistentDims(f"{args.images}: images have D = {pixels.shape[1]} "
-                               f"pixels, prototypes have D = {model.ambient_dim}")
-    block = eval_block_size(model, "vectors")
-    buffer = np.empty((min(block, len(pixels)), pixels.shape[1]))
-    # buffer[:n] clamps n to the buffer's length, so only the last block is short
-    return labels, (unit_columns(pixels[start:start + block].T,
-                                 out=buffer[:len(pixels) - start].T)[:, :, None]
-                    for start in range(0, len(pixels), block))
-
-
 def cmd_eval(args):
     if args.data and (args.images or args.labels):
         raise ConfigError("eval takes --data or --images/--labels, not both")
@@ -262,12 +222,14 @@ def cmd_eval(args):
         raise ConfigError(f"eval {given} requires {missing}")
     if not args.data and not args.images:
         raise ConfigError("eval requires --data or --images/--labels")
-    model = _load_model(args.model)
+    model = dataio.load_model(args.model)
     kind = "vectors" if args.images else "sets"
+    block = eval_block_size(model, kind)
     # the IDX files, or the tree and its labels.txt, are checked here
-    labels, blocks = (_idx_image_blocks(args, model) if args.images else
-                      dataio.iter_imageset_blocks(args.data, model.subspace_dim,
-                                                  eval_block_size(model, kind)))
+    labels, blocks = (
+        dataio.iter_idx_blocks(args.images, args.labels, model.ambient_dim, block)
+        if args.images else
+        dataio.iter_imageset_blocks(args.data, model.subspace_dim, block))
     accuracy, confusion = confusion_from_scores(model, score_blocks(model, blocks, kind), labels)
     print(f"accuracy={accuracy!r}")
     if args.confusion_out:
@@ -284,7 +246,7 @@ def cmd_predict(args):
         raise ConfigError("--out-dir applies only with --explain")
     if not args.image and not args.set:
         raise ConfigError("predict requires --set <dir> or --image <pgm>")
-    model = _load_model(args.model)
+    model = dataio.load_model(args.model)
     if args.image:
         sample = dataio.read_pgm(args.image).ravel()  # pixels; scores normalises them
         if not sample.any():
@@ -326,7 +288,7 @@ def cmd_inspect(args):
     if not (args.relevance_out or args.prototype_dir or args.distance_out):
         raise ConfigError("inspect requires --relevance-out, --prototype-dir "
                           "or --distance-out")
-    model = _load_model(args.model)
+    model = dataio.load_model(args.model)
     if args.relevance_out:
         dataio.write_csv(args.relevance_out, ["index", "lambda"],
                          enumerate(model.relevance, 1))

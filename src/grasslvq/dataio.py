@@ -31,6 +31,8 @@ from .errors import (
     EmptySet,
     InconsistentDims,
     InsufficientImages,
+    ModelNotFound,
+    RankDeficient,
     TruncatedFile,
     UnsupportedFormat,
     VersionMismatch,
@@ -45,6 +47,8 @@ MODEL_MAGIC = "GRASSLVQ"
 # v2's CRC32 covers every byte before it, header line included; v1's, which
 # load_model still reads, covers only the payload.
 MODEL_VERSION = 2
+# a stream with no size to check is read in chunks of this many bytes
+STREAM_CHUNK = 1 << 24
 
 # P5 magic, then width, height and maxval as whitespace-separated tokens with
 # '#' comments running to end of line, then one whitespace byte before pixels.
@@ -60,10 +64,25 @@ def _read_exact(f, n, path):
     return data
 
 
+def _read_stream(f, n, path):
+    """``_read_exact`` for a pipe or other stream: reads of at most
+    STREAM_CHUNK bytes until ``n`` bytes or EOF, so a header that overstates
+    the payload allocates what the stream delivers, not what it declares."""
+    chunks, got = [], 0
+    while got < n:
+        chunk = f.read(min(n - got, STREAM_CHUNK))
+        if not chunk:
+            raise TruncatedFile(f"{path}: expected {n} more bytes, got {got}")
+        chunks.append(chunk)
+        got += len(chunk)
+    return b"".join(chunks)
+
+
 def _read_idx(path, magic, ndim):
     """The uint8 payload of an IDX file with ``ndim`` size fields, checking
     the magic first, then that no size is negative and, before the payload is
-    read, that a regular file holds all of it; returns (payload, sizes)."""
+    read, that a regular file holds all of it; a pipe is read by
+    ``_read_stream``. Returns (payload, sizes)."""
     with open(path, "rb") as f:
         header = 4 + 4 * ndim
         found, *sizes = struct.unpack(f">{1 + ndim}i", _read_exact(f, header, path))
@@ -72,11 +91,12 @@ def _read_idx(path, magic, ndim):
         if min(sizes) < 0:
             raise UnsupportedFormat(f"{path}: negative size field in {sizes}")
         size, st = math.prod(sizes), os.fstat(f.fileno())
-        # a pipe has no size to check; its read ends at what it delivers
-        if stat.S_ISREG(st.st_mode) and size > st.st_size - header:
+        regular = stat.S_ISREG(st.st_mode)
+        if regular and size > st.st_size - header:
             raise TruncatedFile(f"{path}: expected {size} more bytes, "
                                 f"got {st.st_size - header}")
-        raw = _read_exact(f, size, path)
+        # a pipe has no size to check; its read ends at what it delivers
+        raw = _read_exact(f, size, path) if regular else _read_stream(f, size, path)
     return np.frombuffer(raw, dtype=np.uint8), sizes
 
 
@@ -368,6 +388,28 @@ def iter_imageset_blocks(root, d, block):
     return np.array([label for _, label in set_dirs], dtype=np.int64), blocks()
 
 
+def iter_idx_blocks(images_path, labels_path, D, block):
+    """(N,) int64 labels and pixel-major (D, B, 1) blocks of the IDX images,
+    each ``block`` pixel rows through ``unit_columns`` into one (block, D)
+    float64 buffer, which every block views: a block is valid until the next
+    one is pulled. Every check runs before the first block is made: the
+    files' decode and counts, all-black images, then the pixel count
+    against ``D``."""
+    pixels, labels, _, _ = read_idx_dataset(images_path, labels_path)
+    black = np.flatnonzero(~pixels.any(axis=1))
+    if black.size:
+        raise RankDeficient(f"{images_path}: image {black[0]} is all black "
+                            "(rank 0 < 1)")
+    if pixels.shape[1] != D:
+        raise InconsistentDims(f"{images_path}: images have D = {pixels.shape[1]} "
+                               f"pixels, prototypes have D = {D}")
+    buffer = np.empty((min(block, len(pixels)), D))
+    # buffer[:n] clamps n to the buffer's length, so only the last block is short
+    return labels, (unit_columns(pixels[start:start + block].T,
+                                 out=buffer[:len(pixels) - start].T)[:, :, None]
+                    for start in range(0, len(pixels), block))
+
+
 class _ClassMatrices(Mapping):
     """Read-only label -> D x n mapping that builds a class's matrix from its
     parts, ``build(parts[label])``, each time the label is read, and keeps
@@ -428,7 +470,10 @@ def save_model(model: ModelState, path) -> None:
 
 
 def load_model(path) -> ModelState:
-    """Read a v1 or v2 model file written by save_model; bit-exact round trip."""
+    """Read a v1 or v2 model file written by save_model; bit-exact round trip.
+    A path that is not a regular file raises ModelNotFound."""
+    if not os.path.isfile(path):
+        raise ModelNotFound(path)
     with open(path, "rb") as f:
         line = f.readline()
         header = line.decode(errors="replace").strip()

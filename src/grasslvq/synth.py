@@ -50,7 +50,8 @@ def generate(root, classes, ambient, dim, train_sets, test_sets,
 
     ``train_sets`` and ``test_sets`` count sets per class. Frame images are
     width x height PGMs with width*height = ambient (default: one row).
-    Arguments out of range raise ConfigError before anything is written.
+    Arguments out of range, or a ``root`` that already holds a train/ or
+    test/ entry, raise ConfigError before anything is written.
     """
     if width is None and height is None:
         width, height = ambient, 1
@@ -72,6 +73,10 @@ def generate(root, classes, ambient, dim, train_sets, test_sets,
         raise ConfigError(f"noise must be nonnegative and finite, got {noise!r}")
     if seed < 0:
         raise ConfigError(f"seed must be nonnegative, got {seed}")
+    for split in ("train", "test"):
+        # writing over a used tree would leave its stale sets and frames
+        if os.path.lexists(os.path.join(root, split)):
+            raise ConfigError(f"{os.path.join(root, split)} already exists")
     rng = np.random.default_rng(seed)
     bases = [_class_basis(rng, ambient, dim) for _ in range(classes)]
     for split, count in (("train", train_sets), ("test", test_sets)):

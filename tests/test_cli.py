@@ -1,8 +1,9 @@
 """End-to-end tests that drive the console entry point via main(argv)."""
 
-import argparse
+import os
 import shutil
 import struct
+import threading
 import tracemalloc
 import weakref
 import zlib
@@ -113,6 +114,18 @@ class TestSynth:
         for out in ("a", "b"):
             assert main(args + ["--out", str(tmp_path / out)]) == 0
         assert tree_bytes(tmp_path / "a") == tree_bytes(tmp_path / "b")
+
+    def test_used_out_is_refused_and_left_as_is(self, tmp_path, capsys):
+        args = ["synth", "--out", str(tmp_path), "--classes", "2", "--ambient", "10",
+                "--dim", "2", "--test-sets", "1", "--frames", "4"]
+        assert main(args + ["--train-sets", "3"]) == 0
+        before = tree_bytes(tmp_path)
+        capsys.readouterr()
+        # fewer sets of fewer frames would leave stale ones beside the new
+        assert main(args + ["--train-sets", "2", "--frames", "2", "--seed", "1"]) == 1
+        assert capsys.readouterr().err == (
+            f"error: ConfigError: {tmp_path / 'train'} already exists\n")
+        assert tree_bytes(tmp_path) == before
 
     def test_layout(self, workspace):
         _, data, _, _ = workspace
@@ -509,20 +522,19 @@ class TestEval:
         images, labels, _, _ = dataio.read_idx_dataset(*paths)
         accuracy, confusion = evaluate(state, list(zip(images, labels)), "vectors")
         dataio.write_csv(tmp_path / "want.csv", None, confusion)
-        _, blocks = cli._idx_image_blocks(
-            argparse.Namespace(images=paths[0], labels=paths[1]), state)
+        _, blocks = dataio.iter_idx_blocks(paths[0], paths[1], state.ambient_dim, block)
         table = score_blocks(state, blocks, "vectors")
         assert table.tobytes() == scores(state, images, "vectors").tobytes()
         calls = track_kernel_blocks(monkeypatch, owners_die=False)
-        unit, outs = cli.unit_columns, []
+        unit, outs = dataio.unit_columns, []
 
         def checked(pixels, out=None):
             calls.all_dead()  # no scored block is alive while the next is made
             outs.append(out)  # keeps the buffer alive for the checks below
             return unit(pixels, out=out)
 
-        # the name _idx_image_blocks looks up
-        monkeypatch.setattr(cli, "unit_columns", checked)
+        # the name iter_idx_blocks looks up
+        monkeypatch.setattr(dataio, "unit_columns", checked)
         capsys.readouterr()
         assert main(["eval", "--model", str(model), "--images", str(paths[0]),
                      "--labels", str(paths[1]),
@@ -556,6 +568,24 @@ class TestEval:
                      "--labels", str(paths[1]),
                      "--confusion-out", str(tmp_path / "got.csv")]) == 0
         assert capsys.readouterr().out == f"accuracy={accuracy!r}\n"
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+    @pytest.mark.parametrize("chunk", [5, None])
+    def test_idx_eval_reads_images_from_a_pipe(self, workspace, tmp_path,
+                                               monkeypatch, capsys, chunk):
+        """eval --images of a FIFO, read ``chunk`` bytes at a time (None:
+        dataio's own chunk), prints and writes what eval of the same bytes in
+        a regular file does."""
+        _, _, model, _ = workspace
+        paths = self._idx_files(tmp_path, 7)
+        argv = ["eval", "--model", str(model), "--labels", str(paths[1]), "--images"]
+        assert main(argv + [str(paths[0]), "--confusion-out", str(tmp_path / "want.csv")]) == 0
+        want = capsys.readouterr()
+        if chunk:
+            monkeypatch.setattr(dataio, "STREAM_CHUNK", chunk)
+        pipe = _fifo(tmp_path, paths[0].read_bytes())
+        assert main(argv + [str(pipe), "--confusion-out", str(tmp_path / "got.csv")]) == 0
+        assert capsys.readouterr() == want
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_set_eval_matches_evaluate_without_it(self, workspace, tmp_path,
@@ -849,6 +879,33 @@ def _raw_idx_eval(model, tmp, image_sizes, label_count, pixels=36):
             "--labels", str(paths[1])]
 
 
+def _fifo(tmp, content):
+    """A FIFO in ``tmp`` that a daemon thread fills with ``content`` and
+    closes once a reader opens it."""
+    path = tmp / "pipe"
+    os.mkfifo(path)
+
+    def write():
+        with open(path, "wb") as f:
+            f.write(content)
+
+    threading.Thread(target=write, daemon=True).start()
+    return path
+
+
+def _piped_idx_eval(model, tmp, image_sizes):
+    """``_raw_idx_eval`` with the image file's bytes read from a FIFO."""
+    argv = _raw_idx_eval(model, tmp, image_sizes, 3)
+    argv[argv.index("--images") + 1] = str(_fifo(tmp, (tmp / "images.idx").read_bytes()))
+    return argv
+
+
+def _synth_twice(tmp):
+    """synth into the tree a first synth with other flags wrote."""
+    assert main(_synth(tmp, "--train-sets", "5", "--frames", "8", "--seed", "1")) == 0
+    return _synth(tmp, "--train-sets", "3", "--frames", "4", "--seed", "2")
+
+
 def _with_header(data, model, tmp, header):
     raw = model.read_bytes()
     bad = tmp / "bad.bin"
@@ -993,6 +1050,13 @@ MALFORMED_INPUTS = {
     "idx-sizes-beyond-file": (
         "TruncatedFile", f"expected {(2 ** 31 - 1) ** 3} more bytes, got 36",
         lambda data, model, tmp: _raw_idx_eval(model, tmp, (2 ** 31 - 1,) * 3, 3)),
+    # a pipe has no size to check the header against before the payload
+    "idx-piped-sizes-beyond-stream": (
+        "TruncatedFile", f"pipe: expected {(2 ** 31 - 1) ** 3} more bytes, got 36",
+        lambda data, model, tmp: _piped_idx_eval(model, tmp, (2 ** 31 - 1,) * 3)),
+    "idx-piped-petabyte-header": (
+        "TruncatedFile", f"pipe: expected {2 ** 50} more bytes, got 36",
+        lambda data, model, tmp: _piped_idx_eval(model, tmp, (2 ** 20, 2 ** 20, 2 ** 10))),
     "idx-no-images": (
         "EmptySet", "images.idx: no images",
         lambda data, model, tmp: _raw_idx_eval(model, tmp, (0, 2 ** 31 - 1, 2 ** 31 - 1), 0)),
@@ -1121,6 +1185,8 @@ MALFORMED_INPUTS = {
     "synth-noise-negative": (
         "ConfigError", "noise must be nonnegative and finite, got -0.1",
         lambda data, model, tmp: _synth(tmp, "--noise", "-0.1")),
+    "synth-into-used-out": ("ConfigError", "train already exists",
+                            lambda data, model, tmp: _synth_twice(tmp)),
     "synth-train-sets-negative": (
         "ConfigError", "train_sets=-1",
         lambda data, model, tmp: _synth(tmp, "--train-sets", "-1")),

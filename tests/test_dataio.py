@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 import zlib
@@ -14,6 +15,7 @@ from grasslvq.errors import (
     EmptySet,
     InconsistentDims,
     InsufficientImages,
+    ModelNotFound,
     RankDeficient,
     TruncatedFile,
     UnsupportedFormat,
@@ -477,6 +479,12 @@ class TestModelPersistence:
         path = tmp_path / "model.bin"
         dataio.save_model(model, path)
         assert np.array_equal(dataio.load_model(path).relevance, model.relevance)
+
+    def test_path_that_is_no_file_is_model_not_found(self, tmp_path):
+        # load_model checks the path itself, before opening anything
+        for path in (tmp_path / "nothere.bin", tmp_path):
+            with pytest.raises(ModelNotFound, match=re.escape(str(path))):
+                dataio.load_model(path)
 
     def test_truncated_model(self, tmp_path):
         model, _ = self._trained_model()
