@@ -16,7 +16,6 @@ norm, except that an all-black image stays zero.
 import math
 import os
 import re
-import stat
 import struct
 import zlib
 from collections.abc import Mapping
@@ -47,7 +46,7 @@ MODEL_MAGIC = "GRASSLVQ"
 # v2's CRC32 covers every byte before it, header line included; v1's, which
 # load_model still reads, covers only the payload.
 MODEL_VERSION = 2
-# a stream with no size to check is read in chunks of this many bytes
+# an IDX header or payload is read in chunks of at most this many bytes
 STREAM_CHUNK = 1 << 24
 
 # P5 magic, then width, height and maxval as whitespace-separated tokens with
@@ -58,16 +57,11 @@ _PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+([^\s#]\S*)" * 3 + rb"\s")
 # ---------------------------------------------------------------- IDX
 
 def _read_exact(f, n, path):
-    data = f.read(n)
-    if len(data) != n:
-        raise TruncatedFile(f"{path}: expected {n} more bytes, got {len(data)}")
-    return data
-
-
-def _read_stream(f, n, path):
-    """``_read_exact`` for a pipe or other stream: reads of at most
-    STREAM_CHUNK bytes until ``n`` bytes or EOF, so a header that overstates
-    the payload allocates what the stream delivers, not what it declares."""
+    """The next ``n`` bytes of ``f``, a file or a pipe, read in chunks of at
+    most STREAM_CHUNK bytes until it has them or reaches EOF, so a header
+    that overstates the payload allocates what the input holds, not what it
+    declares. Input that fits in one chunk is one read and one bytes object:
+    the join of a single chunk is that chunk, not a copy."""
     chunks, got = [], 0
     while got < n:
         chunk = f.read(min(n - got, STREAM_CHUNK))
@@ -80,23 +74,15 @@ def _read_stream(f, n, path):
 
 def _read_idx(path, magic, ndim):
     """The uint8 payload of an IDX file with ``ndim`` size fields, checking
-    the magic first, then that no size is negative and, before the payload is
-    read, that a regular file holds all of it; a pipe is read by
-    ``_read_stream``. Returns (payload, sizes)."""
+    the magic first, then that no size is negative, then that the file or
+    pipe holds the whole payload. Returns (payload, sizes)."""
     with open(path, "rb") as f:
-        header = 4 + 4 * ndim
-        found, *sizes = struct.unpack(f">{1 + ndim}i", _read_exact(f, header, path))
+        found, *sizes = struct.unpack(f">{1 + ndim}i", _read_exact(f, 4 + 4 * ndim, path))
         if found != magic:
             raise BadMagic(f"{path}: magic 0x{found:08x}, expected 0x{magic:08x}")
         if min(sizes) < 0:
             raise UnsupportedFormat(f"{path}: negative size field in {sizes}")
-        size, st = math.prod(sizes), os.fstat(f.fileno())
-        regular = stat.S_ISREG(st.st_mode)
-        if regular and size > st.st_size - header:
-            raise TruncatedFile(f"{path}: expected {size} more bytes, "
-                                f"got {st.st_size - header}")
-        # a pipe has no size to check; its read ends at what it delivers
-        raw = _read_exact(f, size, path) if regular else _read_stream(f, size, path)
+        raw = _read_exact(f, math.prod(sizes), path)
     return np.frombuffer(raw, dtype=np.uint8), sizes
 
 
@@ -131,9 +117,9 @@ def read_idx_dataset(images_path, labels_path):
 # ---------------------------------------------------------------- PGM
 
 def read_pgm(path) -> np.ndarray:
-    """Read a binary 8-bit PGM (P5) file into an (h, w) uint8 array."""
-    with open(path, "rb", buffering=0) as f:
-        data = f.read()
+    """Read a binary 8-bit PGM (P5) file into an (h, w) uint8 array; the
+    file is read whole by ``_read_frame``, as a set's frames are."""
+    data = _read_frame(path, None, 0, path)
     header, shape = _check_pgm(data, path)
     return np.frombuffer(data, np.uint8, shape[0] * shape[1], header.end()).reshape(shape)
 
@@ -173,13 +159,12 @@ def write_pgm(path, image: np.ndarray) -> None:
 # ---------------------------------------------------------------- text files
 
 def read_text_lines(path) -> list[tuple[int, str]]:
-    """(line number, line) pairs of a UTF-8 text file, split at \\n, \\r and
-    \\r\\n as text mode splits them. A line that is not UTF-8 raises
-    ConfigError naming the file, the line and its text, bad bytes as U+FFFD."""
-    with open(path, "rb") as f:
-        raw_lines = f.read().splitlines()
+    """(line number, line) pairs of a UTF-8 text file, read whole by
+    ``_read_frame`` and split at \\n, \\r and \\r\\n as text mode splits
+    them. A line that is not UTF-8 raises ConfigError naming the file, the
+    line and its text, bad bytes as U+FFFD."""
     lines = []
-    for lineno, raw in enumerate(raw_lines, 1):
+    for lineno, raw in enumerate(_read_frame(path, None, 0, path).splitlines(), 1):
         try:
             lines.append((lineno, raw.decode()))
         except UnicodeDecodeError:
@@ -208,7 +193,7 @@ def read_set(set_dir):
     dir_fd = os.open(set_dir, os.O_RDONLY | os.O_DIRECTORY)
     try:
         for frame in frames:
-            data = _read_frame(frame, dir_fd, size)
+            data = _read_frame(frame, dir_fd, size, prefix + frame)
             header, shape = _check_pgm(data, prefix + frame)
             if dims is None:
                 dims = shape
@@ -216,28 +201,31 @@ def read_set(set_dir):
                 raise InconsistentDims(f"{set_dir}/{frame}: {shape} differs from {dims}")
             size = len(data)
             payloads.append(data[header.end():header.end() + dims[0] * dims[1]])
-    except OSError as exc:
-        exc.filename = prefix + frame  # the path open() would name
-        raise
     finally:
         os.close(dir_fd)
     rows = np.frombuffer(b"".join(payloads), dtype=np.uint8)
     return rows.reshape(len(frames), dims[0] * dims[1]).T, dims
 
 
-def _read_frame(name, dir_fd, size):
-    """The bytes of the file ``name`` in the directory open at ``dir_fd``.
-    One os.read asks for ``size`` + 1 bytes, one more than the set's previous
-    frame holds; only a file that fills it (a set's first frame, or one
-    longer than the previous) is read on to its end."""
-    fd = os.open(name, os.O_RDONLY, dir_fd=dir_fd)
+def _read_frame(name, dir_fd, size, path):
+    """The bytes of the file ``name``, relative to the directory open at
+    ``dir_fd`` (None: to the working directory). One os.read asks for
+    ``size`` + 1 bytes, one more than the caller expects; only a file that
+    fills it (a set's first frame, one longer than the previous, or any
+    file read with ``size`` 0) is read on to its end. An OSError names
+    ``path``, as open() would: os.read on a directory names no file."""
     try:
-        data = os.read(fd, size + 1)
-        if len(data) > size:
-            data += open(fd, "rb", buffering=0, closefd=False).read()
-        return data
-    finally:
-        os.close(fd)
+        fd = os.open(name, os.O_RDONLY, dir_fd=dir_fd)
+        try:
+            data = os.read(fd, size + 1)
+            if len(data) > size:
+                data += open(fd, "rb", buffering=0, closefd=False).read()
+            return data
+        finally:
+            os.close(fd)
+    except OSError as exc:
+        exc.filename = os.fspath(path)
+        raise
 
 
 def _set_dirs(root):

@@ -1066,6 +1066,17 @@ MALFORMED_INPUTS = {
     "idx-negative-label-count": (
         "UnsupportedFormat", "labels.idx: negative size field in [-1]",
         lambda data, model, tmp: _raw_idx_eval(model, tmp, (3, 3, 4), -1)),
+    # an OS error ends with the path it names, quoted as open() quotes it
+    "predict-image-directory": (
+        "IsADirectory", "/image.d'", lambda data, model, tmp: [
+            "predict", "--model", str(model), "--image",
+            str(_black_frames(tmp / "image.d", 0))]),
+    "predict-image-missing": (
+        "FileNotFound", "/missing.pgm'", lambda data, model, tmp: [
+            "predict", "--model", str(model), "--image", str(tmp / "missing.pgm")]),
+    "train-config-directory": (
+        "IsADirectory", "/run.d'", lambda data, model, tmp: _train(
+            data, tmp, "--config", str(_black_frames(tmp / "run.d", 0)))),
     "pgm-zero-by-huge-frame": (
         "UnsupportedFormat", "image of 0 x 99999999999999999999 pixels",
         lambda data, model, tmp: _predict_pgm(model, tmp, b"P5 0 99999999999999999999 255\n")),

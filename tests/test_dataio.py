@@ -76,6 +76,37 @@ class TestIdx:
         with pytest.raises(TruncatedFile):
             dataio.read_idx_images(path)
 
+    @staticmethod
+    def _regular_file(tmp_path, count):
+        """(path, (count, 784) pixel rows) of an IDX file of ``count``
+        random 28 x 28 images."""
+        imgs = np.random.default_rng(4).integers(0, 256, (count, 28, 28), dtype=np.uint8)
+        path = tmp_path / "imgs.idx"
+        write_idx_images(path, list(imgs))
+        return path, imgs.reshape(count, 784)
+
+    def test_regular_file_read_in_one_chunk(self, tmp_path):
+        # the payload's one chunk is the array's buffer: no second copy
+        path, imgs = self._regular_file(tmp_path, 500)
+        tracemalloc.start()
+        try:
+            images, _, _ = dataio.read_idx_images(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(images, imgs)
+        assert peak < 1.5 * imgs.nbytes, (peak, imgs.nbytes)
+
+    @pytest.mark.parametrize("chunk", [dataio.STREAM_CHUNK, 5])
+    def test_regular_file_in_chunks(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(dataio, "STREAM_CHUNK", chunk)
+        path, imgs = self._regular_file(tmp_path, 3)
+        assert np.array_equal(dataio.read_idx_images(path)[0], imgs)
+        path.write_bytes(path.read_bytes()[:-7])
+        with pytest.raises(TruncatedFile) as info:
+            dataio.read_idx_images(path)
+        assert str(info.value) == f"{path}: expected {3 * 784} more bytes, got {3 * 784 - 7}"
+
     def test_count_mismatch(self, tmp_path):
         imgs = tmp_path / "imgs.idx"
         labels = tmp_path / "labels.idx"
@@ -401,9 +432,17 @@ class TestStreamedSubspaces:
         def unread(name, *args):
             raise AssertionError(f"{name} read before the tree was checked")
 
+        read_frame = dataio._read_frame
+
+        def manifest_only(name, dir_fd, size, path):
+            # labels.txt is read by _read_frame too, as part of the check
+            if str(path).endswith(".pgm"):
+                unread(path)
+            return read_frame(name, dir_fd, size, path)
+
         # every frame of a set is read by _read_frame, and every PGM parsed
         # by _check_pgm
-        monkeypatch.setattr(dataio, "_read_frame", unread)
+        monkeypatch.setattr(dataio, "_read_frame", manifest_only)
         monkeypatch.setattr(dataio, "_check_pgm", unread)
         # a class without sets, then a bad manifest: each raises at the call
         (tmp_path / "empty" / "c1").mkdir(parents=True)
@@ -743,6 +782,16 @@ class TestExporters:
         assert img.shape == (3, 4)
         # pre-rescale values satisfy the cosine summation identity
         assert abs(pixel_influence(pd, 0).sum() - pd.cosines[0]) < 1e-10
+
+    @pytest.mark.parametrize("width, height", [(3, 3), (12, 0)])
+    def test_influence_map_of_another_size_rejected(self, tmp_path, width, height):
+        rng = np.random.default_rng(6)
+        pd = principal_decomposition(random_subspace(rng, 12, 2), random_subspace(rng, 12, 2))
+        path = tmp_path / "inf.pgm"
+        with pytest.raises(ValueError) as info:
+            dataio.export_pixel_influence(pd, 0, width, height, path)
+        assert str(info.value) == "width*height must equal the ambient dimension"
+        assert not path.exists()
 
     def test_all_zero_influence_map_is_mid_grey(self, tmp_path):
         # span(e_0) against span(e_1): the principal vectors share no pixel

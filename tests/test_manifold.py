@@ -538,6 +538,37 @@ class TestGMatrix:
         assert abs(expected - 1.11072) < 5e-6
 
 
+def _pair_decomposition():
+    rng = np.random.default_rng(16)
+    return principal_decomposition(random_subspace(rng, 8, 2), random_subspace(rng, 8, 2))
+
+
+# case -> (exception type, message, call that raises)
+INPUT_CHECKS = {
+    "basis-wider-than-tall": (
+        ValueError, "basis must be D x d with d <= D, got (2, 3)",
+        lambda: Subspace(np.ones((2, 3)))),
+    "weights-of-another-length": (
+        ValueError, "relevance length must equal the subspace dimension",
+        lambda: adaptive_squared_distance(_pair_decomposition(), np.ones(3))),
+    "influence-index-past-last-angle": (
+        IndexError, "angle index 2 out of range [0, 2)",
+        lambda: pixel_influence(_pair_decomposition(), 2)),
+    "influence-index-negative": (
+        IndexError, "angle index -1 out of range [0, 2)",
+        lambda: pixel_influence(_pair_decomposition(), -1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_input_check_raises(case):
+    error, message, call = INPUT_CHECKS[case]
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
 class TestPixelInfluence:
     def test_identical_rank1(self):
         s = Subspace(e(0, 5)[:, None])

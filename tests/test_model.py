@@ -892,6 +892,59 @@ class TestStreaming:
             score_blocks(model, [np.zeros(shape)], kind)
 
 
+def _config(mode="grlgq"):
+    return TrainConfig(eta=0.05, gamma=1e-4, epochs=1, seed=0, mode=mode)
+
+
+# case -> (exception type, message, call on (model, dataset) that raises)
+INPUT_CHECKS = {
+    "model-unknown-mode": (
+        ConfigError, "unknown mode 'bogus'", lambda model, dataset: ModelState(
+            [Prototype(dataset[0][0], 1)], [0.5, 0.5], "bogus", 2, 8)),
+    "model-relevance-of-another-length": (
+        ConfigError, "relevance length must equal the subspace dimension",
+        lambda model, dataset: ModelState(
+            [Prototype(dataset[0][0], 1)], np.full(3, 1 / 3), "grlgq", 2, 8)),
+    "config-unknown-mode": (
+        ConfigError, "unknown mode 'bogus'", lambda model, dataset: _config("bogus")),
+    "gradient-of-neither-winner": (
+        ValueError, "which must be 'plus' or 'minus'",
+        lambda model, dataset: prototype_gradient(
+            find_winners(model, *dataset[0]), model.relevance, "neither")),
+    "relevance-nan-gradient": (
+        FloatingPointError, "non-finite relevance gradient",
+        lambda model, dataset: apply_relevance_update(model, [np.nan, 0.0], 0.1)),
+    "init-empty-dataset": (
+        ConfigError, "dataset is empty", lambda model, dataset: init_prototypes(
+            [], 2, "example", np.random.default_rng(0))),
+    "init-unknown-strategy": (
+        ConfigError, "unknown init strategy 'bogus'",
+        lambda model, dataset: init_prototypes(
+            dataset, 2, "bogus", np.random.default_rng(0))),
+    "fit-pca-without-class-matrices": (
+        ConfigError, "pca init requires per-class image matrices",
+        lambda model, dataset: fit(dataset, _config(), init="pca")),
+    "fit-empty-dataset": (
+        ConfigError, "dataset is empty",
+        lambda model, dataset: fit([], _config(), model=model)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CHECKS))
+def test_input_check_raises_and_leaves_model(case):
+    rng = np.random.default_rng(41)
+    model = two_class_model(rng, 8, 2, mode="grlgq")
+    dataset = synthetic_subspace_dataset(rng, classes=2, D=8, d=2, per_class=2)
+    before = model.pixel_stack.copy(), model.relevance.copy()
+    error, message, call = INPUT_CHECKS[case]
+    with pytest.raises(error) as info:
+        call(model, dataset)
+    assert type(info.value) is error
+    assert str(info.value) == message
+    assert np.array_equal(model.pixel_stack, before[0])
+    assert np.array_equal(model.relevance, before[1])
+
+
 class TestConfigValidation:
     def test_glgq_forbids_gamma(self):
         with pytest.raises(ConfigError):
