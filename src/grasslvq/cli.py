@@ -49,7 +49,8 @@ TRAIN_DEFAULTS = dict(
 
 
 def _read_config_file(path):
-    values, first = {}, {}
+    """key -> (value text, line number) of a ``key = value`` file."""
+    entries = {}
     for lineno, line in dataio.read_text_lines(path):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -58,25 +59,30 @@ def _read_config_file(path):
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key in first:
-            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {first[key]}")
-        values[key], first[key] = value, lineno
-    return values
+        if key in entries:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} repeats line {entries[key][1]}")
+        entries[key] = value, lineno
+    return entries
 
 
 def _resolve_train_config(args):
-    """Defaults, then --preset, then --config, then flags; later wins. An idx
-    task left without m or sets_per_class gets max(d, 20) and 50; the sets
-    task takes neither, from any source."""
+    """Defaults, then --preset, then --config, then flags; later wins. A config
+    value is parsed by the train parser as its flag. An idx task left without
+    m or sets_per_class gets max(d, 20) and 50; the sets task takes neither,
+    from any source."""
     resolved = dict(TRAIN_DEFAULTS)
     if args.preset:
         resolved.update(PRESETS[args.preset])
     if args.config:
-        for key, text in _read_config_file(args.config).items():
-            if key not in args.options:
+        for key, (text, lineno) in _read_config_file(args.config).items():
+            if key not in TRAIN_DEFAULTS:
                 raise ConfigError(f"unknown config key {key!r}")
-            resolved[key] = _config_value(args.options[key], text)
-    for key in args.options:
+            try:
+                parsed = args.parser.parse_args([f"--{key.replace('_', '-')}={text}"])
+            except ConfigError as exc:
+                raise ConfigError(f"{args.config}:{lineno}: {exc}") from None
+            resolved[key] = getattr(parsed, key)
+    for key in TRAIN_DEFAULTS:
         flag = getattr(args, key)
         if flag is not None:
             resolved[key] = flag
@@ -94,20 +100,6 @@ def _resolve_train_config(args):
         if resolved.get(key) is not None and resolved[key] < 1:
             raise ConfigError(f"{key} must be at least 1, got {resolved[key]}")
     return resolved
-
-
-def _config_value(action, text):
-    """Parse one config-file value as the flag ``action`` parses its argument."""
-    key = action.dest
-    try:
-        value = action.type(text) if action.type else text
-    except ValueError:
-        raise ConfigError(f"config key {key!r}: invalid "
-                          f"{action.type.__name__} value {text!r}") from None
-    if action.choices is not None and value not in action.choices:
-        raise ConfigError(f"config key {key!r}: {value!r} is not one of "
-                          f"{', '.join(action.choices)}")
-    return value
 
 
 def _load_training_data(args, cfg):
@@ -238,14 +230,10 @@ def cmd_eval(args):
 
 
 def cmd_predict(args):
-    if args.image and args.set:
-        raise ConfigError("predict takes --set or --image, not both")
     if args.image and (args.explain or args.out_dir):
         raise ConfigError("--explain and --out-dir apply to --set, not --image")
     if args.out_dir and not args.explain:
         raise ConfigError("--out-dir applies only with --explain")
-    if not args.image and not args.set:
-        raise ConfigError("predict requires --set <dir> or --image <pgm>")
     model = dataio.load_model(args.model)
     if args.image:
         sample = dataio.read_pgm(args.image).ravel()  # pixels; scores normalises them
@@ -311,8 +299,16 @@ def cmd_synth(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose failures raise ConfigError; its subparsers
+    are of this class too."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="grasslvq",
         description="Prototype subspaces on the Grassmann manifold: "
                     "train, evaluate, and inspect GLGQ/GRLGQ models.")
@@ -324,20 +320,18 @@ def build_parser():
     p.add_argument("--data", help="image-set root directory (sets task)")
     p.add_argument("--images", help="IDX image file (idx task)")
     p.add_argument("--labels", help="IDX label file (idx task)")
-    # one flag per TRAIN_DEFAULTS key; config-file values use its type and choices
-    options = [
-        p.add_argument("--mode", choices=("glgq", "grlgq")),
-        p.add_argument("--task", choices=("idx", "sets")),
-        p.add_argument("--d", type=int, help="subspace dimension"),
-        p.add_argument("--m", type=int, help="images per sampled subspace (idx task)"),
-        p.add_argument("--sets-per-class", type=int, help="subspace draws per class (idx task)"),
-        p.add_argument("--eta", type=float, help="prototype learning rate"),
-        p.add_argument("--gamma", type=float, help="relevance learning rate"),
-        p.add_argument("--epochs", type=int),
-        p.add_argument("--seed", type=int),
-        p.add_argument("--init", choices=("random", "example", "pca")),
-        p.add_argument("--prototypes-per-class", type=int),
-    ]
+    # one flag per TRAIN_DEFAULTS key, which also parses its config-file value
+    p.add_argument("--mode", choices=("glgq", "grlgq"))
+    p.add_argument("--task", choices=("idx", "sets"))
+    p.add_argument("--d", type=int, help="subspace dimension")
+    p.add_argument("--m", type=int, help="images per sampled subspace (idx task)")
+    p.add_argument("--sets-per-class", type=int, help="subspace draws per class (idx task)")
+    p.add_argument("--eta", type=float, help="prototype learning rate")
+    p.add_argument("--gamma", type=float, help="relevance learning rate")
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--init", choices=("random", "example", "pca"))
+    p.add_argument("--prototypes-per-class", type=int)
     p.add_argument("--repeats", type=int, default=1,
                    help="independent restarts with consecutive seeds; "
                         "the saved model is run 1's")
@@ -346,7 +340,7 @@ def build_parser():
     p.add_argument("--model-out", default="model.bin")
     p.add_argument("--log-out", help="per-epoch cost/accuracy CSV")
     p.add_argument("--summary-out", help="resolved-config text file")
-    p.set_defaults(func=cmd_train, options={a.dest: a for a in options})
+    p.set_defaults(func=cmd_train, parser=p)
 
     p = sub.add_parser("eval", help="evaluate a model")
     p.add_argument("--model", required=True)
@@ -358,8 +352,9 @@ def build_parser():
 
     p = sub.add_parser("predict", help="predict one image set or one image")
     p.add_argument("--model", required=True)
-    p.add_argument("--set", help="directory of PGM frames")
-    p.add_argument("--image", help="single PGM image")
+    given = p.add_mutually_exclusive_group(required=True)
+    given.add_argument("--set", help="directory of PGM frames")
+    given.add_argument("--image", help="single PGM image")
     p.add_argument("--explain", action="store_true",
                    help="write pixel-influence maps and the image-contribution matrix")
     p.add_argument("--out-dir")
@@ -395,9 +390,8 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except GrasslvqError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

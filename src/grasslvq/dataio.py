@@ -233,12 +233,15 @@ def _set_dirs(root):
     then set order, labeled and checked as ``read_imageset_dirs`` describes;
     reads no frame. A tree without set directories raises EmptySet."""
     class_dirs = sorted(
-        e for e in os.listdir(root) if os.path.isdir(os.path.join(root, e))
+        e for e in os.listdir(root)
+        if e != "labels.txt" and os.path.isdir(os.path.join(root, e))
     )
     if not class_dirs:
         raise EmptySet(f"{root}: no class directories")
     labels = {name: i + 1 for i, name in enumerate(class_dirs)}
     manifest = os.path.join(root, "labels.txt")
+    if os.path.lexists(manifest) and not os.path.isfile(manifest):
+        raise ConfigError(f"{manifest}: not a regular file")
     if os.path.isfile(manifest):
         listed, first = {}, {}
         for lineno, line in read_text_lines(manifest):
@@ -301,7 +304,9 @@ def read_imageset_dirs(root):
     matrix, label) (see ``read_set``). Class ids follow sorted
     class-directory order (1-based); a ``labels.txt`` manifest at the root
     ("<class_dir> <label>" per line) overrides them. The manifest must list
-    every class directory and name no other, or ConfigError is raised.
+    every class directory and name no other, or ConfigError is raised; an
+    entry named labels.txt is never a class, and one that is not a regular
+    file raises ConfigError.
     """
     sets, (height, width) = _read_sets(_set_dirs(root))
     return sets, width, height

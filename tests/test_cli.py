@@ -965,6 +965,13 @@ def _manifest_copy(data, tmp, split, text):
     return tmp
 
 
+def _manifest_directory(data, tmp):
+    """A copy of data/test whose labels.txt is an empty directory."""
+    shutil.copytree(data / "test", tmp / "test")
+    (tmp / "test" / "labels.txt").mkdir()
+    return tmp / "test"
+
+
 def _with_manifest(data, model, tmp, text):
     return _eval(model, _manifest_copy(data, tmp, "test", text) / "test")
 
@@ -1114,8 +1121,12 @@ MALFORMED_INPUTS = {
         "CorruptModel", "grlgq relevance sums to 2.5, not 1 within 1e-12",
         lambda data, model, tmp: _eval(
             _with_relevance(model, tmp, [2.0, 0.5]), data / "test")),
-    "config-non-numeric": ("ConfigError", "'epochs'", lambda data, model, tmp:
-                           _with_config(data, tmp, "epochs = abc\n")),
+    # argparse parses a config value as its flag; the detail leads with the
+    # file and line, and the choice list, whose quoting varies across Python
+    # versions, is not asserted
+    "config-non-numeric": (
+        "ConfigError", "run.conf:1: argument --epochs: invalid int value: 'abc'",
+        lambda data, model, tmp: _with_config(data, tmp, "epochs = abc\n")),
     "config-duplicate-key": (
         "ConfigError", "run.conf:2: key 'epochs' repeats line 1",
         lambda data, model, tmp: _with_config(data, tmp, "epochs = 2\nepochs = 3\n")),
@@ -1126,13 +1137,13 @@ MALFORMED_INPUTS = {
         "ConfigError", "run.conf:1: expected key = value",
         lambda data, model, tmp: _with_config(data, tmp, "epochs 2\n")),
     "config-task-not-a-choice": (
-        "ConfigError", "config key 'task': 'IDX' is not one of idx, sets",
+        "ConfigError", "run.conf:1: argument --task: invalid choice: 'IDX'",
         lambda data, model, tmp: _with_config(data, tmp, "task = IDX\n")),
     "config-init-not-a-choice": (
-        "ConfigError", "config key 'init'",
+        "ConfigError", "run.conf:1: argument --init: invalid choice: 'nope'",
         lambda data, model, tmp: _with_config(data, tmp, "init = nope\n")),
     "config-mode-not-a-choice": (
-        "ConfigError", "config key 'mode'",
+        "ConfigError", "run.conf:1: argument --mode: invalid choice: 'nope'",
         lambda data, model, tmp: _with_config(data, tmp, "mode = nope\n")),
     "epochs-zero": ("ConfigError", "epochs must be positive",
                     lambda data, model, tmp: _train(data, tmp, "--epochs", "0")),
@@ -1239,11 +1250,14 @@ MALFORMED_INPUTS = {
         "ConfigError", "labels.txt:2: label -9223372036854775809 is outside the int64 range",
         lambda data, model, tmp: _train(_manifest_copy(
             data, tmp, "train", "class_01 1\nclass_02 -9223372036854775809\n"), tmp)),
+    "manifest-directory": ("ConfigError", "/test/labels.txt: not a regular file",
+                           lambda data, model, tmp: _eval(
+                               model, _manifest_directory(data, tmp))),
     "manifest-unlisted-class": (
         "ConfigError", "labels.txt: class directory 'class_01' is not listed",
         lambda data, model, tmp: _with_manifest(data, model, tmp, "class_02 1\n")),
     "predict-set-and-image": (
-        "ConfigError", "predict takes --set or --image, not both",
+        "ConfigError", "argument --set: not allowed with argument --image",
         lambda data, model, tmp: _predict_image(data, model, "--set", str(tmp))),
     "predict-image-explain": (
         "ConfigError", "--explain and --out-dir apply to --set, not --image",
@@ -1257,8 +1271,18 @@ MALFORMED_INPUTS = {
             "predict", "--model", str(model), "--set",
             str(data / "test" / "class_01" / "set_001"), "--out-dir", str(tmp / "out")]),
     "predict-without-set-or-image": (
-        "ConfigError", "predict requires --set <dir> or --image <pgm>",
+        "ConfigError", "one of the arguments --set --image is required",
         lambda data, model, tmp: ["predict", "--model", str(tmp / "nothere.bin")]),
+    # argparse's own failures: one line, status 1, no usage block
+    "train-d-not-an-int": ("ConfigError", "argument --d: invalid int value: 'x'",
+                           lambda data, model, tmp: ["train", "--d", "x"]),
+    "train-preset-not-a-choice": (
+        "ConfigError", "argument --preset: invalid choice: 'nope'",
+        lambda data, model, tmp: ["train", "--preset", "nope"]),
+    "eval-unknown-flag": ("ConfigError", "unrecognized arguments: --bogus",
+                          lambda data, model, tmp: ["eval", "--model", "m", "--bogus"]),
+    "no-command": ("ConfigError", "the following arguments are required: command",
+                   lambda data, model, tmp: []),
     "eval-data-and-images": (
         "ConfigError", "eval takes --data or --images/--labels, not both",
         lambda data, model, tmp: _eval(model, data / "test") + [

@@ -1,6 +1,7 @@
 """Property-based checks of the distance kernel, the prototype update, the
-two text decoders, labels.txt and the config file, and the three binary
-decoders, PGM, IDX and the model file (needs the optional hypothesis)."""
+command-line parser, the two text decoders, labels.txt and the config file,
+and the three binary decoders, PGM, IDX and the model file (needs the
+optional hypothesis)."""
 
 import contextlib
 import io
@@ -27,8 +28,8 @@ from grasslvq import (  # noqa: E402
     subspace_from_set,
 )
 from grasslvq import dataio  # noqa: E402
-from grasslvq.cli import main  # noqa: E402
-from grasslvq.errors import RankDeficient, TruncatedFile  # noqa: E402
+from grasslvq.cli import build_parser, main  # noqa: E402
+from grasslvq.errors import ConfigError, RankDeficient, TruncatedFile  # noqa: E402
 
 
 def _orthonormal(rng, D, k):
@@ -89,6 +90,37 @@ def test_update_rescale_matches_svd_orthonormalization(data):
         assert np.max(np.abs(basis.T @ basis - np.eye(d))) < 1e-12
         pd = principal_decomposition(Subspace(basis), svd_basis)
         assert np.sum(pd.angles ** 2) < 1e-20
+
+
+# ---------------------------------------------------------------- command line
+
+def _commands_and_flags():
+    """(every subcommand name, every option string of every subcommand but
+    -h and --help)."""
+    (commands,) = [a for a in build_parser()._actions if a.dest == "command"]
+    flags = {flag for sub in commands.choices.values() for a in sub._actions
+             for flag in a.option_strings}
+    return sorted(commands.choices), sorted(flags - {"-h", "--help"})
+
+
+COMMANDS, FLAGS = _commands_and_flags()
+ARGV_VALUES = ["1", "0", "x", "-1", "nan", "idx", "sets", "pca", "glgq",
+               "yaleb", "m.bin", "", "--"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(argv=st.tuples(
+    st.lists(st.sampled_from(COMMANDS), max_size=1),
+    st.lists(st.sampled_from([*COMMANDS, *FLAGS, *ARGV_VALUES]), max_size=10)))
+def test_argv_parses_or_raises_config_error(argv):
+    # argparse's failures raise ConfigError, which main prints as one line;
+    # no argv but -h/--help leaves through SystemExit
+    argv = [*argv[0], *argv[1]]
+    try:
+        args = build_parser().parse_args(argv)
+    except ConfigError:
+        return
+    assert args.command in COMMANDS
 
 
 # ---------------------------------------------------------------- text decoders
