@@ -76,7 +76,7 @@ def _resolve_train_config(args):
     if args.config:
         for key, (text, lineno) in _read_config_file(args.config).items():
             if key not in TRAIN_DEFAULTS:
-                raise ConfigError(f"unknown config key {key!r}")
+                raise ConfigError(f"{args.config}:{lineno}: unknown config key {key!r}")
             try:
                 parsed = args.parser.parse_args([f"--{key.replace('_', '-')}={text}"])
             except ConfigError as exc:
@@ -96,7 +96,7 @@ def _resolve_train_config(args):
         given = [key for key in ("m", "sets_per_class") if resolved.pop(key) is not None]
         if given:
             raise ConfigError(f"{given[0]} applies only to the idx task, not task = sets")
-    for key in ("m", "sets_per_class", "prototypes_per_class"):
+    for key in ("d", "m", "sets_per_class", "prototypes_per_class"):
         if resolved.get(key) is not None and resolved[key] < 1:
             raise ConfigError(f"{key} must be at least 1, got {resolved[key]}")
     return resolved

@@ -7,10 +7,11 @@ File formats:
   * a versioned binary model file (header line, length-prefixed float64
     little-endian payload, trailing CRC32 of the bytes before it).
 
-Every reader returns 8-bit pixels; ``unit_columns`` alone L2-normalizes them,
-inside ``subspace_from_set`` or where a class matrix or a block of vectors is
-made, so every column entering a subspace construction or a score has unit
-norm, except that an all-black image stays zero.
+Every reader, and ``iter_idx_blocks``'s vector blocks, give 8-bit pixels;
+``unit_columns`` alone L2-normalizes them, in ``subspace_from_set``,
+``class_image_matrices`` and ``score_blocks``, so every column entering a
+subspace construction or a score has unit norm, except that an all-black
+image stays zero.
 """
 
 import math
@@ -19,6 +20,7 @@ import re
 import struct
 import zlib
 from collections.abc import Mapping
+from itertools import islice
 
 import numpy as np
 
@@ -283,18 +285,17 @@ def _set_dirs(root):
     return set_dirs
 
 
-def _read_sets(set_dirs, dims=None):
-    """([(D x m matrix, label)], (height, width)) of the (set directory,
-    label) items, read by ``read_set``. A set whose frames differ in shape
-    from ``dims``, by default the first set's, raises InconsistentDims."""
-    sets = []
+def _read_sets(set_dirs):
+    """((D x m matrix, label), (height, width)) of each (set directory, label)
+    item, read by ``read_set`` one set at a time. A set whose frames differ
+    in shape from the first set's raises InconsistentDims."""
+    first = None
     for set_path, label in set_dirs:
-        X, set_dims = read_set(set_path)
-        dims = dims or set_dims
-        if set_dims != dims:
-            raise InconsistentDims(f"{set_path}: frames {set_dims} differ from {dims}")
-        sets.append((X, label))
-    return sets, dims
+        X, dims = read_set(set_path)
+        first = first or dims
+        if dims != first:
+            raise InconsistentDims(f"{set_path}: frames {dims} differ from {first}")
+        yield (X, label), dims
 
 
 def read_imageset_dirs(root):
@@ -308,8 +309,9 @@ def read_imageset_dirs(root):
     entry named labels.txt is never a class, and one that is not a regular
     file raises ConfigError.
     """
-    sets, (height, width) = _read_sets(_set_dirs(root))
-    return sets, width, height
+    sets, dims = zip(*_read_sets(_set_dirs(root)))
+    height, width = dims[0]
+    return list(sets), width, height
 
 
 # ---------------------------------------------------------------- subspace datasets
@@ -362,32 +364,27 @@ def iter_imageset_blocks(root, d, block):
     """(N,) int64 labels and pixel-major (D, B, d) blocks of the sets under
     ``root``, in ``read_imageset_dirs`` order. The tree and labels.txt are
     checked, and the labels taken, before any frame is read. ``blocks``
-    reads ``block`` sets, builds their subspaces (errors name a set by its
-    index in the tree) and stacks their bases, dropping the frames and the
-    Subspaces before it yields the block."""
+    reads ``block`` sets from one ``_read_sets`` generator, then builds
+    their subspaces (errors name a set by its index in the tree) and stacks
+    their bases, dropping the Subspaces before it yields the block."""
     set_dirs = _set_dirs(root)
+    sets = (pair for pair, _ in _read_sets(set_dirs))
 
     def blocks():
-        dims = None
         for start in range(0, len(set_dirs), block):
-            sets, dims = _read_sets(set_dirs[start:start + block], dims)
-            built = build_per_set_subspace_dataset(sets, d, start)
-            del sets  # the frames, before the bases are stacked
-            stacked = np.stack([s.basis for s, _ in built], axis=1)
-            del built
-            yield stacked
-            del stacked  # before the next block's frames are read
+            # no name here holds the block's Subspaces or its stack once it is yielded
+            yield np.stack([s.basis for s, _ in build_per_set_subspace_dataset(
+                list(islice(sets, block)), d, start)], axis=1)
 
     return np.array([label for _, label in set_dirs], dtype=np.int64), blocks()
 
 
 def iter_idx_blocks(images_path, labels_path, D, block):
-    """(N,) int64 labels and pixel-major (D, B, 1) blocks of the IDX images,
-    each ``block`` pixel rows through ``unit_columns`` into one (block, D)
-    float64 buffer, which every block views: a block is valid until the next
-    one is pulled. Every check runs before the first block is made: the
-    files' decode and counts, all-black images, then the pixel count
-    against ``D``."""
+    """(N,) int64 labels and pixel-major (D, B, 1) uint8 blocks of the IDX
+    images, each a view of ``block`` pixel rows of the one payload, which
+    ``score_blocks`` normalises. Every check runs before the first block is
+    made: the files' decode and counts, all-black images, then the pixel
+    count against ``D``."""
     pixels, labels, _, _ = read_idx_dataset(images_path, labels_path)
     black = np.flatnonzero(~pixels.any(axis=1))
     if black.size:
@@ -396,10 +393,7 @@ def iter_idx_blocks(images_path, labels_path, D, block):
     if pixels.shape[1] != D:
         raise InconsistentDims(f"{images_path}: images have D = {pixels.shape[1]} "
                                f"pixels, prototypes have D = {D}")
-    buffer = np.empty((min(block, len(pixels)), D))
-    # buffer[:n] clamps n to the buffer's length, so only the last block is short
-    return labels, (unit_columns(pixels[start:start + block].T,
-                                 out=buffer[:len(pixels) - start].T)[:, :, None]
+    return labels, (pixels[start:start + block].T[:, :, None]
                     for start in range(0, len(pixels), block))
 
 

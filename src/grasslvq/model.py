@@ -398,18 +398,24 @@ def score_blocks(model: ModelState, blocks, kind: str) -> np.ndarray:
     """(N, P) scores of pixel-major sample blocks, lowest nearest:
     angles^2 @ relevance for "sets", the first angle for "vectors".
 
-    ``blocks`` is any iterable of (D, B, k) arrays: B unit vectors (k = 1)
-    for "vectors", B orthonormal D x d bases (k = d) for "sets". Each block
-    is scored in one kernel call, against ``model.pixel_stack`` as it is (no
-    copy of the model), and dropped before the next one is pulled.
-    A block with another k raises ValueError; the kernel raises
-    InconsistentDims for another D.
+    ``blocks`` is any iterable of (D, B, k) arrays: B vectors (k = 1) for
+    "vectors", B orthonormal D x d bases (k = d) for "sets". uint8 vectors
+    are pixels, which ``unit_columns`` normalises into one (B, D) float64
+    buffer, replaced only for a longer block. Each block is scored in one
+    kernel call, against ``model.pixel_stack`` as it is (no copy of the
+    model), and dropped before the next one is pulled. A block with another
+    k raises ValueError; the kernel raises InconsistentDims for another D.
     """
-    vectors, rows = kind == "vectors", []
+    vectors, rows, buffer = kind == "vectors", [], np.empty((0, 0))
     k = 1 if vectors else _sample_shape(model, kind)[1]  # raises for another kind
     for samples in blocks:
         if samples.ndim != 3 or samples.shape[2] != k:
             raise ValueError(f"block of shape {samples.shape}, not (D, B, {k})")
+        if vectors and samples.dtype == np.uint8:
+            B, D = samples.shape[1::-1]
+            if buffer[:B].shape != (B, D):  # buffer[:B] clamps B to its length
+                buffer = np.empty((B, D))
+            samples = unit_columns(samples[:, :, 0], out=buffer[:B].T)[:, :, None]
         angles = principal_angles_to_stack(samples, model.pixel_stack)
         del samples  # the next block is pulled with this one dropped
         # a vector is labelled by its first principal angle alone
@@ -430,8 +436,7 @@ def _sample_blocks(model: ModelState, samples, kind: str):
         # the kernel reads either pixel-major block, (D, B, k), as one
         # D x (B k) matrix without a copy; np.array copies B vectors without
         # np.stack's B expanded views, and its transpose is a view
-        stacked = (unit_columns(np.array(bases).T)[:, :, None] if vectors
-                   else np.stack(bases, axis=1))
+        stacked = np.array(bases).T[:, :, None] if vectors else np.stack(bases, axis=1)
         del bases  # the kernel runs with no sample of this block alive
         yield stacked
         del stacked  # before the next block's samples are pulled

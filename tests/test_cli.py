@@ -526,15 +526,15 @@ class TestEval:
         table = score_blocks(state, blocks, "vectors")
         assert table.tobytes() == scores(state, images, "vectors").tobytes()
         calls = track_kernel_blocks(monkeypatch, owners_die=False)
-        unit, outs = dataio.unit_columns, []
+        unit, outs = model_module.unit_columns, []
 
         def checked(pixels, out=None):
             calls.all_dead()  # no scored block is alive while the next is made
             outs.append(out)  # keeps the buffer alive for the checks below
             return unit(pixels, out=out)
 
-        # the name iter_idx_blocks looks up
-        monkeypatch.setattr(dataio, "unit_columns", checked)
+        # the name score_blocks looks up
+        monkeypatch.setattr(model_module, "unit_columns", checked)
         capsys.readouterr()
         assert main(["eval", "--model", str(model), "--images", str(paths[0]),
                      "--labels", str(paths[1]),
@@ -1133,6 +1133,9 @@ MALFORMED_INPUTS = {
     "config-not-utf8": (
         "ConfigError", "run.conf:1: not UTF-8: 'epochs = ",
         lambda data, model, tmp: _with_config(data, tmp, b"epochs = \xff3\n")),
+    "config-unknown-key": (
+        "ConfigError", "run.conf:2: unknown config key 'foo'",
+        lambda data, model, tmp: _with_config(data, tmp, "epochs = 1\nfoo = abc\n")),
     "config-line-without-equals": (
         "ConfigError", "run.conf:1: expected key = value",
         lambda data, model, tmp: _with_config(data, tmp, "epochs 2\n")),
@@ -1214,8 +1217,12 @@ MALFORMED_INPUTS = {
         lambda data, model, tmp: _synth(tmp, "--train-sets", "-1")),
     "d-above-frames": ("InsufficientImages", "set 0 (label 1): 6 frames < d=7",
                        lambda data, model, tmp: _train(data, tmp, "--d", "7")),
-    "d-below-one": ("ConfigError", "d=0",
+    "d-below-one": ("ConfigError", "d must be at least 1, got 0",
                     lambda data, model, tmp: _train(data, tmp, "--d", "0")),
+    # d is checked before the tree is opened
+    "d-zero": ("ConfigError", "d must be at least 1, got 0", lambda data, model, tmp: [
+        "train", "--data", str(tmp / "missing"), "--d", "0",
+        "--model-out", str(tmp / "m.bin")]),
     "d-above-ambient": ("ConfigError", "D = 12",
                         lambda data, model, tmp: _train(data, tmp, "--d", "13")),
     "idx-m-below-d": ("InsufficientImages", "m=5", lambda data, model, tmp: _train_idx(

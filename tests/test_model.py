@@ -775,12 +775,11 @@ class TestStreaming:
         n = {"0": 0, "1": 1, "block": block, "block+1": block + 1}[size]
         starts = range(0, n, block)
         if kind == "vectors":
-            # evaluate takes the pixel rows; eval --images passes unit_columns
-            # blocks of them, (D, B, 1) views
+            # evaluate takes the pixel rows; eval --images passes blocks of
+            # them as (D, B, 1) uint8 views
             pixels = rng.integers(0, 256, (n, D), np.uint8)
             samples = list(pixels)
-            blocks = (dataio.unit_columns(pixels[s:s + block].T)[:, :, None]
-                      for s in starts)
+            blocks = (pixels[s:s + block].T[:, :, None] for s in starts)
         else:
             samples = self._samples(rng, model, kind, n)
             blocks = (np.stack([x.basis for x in samples[s:s + block]], axis=1)
@@ -862,6 +861,20 @@ class TestStreaming:
         assert table.shape == (9, 3)
         assert len(calls.stacks) == 3
         assert all(stack is model.pixel_stack for stack in calls.stacks)
+
+    @pytest.mark.parametrize("sizes", [[4, 4], [4, 4, 1], [1, 4, 2]])
+    def test_uint8_vector_blocks_score_as_their_unit_columns(self, sizes):
+        """Full blocks, a short last block, and a short block before a longer
+        one, which replaces the buffer: score_blocks normalises uint8 pixel
+        blocks, (D, B, 1) views of (B, D) rows as eval --images makes them,
+        and scores them bitwise as the unit_columns of those rows."""
+        rng = np.random.default_rng(43)
+        model = TestEvaluate._model(rng, 60, 3)
+        rows = [rng.integers(1, 256, (n, 60), np.uint8) for n in sizes]
+        table = score_blocks(model, (r.T[:, :, None] for r in rows), "vectors")
+        unit = score_blocks(model, (unit_columns(r.T)[:, :, None] for r in rows), "vectors")
+        assert table.shape == (sum(sizes), 3)
+        assert table.tobytes() == unit.tobytes()
 
     @pytest.mark.parametrize("kind", ["sets", "vectors"])
     def test_scoring_copies_no_model(self, kind, monkeypatch):
