@@ -109,9 +109,8 @@ def _load_training_data(args, cfg):
 
     The idx task's mapping holds every image whatever ``kept`` is: sets are
     independent draws from a class's whole pool, so a held-out set shares
-    images with the kept ones. The sets task's mapping holds the uint8 frames
-    of the kept sets only, in item order. Either mapping builds one class
-    matrix at a time, when it is read.
+    images with the kept ones. The sets task's mapping gathers the uint8
+    frames of the kept sets only, in item order, from (m, D) views of them.
     """
     pca = cfg["init"] == "pca"
     if cfg["task"] == "idx":
@@ -127,11 +126,9 @@ def _load_training_data(args, cfg):
     sets, _, _ = dataio.read_imageset_dirs(args.data)
     dataset = dataio.build_per_set_subspace_dataset(sets, cfg["d"])
     if not pca:
-        return dataset, lambda kept: None
-    # one (n, D) uint8 array of the kept frames, one label per frame
+        return dataset, lambda kept: None  # holds no frames past this return
     return dataset, lambda kept: dataio.class_image_matrices(
-        np.concatenate([sets[i][0].T for i in kept]),
-        np.repeat([sets[i][1] for i in kept], [sets[i][0].shape[1] for i in kept]))
+        [sets[i][0].T for i in kept], [sets[i][1] for i in kept])
 
 
 def _cross_validate(train, dataset, class_matrices, train_config, folds, repeats):
@@ -180,7 +177,6 @@ def cmd_train(args):
         print(f"cv_accuracy={float(np.mean(accs))!r}")
         print(f"cv_std={float(np.std(accs))!r}")
     every = class_matrices(range(len(dataset)))
-    del class_matrices  # it holds the sets task's frames, which every copies
     model, stats = train(dataset, train_config, class_matrices=every)
     if args.repeats > 1 and args.folds is None:
         # independent restarts with consecutive seeds; the saved model is run 1's
@@ -221,7 +217,7 @@ def cmd_eval(args):
     labels, blocks = (
         dataio.iter_idx_blocks(args.images, args.labels, model.ambient_dim, block)
         if args.images else
-        dataio.iter_imageset_blocks(args.data, model.subspace_dim, block))
+        dataio.iter_imageset_blocks(args.data, model.ambient_dim, model.subspace_dim, block))
     accuracy, confusion = confusion_from_scores(model, score_blocks(model, blocks, kind), labels)
     print(f"accuracy={accuracy!r}")
     if args.confusion_out:
@@ -265,7 +261,7 @@ def cmd_predict(args):
 
 
 def cmd_inspect(args):
-    if args.prototype_dir and (not args.width or not args.height):
+    if args.prototype_dir and None in (args.width, args.height):
         raise ConfigError("--prototype-dir requires --width and --height")
     if (args.width, args.height) != (None, None) and not args.prototype_dir:
         raise ConfigError("--width and --height apply only with --prototype-dir")
@@ -285,7 +281,7 @@ def cmd_inspect(args):
                                        args.prototype_dir)
     if args.distance_out:
         labels, blocks = dataio.iter_imageset_blocks(
-            args.data, model.subspace_dim, eval_block_size(model, "sets"))
+            args.data, model.ambient_dim, model.subspace_dim, eval_block_size(model, "sets"))
         dataio.export_distance_matrix_csv(model, len(labels), blocks, args.distance_out)
     return 0
 

@@ -177,30 +177,30 @@ def read_text_lines(path) -> list[tuple[int, str]]:
 
 # ---------------------------------------------------------------- image-set dirs
 
-def read_set(set_dir):
+def read_set(set_dir, dims=None):
     """Read one image-set directory of PGM frames into a D x m uint8 matrix.
 
     Frames are taken in sorted file-name order, one column of pixels each
     (``subspace_from_set`` normalises them as it builds). Each frame is
-    read whole by ``_read_frame`` and passes every check ``read_pgm`` makes,
-    by the same ``_check_pgm``. Their pixel bytes are joined and decoded as
-    one (m, D) array, and X is its transpose, a Fortran-ordered view.
-    Returns (X, (height, width)).
+    read whole by ``_read_frame``, passes every check ``read_pgm`` makes, by
+    the same ``_check_pgm``, and must have the shape ``dims`` of its tree's
+    first frame (None: of the set's first), or InconsistentDims names it.
+    Their pixel bytes are joined and decoded as one (m, D) array, and X is
+    its transpose, a Fortran-ordered view. Returns (X, (height, width)).
     """
     frames = sorted(e for e in os.listdir(set_dir) if e.endswith(".pgm"))
     if not frames:
         raise EmptySet(f"{set_dir}: no .pgm frames")
     prefix = os.path.join(set_dir, "")  # prefix + frame is the frame's path
-    payloads, dims, size = [], None, 0
+    payloads, size = [], 0
     dir_fd = os.open(set_dir, os.O_RDONLY | os.O_DIRECTORY)
     try:
         for frame in frames:
             data = _read_frame(frame, dir_fd, size, prefix + frame)
             header, shape = _check_pgm(data, prefix + frame)
-            if dims is None:
-                dims = shape
-            elif shape != dims:
-                raise InconsistentDims(f"{set_dir}/{frame}: {shape} differs from {dims}")
+            dims = dims or shape
+            if shape != dims:
+                raise InconsistentDims(f"{prefix}{frame}: {shape} differs from {dims}")
             size = len(data)
             payloads.append(data[header.end():header.end() + dims[0] * dims[1]])
     finally:
@@ -287,14 +287,10 @@ def _set_dirs(root):
 
 def _read_sets(set_dirs):
     """((D x m matrix, label), (height, width)) of each (set directory, label)
-    item, read by ``read_set`` one set at a time. A set whose frames differ
-    in shape from the first set's raises InconsistentDims."""
-    first = None
+    item, read by ``read_set`` against the shape of the tree's first frame."""
+    dims = None
     for set_path, label in set_dirs:
-        X, dims = read_set(set_path)
-        first = first or dims
-        if dims != first:
-            raise InconsistentDims(f"{set_path}: frames {dims} differ from {first}")
+        X, dims = read_set(set_path, dims)
         yield (X, label), dims
 
 
@@ -360,23 +356,28 @@ def build_per_set_subspace_dataset(sets, d, start=0):
     return dataset
 
 
-def iter_imageset_blocks(root, d, block):
+def iter_imageset_blocks(root, D, d, block):
     """(N,) int64 labels and pixel-major (D, B, d) blocks of the sets under
     ``root``, in ``read_imageset_dirs`` order. The tree and labels.txt are
-    checked, and the labels taken, before any frame is read. ``blocks``
-    reads ``block`` sets from one ``_read_sets`` generator, then builds
+    checked, and the labels taken, before any frame is read; the first set's
+    pixel count is checked against ``D`` as it is read. ``blocks`` reads
+    ``block`` sets at a time from one ``_read_sets`` generator, then builds
     their subspaces (errors name a set by its index in the tree) and stacks
-    their bases, dropping the Subspaces before it yields the block."""
+    their bases."""
     set_dirs = _set_dirs(root)
-    sets = (pair for pair, _ in _read_sets(set_dirs))
 
-    def blocks():
+    def sets():
+        for (X, label), _ in _read_sets(set_dirs):
+            _check_shape(set_dirs[0][0], X.shape[:1], (D,))  # read_set checks the rest
+            yield X, label
+
+    def blocks(pending):
         for start in range(0, len(set_dirs), block):
             # no name here holds the block's Subspaces or its stack once it is yielded
             yield np.stack([s.basis for s, _ in build_per_set_subspace_dataset(
-                list(islice(sets, block)), d, start)], axis=1)
+                list(islice(pending, block)), d, start)], axis=1)
 
-    return np.array([label for _, label in set_dirs], dtype=np.int64), blocks()
+    return np.array([label for _, label in set_dirs], dtype=np.int64), blocks(sets())
 
 
 def iter_idx_blocks(images_path, labels_path, D, block):
@@ -420,14 +421,16 @@ class _ClassMatrices(Mapping):
 
 
 def class_image_matrices(images, labels):
-    """Per-class D x n matrices of the (n, D) ``images`` rows, each class's
-    in row order, for the pca prototype init, as a read-only mapping label
-    -> matrix. A class's rows are gathered, and uint8 pixels normalised by
-    ``unit_columns`` (so the gather is freed before the pca factorisation),
-    only when its label is read."""
+    """Per-class D x n matrices, in entry order, for the pca prototype init,
+    as a read-only mapping label -> matrix. ``images`` is (n, D) pixel rows,
+    one label each, or a list of (m, D) frame rows, one label per set. A
+    class's entries are gathered by one ``np.vstack``, and uint8 pixels
+    normalised by ``unit_columns`` (so the gather is freed before the pca
+    factorisation), only when its label is read."""
+    labels = np.asarray(labels)
     return _ClassMatrices({int(lab): np.flatnonzero(labels == lab)
                            for lab in np.unique(labels)},
-                          lambda rows: unit_columns(images[rows].T))
+                          lambda rows: unit_columns(np.vstack([images[i] for i in rows]).T))
 
 
 # ---------------------------------------------------------------- model persistence

@@ -23,6 +23,7 @@ from grasslvq import (
     scores,
     subspace_from_set,
 )
+from grasslvq import cli as cli_module
 from grasslvq import model as model_module
 from grasslvq.cli import TRAIN_DEFAULTS, main
 from helpers import (
@@ -337,6 +338,46 @@ class TestTrain:
         # the pca run's class matrices read one copy of the frames for every
         # epoch; the example run holds none
         assert traced["pca"] - traced["example"] < 1.5 * frames
+
+    def test_sets_pca_folds_hold_one_copy_of_the_frames(self, tmp_path, monkeypatch):
+        # 4 classes of 4 sets of 30 30x30 frames: 432 KB of uint8 pixels
+        frames = 4 * 4 * 30 * 900
+        assert main(["synth", "--out", str(tmp_path / "data"), "--classes", "4",
+                     "--ambient", "900", "--width", "30", "--height", "30",
+                     "--dim", "2", "--frames", "30", "--train-sets", "4",
+                     "--test-sets", "1", "--seed", "6"]) == 0
+        fit, step, traced = cli_module.fit, model_module.train_step, {}
+
+        def train(init):
+            assert main(["train", "--data", str(tmp_path / "data" / "train"),
+                         "--d", "2", "--init", init, "--epochs", "1",
+                         "--folds", "2", "--model-out", str(tmp_path / "m.bin")]) == 0
+
+        def each_fit(*args, **kwargs):
+            traced[init].append(None)  # filled by the fit's first step
+            return fit(*args, **kwargs)
+
+        def first_step(*args):
+            if traced[init][-1] is None:
+                traced[init][-1] = tracemalloc.get_traced_memory()[0]
+            return step(*args)
+
+        train("pca")  # untraced: modules the pca path imports on first use
+        monkeypatch.setattr(cli_module, "fit", each_fit)
+        monkeypatch.setattr(model_module, "train_step", first_step)
+        for init in ("example", "pca"):
+            traced[init] = []
+            tracemalloc.start()
+            try:
+                train(init)
+            finally:
+                tracemalloc.stop()
+        # two folds, then the final fit: each pca fit gathers its class
+        # matrices from the sets themselves, with no joined copy of the
+        # kept frames beside them
+        assert len(traced["pca"]) == len(traced["example"]) == 3
+        for pca, example in zip(traced["pca"], traced["example"]):
+            assert pca - example < 1.25 * frames
 
     def test_repeats_without_folds(self, workspace, tmp_path, capsys):
         _, data, model, _ = workspace
@@ -1037,6 +1078,16 @@ def _synth(tmp, *flags):
     return ["synth", "--out", str(tmp / "synth"), *flags]
 
 
+def _small_tree_cut_late(tmp):
+    """root/c1 holding two sets of four 3x3 frames; the second set's last
+    frame is cut short."""
+    root = tmp / "root"
+    _small_frames(root / "c1" / "s1", 4)
+    frame = sorted(_small_frames(root / "c1" / "s2", 4).glob("*.pgm"))[-1]
+    frame.write_bytes(frame.read_bytes()[:-1])
+    return root
+
+
 # case -> (error category, detail fragment, argv from (data, model, tmp dir))
 MALFORMED_INPUTS = {
     "black-image": ("RankDeficient", "rank 0 < 1", lambda data, model, tmp: [
@@ -1317,6 +1368,21 @@ MALFORMED_INPUTS = {
             "inspect", "--model", str(model), "--data",
             str(_small_frames(tmp / "root" / "c1" / "s1", 4).parent.parent),
             "--distance-out", str(tmp / "dist.csv")]),
+    # the tree's pixel count is checked against the model's as its first
+    # set is read, before a later set's cut frame is reached
+    "eval-size-vs-model-first-set": (
+        "InconsistentDims", "/c1/s1 has D = 9 pixels, prototypes have D = 12",
+        lambda data, model, tmp: _eval(model, _small_tree_cut_late(tmp))),
+    "distance-size-vs-model-first-set": (
+        "InconsistentDims", "/c1/s1 has D = 9 pixels, prototypes have D = 12",
+        lambda data, model, tmp: [
+            "inspect", "--model", str(model), "--data", str(_small_tree_cut_late(tmp)),
+            "--distance-out", str(tmp / "dist.csv")]),
+    "prototype-image-zero-width": (
+        "ConfigError", "width 0 x height 20 = 0 pixels, but the model has D = 12",
+        lambda data, model, tmp: [
+            "inspect", "--model", str(model), "--prototype-dir",
+            str(tmp / "protos"), "--width", "0", "--height", "20"]),
     "prototype-image-size": (
         "ConfigError", "width 5 x height 5 = 25 pixels, but the model has D = 12",
         lambda data, model, tmp: [

@@ -417,7 +417,7 @@ class TestStreamedSubspaces:
         build_imageset_fixture(tmp_path, classes=2, sets=3, frames=4)
         sets, _, _ = dataio.read_imageset_dirs(tmp_path)
         listed = dataio.build_per_set_subspace_dataset(sets, 2)
-        labels, blocks = dataio.iter_imageset_blocks(tmp_path, 2, block)
+        labels, blocks = dataio.iter_imageset_blocks(tmp_path, 6, 2, block)
         blocks = list(blocks)
         assert labels.dtype == np.int64
         assert labels.tolist() == [y for _, y in listed] == [1, 1, 1, 2, 2, 2]
@@ -447,14 +447,14 @@ class TestStreamedSubspaces:
         # a class without sets, then a bad manifest: each raises at the call
         (tmp_path / "empty" / "c1").mkdir(parents=True)
         with pytest.raises(EmptySet, match="no image-set directories"):
-            dataio.iter_imageset_blocks(tmp_path / "empty", 2, 4)
+            dataio.iter_imageset_blocks(tmp_path / "empty", 6, 2, 4)
         build_imageset_fixture(tmp_path / "tree")
         (tmp_path / "tree" / "labels.txt").write_text("class1 1\n")
         with pytest.raises(ConfigError, match="'class2' is not listed"):
-            dataio.iter_imageset_blocks(tmp_path / "tree", 2, 4)
+            dataio.iter_imageset_blocks(tmp_path / "tree", 6, 2, 4)
         # a good tree: the labels come back with no frame read
         (tmp_path / "tree" / "labels.txt").write_text("class1 7\nclass2 -3\n")
-        labels, _ = dataio.iter_imageset_blocks(tmp_path / "tree", 2, 4)
+        labels, _ = dataio.iter_imageset_blocks(tmp_path / "tree", 6, 2, 4)
         assert labels.tolist() == [7, 7, -3, -3]
 
     def test_failing_set_in_a_later_block_named_by_tree_index(self, tmp_path):
@@ -462,7 +462,7 @@ class TestStreamedSubspaces:
         frame = np.full((2, 3), 9, dtype=np.uint8)
         for f in range(4):  # set 4, class2/set2, lies in the second block of 3
             dataio.write_pgm(tmp_path / "class2" / "set2" / f"frame{f + 1}.pgm", frame)
-        _, blocks = dataio.iter_imageset_blocks(tmp_path, 2, 3)
+        _, blocks = dataio.iter_imageset_blocks(tmp_path, 6, 2, 3)
         assert next(blocks).shape == (6, 3, 2)
         with pytest.raises(RankDeficient, match=r"^set 4 \(label 2\): "):
             next(blocks)
@@ -473,10 +473,30 @@ class TestStreamedSubspaces:
         frame = np.full((3, 2), 9, dtype=np.uint8)  # 6 pixels, as 2 x 3 has
         for f in range(4):  # set 4 lies in the second block of 3
             dataio.write_pgm(tmp_path / "class2" / "set2" / f"frame{f + 1}.pgm", frame)
-        _, blocks = dataio.iter_imageset_blocks(tmp_path, 2, 3)
+        _, blocks = dataio.iter_imageset_blocks(tmp_path, 6, 2, 3)
         next(blocks)
-        with pytest.raises(InconsistentDims, match=r"set2: frames \(3, 2\) differ from \(2, 3\)"):
+        with pytest.raises(InconsistentDims) as info:
             next(blocks)
+        # read_set names the first frame that differs from the tree's first
+        assert str(info.value) == (f"{tmp_path / 'class2' / 'set2' / 'frame1.pgm'}: "
+                                   "(3, 2) differs from (2, 3)")
+
+    def test_later_set_of_another_shape_fails_at_its_first_frame(self, tmp_path):
+        # class2/set1's frames have 2 x 3's pixel count in another shape, and
+        # its last frame is cut short: the shape is checked against the
+        # tree's as each frame is read, so its first frame raises before the
+        # cut one is reached
+        build_imageset_fixture(tmp_path, classes=2, sets=2, frames=3)
+        set_dir = tmp_path / "class2" / "set1"
+        for f in range(2):
+            dataio.write_pgm(set_dir / f"frame{f + 1}.pgm", np.full((3, 2), 9, np.uint8))
+        (set_dir / "frame3.pgm").write_bytes(b"P5\n2 3\n255\n" + bytes(5))
+        for read in (dataio.read_imageset_dirs,
+                     lambda root: list(dataio.iter_imageset_blocks(root, 6, 2, 4)[1])):
+            with pytest.raises(InconsistentDims) as info:
+                read(tmp_path)
+            assert str(info.value) == (f"{set_dir / 'frame1.pgm'}: "
+                                       "(3, 2) differs from (2, 3)")
 
 
 class TestModelPersistence:
