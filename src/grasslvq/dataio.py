@@ -17,6 +17,7 @@ image stays zero.
 import math
 import os
 import re
+import stat
 import struct
 import zlib
 from collections.abc import Mapping
@@ -58,51 +59,62 @@ _PGM_HEADER = re.compile(rb"P5" + rb"(?:\s|#[^\n]*\n)+([^\s#]\S*)" * 3 + rb"\s")
 
 # ---------------------------------------------------------------- IDX
 
-def _read_exact(f, n, path):
+def _read_exact(f, n, path, done=0, total=None):
     """The next ``n`` bytes of ``f``, a file or a pipe, read in chunks of at
     most STREAM_CHUNK bytes until it has them or reaches EOF, so a header
     that overstates the payload allocates what the input holds, not what it
     declares. Input that fits in one chunk is one read and one bytes object:
-    the join of a single chunk is that chunk, not a copy."""
+    the join of a single chunk is that chunk, not a copy. A short read names
+    a payload's ``total`` bytes and counts the ``done`` read before."""
     chunks, got = [], 0
     while got < n:
         chunk = f.read(min(n - got, STREAM_CHUNK))
         if not chunk:
-            raise TruncatedFile(f"{path}: expected {n} more bytes, got {got}")
+            raise TruncatedFile(f"{path}: expected {total or n} more bytes, got {done + got}")
         chunks.append(chunk)
         got += len(chunk)
     return b"".join(chunks)
 
 
-def _read_idx(path, magic, ndim):
-    """The uint8 payload of an IDX file with ``ndim`` size fields, checking
-    the magic first, then that no size is negative, then that the file or
-    pipe holds the whole payload. Returns (payload, sizes)."""
+def _idx_blocks(path, magic, ndim, block=None):
+    """The one IDX decoder: a generator of the ``ndim`` size fields, then of
+    the uint8 payload as (B, row) arrays of ``block`` rows (None: one block),
+    each one ``_read_exact``. The magic, the signs, a regular file's size
+    against the payload, then an image file's counts are checked first: no
+    images is EmptySet, images of no pixels UnsupportedFormat."""
     with open(path, "rb") as f:
         found, *sizes = struct.unpack(f">{1 + ndim}i", _read_exact(f, 4 + 4 * ndim, path))
         if found != magic:
             raise BadMagic(f"{path}: magic 0x{found:08x}, expected 0x{magic:08x}")
         if min(sizes) < 0:
             raise UnsupportedFormat(f"{path}: negative size field in {sizes}")
-        raw = _read_exact(f, math.prod(sizes), path)
-    return np.frombuffer(raw, dtype=np.uint8), sizes
+        count, row = sizes[0], math.prod(sizes[1:])
+        info = os.fstat(f.fileno())
+        if stat.S_ISREG(info.st_mode) and (left := info.st_size - f.tell()) < count * row:
+            raise TruncatedFile(f"{path}: expected {count * row} more bytes, got {left}")
+        if ndim == 3 and count == 0:
+            raise EmptySet(f"{path}: no images")
+        if ndim == 3 and row == 0:
+            raise UnsupportedFormat(f"{path}: images of {sizes[1]} x {sizes[2]} pixels")
+        yield sizes
+        block = block or max(count, 1)
+        for start in range(0, max(count, 1), block):  # no rows: one empty block
+            rows = min(block, count - start)
+            yield np.frombuffer(_read_exact(f, rows * row, path, start * row, count * row),
+                                dtype=np.uint8).reshape(rows, row)
 
 
 def read_idx_images(path):
-    """Read an IDX image file; returns ((n, D) uint8 pixel rows, rows, cols).
-    A file of no images raises EmptySet, and one of images with no pixels
-    UnsupportedFormat: either payload is empty whatever the other sizes."""
-    pixels, (count, rows, cols) = _read_idx(path, IDX_IMAGES_MAGIC, 3)
-    if count == 0:
-        raise EmptySet(f"{path}: no images")
-    if rows * cols == 0:
-        raise UnsupportedFormat(f"{path}: images of {rows} x {cols} pixels")
-    return pixels.reshape(count, rows * cols), rows, cols
+    """Read an IDX image file; returns ((n, D) uint8 pixel rows, rows, cols)."""
+    blocks = _idx_blocks(path, IDX_IMAGES_MAGIC, 3)
+    (_, rows, cols), (pixels,) = next(blocks), blocks
+    return pixels, rows, cols
 
 
 def read_idx_labels(path) -> np.ndarray:
     """Read an IDX label file into an (n,) integer array."""
-    return _read_idx(path, IDX_LABELS_MAGIC, 1)[0].astype(np.int64)
+    (labels,) = islice(_idx_blocks(path, IDX_LABELS_MAGIC, 1), 1, None)
+    return labels[:, 0].astype(np.int64)
 
 
 def read_idx_dataset(images_path, labels_path):
@@ -110,9 +122,7 @@ def read_idx_dataset(images_path, labels_path):
     images, rows, cols = read_idx_images(images_path)
     labels = read_idx_labels(labels_path)
     if images.shape[0] != labels.shape[0]:
-        raise CountMismatch(
-            f"{images.shape[0]} images vs {labels.shape[0]} labels"
-        )
+        raise CountMismatch(f"{images.shape[0]} images vs {labels.shape[0]} labels")
     return images, labels, rows, cols
 
 
@@ -381,21 +391,32 @@ def iter_imageset_blocks(root, D, d, block):
 
 
 def iter_idx_blocks(images_path, labels_path, D, block):
-    """(N,) int64 labels and pixel-major (D, B, 1) uint8 blocks of the IDX
-    images, each a view of ``block`` pixel rows of the one payload, which
-    ``score_blocks`` normalises. Every check runs before the first block is
-    made: the files' decode and counts, all-black images, then the pixel
-    count against ``D``."""
-    pixels, labels, _, _ = read_idx_dataset(images_path, labels_path)
-    black = np.flatnonzero(~pixels.any(axis=1))
-    if black.size:
-        raise RankDeficient(f"{images_path}: image {black[0]} is all black "
-                            "(rank 0 < 1)")
-    if pixels.shape[1] != D:
-        raise InconsistentDims(f"{images_path}: images have D = {pixels.shape[1]} "
-                               f"pixels, prototypes have D = {D}")
-    return labels, (pixels[start:start + block].T[:, :, None]
-                    for start in range(0, len(pixels), block))
+    """(N,) int64 labels and a generator of pixel-major (D, B, 1) uint8 views
+    of ``block`` rows, each one read of the payload, dropped before the next
+    read; ``score_blocks`` normalises them. The image header and the labels
+    are checked first. A count fault, the first black image, then a D other
+    than ``D``, in that order, is held, with no block yielded after it, and
+    raised once the payload is read: a pipe cut short is TruncatedFile."""
+    blocks = _idx_blocks(images_path, IDX_IMAGES_MAGIC, 3, block)
+    count, rows, cols = next(blocks)
+    labels = read_idx_labels(labels_path)
+
+    def checked(held):
+        for i, pixels in enumerate(blocks):
+            black = np.flatnonzero(~pixels.any(axis=1))
+            if black.size and not isinstance(held, (CountMismatch, RankDeficient)):
+                held = RankDeficient(f"{images_path}: image {i * block + black[0]} "
+                                     "is all black (rank 0 < 1)")
+            if held is None:
+                yield pixels.T[:, :, None]
+            del pixels  # before the next read
+        if held:
+            raise held
+
+    return labels, checked(
+        CountMismatch(f"{count} images vs {len(labels)} labels") if count != len(labels)
+        else InconsistentDims(f"{images_path}: images have D = {rows * cols} pixels, "
+                              f"prototypes have D = {D}") if rows * cols != D else None)
 
 
 class _ClassMatrices(Mapping):
@@ -461,7 +482,10 @@ def save_model(model: ModelState, path) -> None:
 
 def load_model(path) -> ModelState:
     """Read a v1 or v2 model file written by save_model; bit-exact round trip.
-    A path that is not a regular file raises ModelNotFound."""
+    A path that is not a regular file raises ModelNotFound. ModelState pulls
+    the prototypes one at a time through one buffer into ``pixel_stack``, so
+    the peak is the model plus one prototype. A fault in the values is
+    raised once the CRC matched, and bytes after the CRC last."""
     if not os.path.isfile(path):
         raise ModelNotFound(path)
     with open(path, "rb") as f:
@@ -491,34 +515,53 @@ def load_model(path) -> ModelState:
         wide = [lab for lab in labels if not -2 ** 63 <= lab < 2 ** 63]
         if wide:
             raise CorruptModel(f"{path}: header label {wide[0]} is outside the int64 range")
-        raw = f.read()
-    if len(raw) < 8:
-        raise CorruptModel(f"{path}: missing length prefix")
-    (count,) = struct.unpack("<Q", raw[:8])
-    payload = memoryview(raw)[8:8 + count * 8]  # a view; ModelState makes the one copy
-    if len(payload) != count * 8 or len(raw) < 8 + count * 8 + 4:
-        raise CorruptModel(f"{path}: truncated payload")
-    (crc,) = struct.unpack("<I", raw[8 + count * 8: 8 + count * 8 + 4])
-    head_crc = zlib.crc32(raw[:8], zlib.crc32(line)) if fields[1] != "v1" else 0
-    if zlib.crc32(payload, head_crc) != crc:
+        rest = os.fstat(f.fileno()).st_size - f.tell()
+        if rest < 8:
+            raise CorruptModel(f"{path}: missing length prefix")
+        (count,) = struct.unpack("<Q", prefix := f.read(8))
+        extra = rest - 12 - count * 8  # bytes after the checksum
+        if extra < 0:
+            raise CorruptModel(f"{path}: truncated payload")
+        crc = zlib.crc32(prefix, zlib.crc32(line)) if fields[1] != "v1" else 0
+        end = f.tell() + 8 * count  # where the payload ends and the CRC starts
+        prototypes = _PrototypeReader(f, labels, (D, d), crc)
+        fault = "payload size inconsistent with header"
+        if count == len(labels) * D * d + d:
+            relevance = np.frombuffer(os.pread(f.fileno(), 8 * d, end - 8 * d), "<f8").copy()
+            try:
+                model, fault = ModelState(prototypes, relevance, mode, d, D), None
+            except (ValueError, ConfigError) as exc:
+                fault = f"invalid model: {exc}"
+        tail = f.read(end + 4 - f.tell())  # what no prototype read, then the CRC
+    if zlib.crc32(tail[:-4], prototypes.crc) != struct.unpack("<I", tail[-4:])[0]:
         raise CorruptModel(f"{path}: checksum failure")
-    values = np.frombuffer(payload, dtype="<f8")
-    if count != len(labels) * D * d + d:
-        raise CorruptModel(f"{path}: payload size inconsistent with header")
-    stack = values[:len(labels) * D * d].reshape(len(labels), D, d)
-    try:
-        protos = [Prototype(Subspace(basis), label)
-                  for basis, label in zip(stack, labels)]
-        model = ModelState(protos, values[len(labels) * D * d:].copy(), mode, d, D)
-    except (ValueError, ConfigError) as exc:
-        # the checksum matched, so the writer stored an invalid model
-        raise CorruptModel(f"{path}: invalid model: {exc}") from None
+    if fault:
+        raise CorruptModel(f"{path}: {fault}")
     # training keeps a grlgq relevance vector within a few eps of the simplex
     total = float(model.relevance.sum())
     if mode == "grlgq" and abs(total - 1.0) > 1e-12:
         raise CorruptModel(f"{path}: invalid model: grlgq relevance sums to "
                            f"{total!r}, not 1 within 1e-12")
+    if extra:
+        raise CorruptModel(f"{path}: {extra} bytes after the checksum")
     return model
+
+
+class _PrototypeReader:
+    """A model file's prototypes, read into one buffer and fed to ``crc`` as pulled."""
+
+    def __init__(self, f, labels, shape, crc):
+        self.f, self.labels, self.shape, self.crc = f, labels, shape, crc
+
+    def __len__(self):
+        return len(self.labels)
+
+    def __iter__(self):
+        buffer = np.empty(self.shape, dtype="<f8")
+        for label in self.labels:
+            self.f.readinto(buffer)
+            self.crc = zlib.crc32(buffer, self.crc)
+            yield Prototype(Subspace(buffer), label)
 
 
 # ---------------------------------------------------------------- exporters

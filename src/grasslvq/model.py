@@ -71,6 +71,14 @@ class ModelState:
 
     def __init__(self, prototypes: list[Prototype], relevance, mode: str,
                  subspace_dim: int, ambient_dim: int):
+        self.pixel_stack = np.empty((ambient_dim, len(prototypes), subspace_dim))
+        self.stack = self.pixel_stack.transpose(1, 0, 2)
+        self.labels = np.empty(len(prototypes), dtype=np.int64)
+        # first, so a basis load_model streams in is checked before the mode and relevance
+        for i, p in enumerate(prototypes):
+            if p.subspace.basis.shape != self.stack.shape[1:]:
+                raise ConfigError("prototype shape inconsistent with model dims")
+            self.stack[i], self.labels[i] = p.subspace.basis, p.label
         if mode not in MODES:
             raise ConfigError(f"unknown mode {mode!r}")
         self.mode = mode
@@ -83,13 +91,6 @@ class ModelState:
             raise ConfigError("relevance weights must be nonnegative and finite")
         if mode == "glgq" and not np.all(self.relevance == 1.0):
             raise ConfigError("glgq mode fixes the relevance vector at all-ones")
-        self.pixel_stack = np.empty((ambient_dim, len(prototypes), subspace_dim))
-        self.stack = self.pixel_stack.transpose(1, 0, 2)
-        for i, p in enumerate(prototypes):
-            if p.subspace.basis.shape != self.stack.shape[1:]:
-                raise ConfigError("prototype shape inconsistent with model dims")
-            self.stack[i] = p.subspace.basis
-        self.labels = np.array([p.label for p in prototypes], dtype=np.int64)
 
     @property
     def prototypes(self) -> list[Prototype]:

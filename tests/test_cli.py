@@ -629,6 +629,50 @@ class TestEval:
         assert capsys.readouterr() == want
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
+    def test_idx_eval_peak_does_not_grow_with_the_images(self, tmp_path, capsys):
+        """The traced peak of eval --images on N and on 4N 64x64 images, N
+        three blocks of 32, differs by less than one block of uint8 pixels:
+        only the labels and the (N, P) score table grow with N. Holding the
+        whole payload would add 3N images, 9 blocks."""
+        rng = np.random.default_rng(21)
+        protos = [Prototype(random_subspace(rng, 4096, 3), label) for label in (1, 2)]
+        state = ModelState(protos, np.full(3, 1 / 3), "grlgq", 3, 4096)
+        dataio.save_model(state, tmp_path / "m.bin")
+        block = model_module.eval_block_size(state, "vectors")
+        paths, peaks = (tmp_path / "images.idx", tmp_path / "labels.idx"), []
+        for count in (3 * block, 12 * block):
+            write_idx_images(paths[0], list(rng.integers(1, 256, (count, 64, 64), np.uint8)))
+            write_idx_labels(paths[1], [1, 2] * (count // 2))
+            argv = ["eval", "--model", str(tmp_path / "m.bin"), "--images", str(paths[0]),
+                    "--labels", str(paths[1])]
+            assert main(argv) == 0  # imports and caches, untraced
+            tracemalloc.start()
+            try:
+                assert main(argv) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        capsys.readouterr()
+        assert abs(peaks[1] - peaks[0]) < block * 4096, peaks
+
+    def test_piped_image_file_cut_short_beside_a_bad_label_file(self, workspace,
+                                                                tmp_path, capsys):
+        """The label file is read before the image payload, so a pipe's
+        truncation, seen only at its end, comes after the label file's
+        error; a regular file's is known from its size, before the labels."""
+        _, _, model, _ = workspace
+        argv = _idx_cut_short(model, tmp_path, 5, 12 * 4)
+        (tmp_path / "labels.idx").write_bytes(struct.pack(">ii", 0x00000803, 5))
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: TruncatedFile: {tmp_path / 'images.idx'}: expected 60 more bytes, got 48\n")
+        pipe = _fifo(tmp_path, (tmp_path / "images.idx").read_bytes())
+        argv[argv.index("--images") + 1] = str(pipe)
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            f"error: BadMagic: {tmp_path / 'labels.idx'}: magic 0x00000803, expected 0x00000801\n")
+
     def test_set_eval_matches_evaluate_without_it(self, workspace, tmp_path,
                                                   monkeypatch, capsys):
         _, data, model, _ = workspace
@@ -891,9 +935,10 @@ def _eval(model, data_root):
     return ["eval", "--model", str(model), "--data", str(data_root)]
 
 
-def _idx_eval(model, tmp, black):
-    """eval --images of three 3x4 images whose image ``black`` is all zero."""
-    images = [np.full((3, 4), 40 + i, dtype=np.uint8) for i in range(3)]
+def _idx_eval(model, tmp, black, shape=(3, 4)):
+    """eval --images of three images of ``shape`` whose image ``black`` is
+    all zero."""
+    images = [np.full(shape, 40 + i, dtype=np.uint8) for i in range(3)]
     images[black][:] = 0
     paths = tmp / "images.idx", tmp / "labels.idx"
     write_idx_images(paths[0], images)
@@ -939,6 +984,29 @@ def _piped_idx_eval(model, tmp, image_sizes):
     argv = _raw_idx_eval(model, tmp, image_sizes, 3)
     argv[argv.index("--images") + 1] = str(_fifo(tmp, (tmp / "images.idx").read_bytes()))
     return argv
+
+
+# 3x4 images per eval --images block against the workspace model (D = 12)
+IDX_BLOCK = model_module.EVAL_BLOCK_BYTES // (8 * 12)
+
+
+def _idx_cut_short(model, tmp, count, kept, piped=False):
+    """eval --images of a header of ``count`` 3x4 images and ``kept`` of
+    their pixel bytes, from a regular file or, ``piped``, a FIFO, with
+    ``count`` labels."""
+    paths = tmp / "images.idx", tmp / "labels.idx"
+    paths[0].write_bytes(struct.pack(">iiii", 0x00000803, count, 3, 4) + b"\x07" * kept)
+    write_idx_labels(paths[1], [1, 2] * (count // 2) + [1] * (count % 2))
+    images = _fifo(tmp, paths[0].read_bytes()) if piped else paths[0]
+    return ["eval", "--model", str(model), "--images", str(images),
+            "--labels", str(paths[1])]
+
+
+def _with_bytes_after(model, tmp, extra):
+    """inspect --relevance-out of ``model``'s file with ``extra`` after its CRC."""
+    path = tmp / "joined.bin"
+    path.write_bytes(model.read_bytes() + extra)
+    return ["inspect", "--model", str(path), "--relevance-out", str(tmp / "r.csv")]
 
 
 def _synth_twice(tmp):
@@ -1115,6 +1183,22 @@ MALFORMED_INPUTS = {
     "idx-piped-petabyte-header": (
         "TruncatedFile", f"pipe: expected {2 ** 50} more bytes, got 36",
         lambda data, model, tmp: _piped_idx_eval(model, tmp, (2 ** 20, 2 ** 20, 2 ** 10))),
+    # the image payload is read a block at a time: both truncations name the
+    # whole payload's bytes and every byte read
+    "idx-cut-in-last-block": (
+        "TruncatedFile", f"images.idx: expected {12 * (2 * IDX_BLOCK + 5)} more bytes, "
+        f"got {12 * (2 * IDX_BLOCK + 5) - 7}",
+        lambda data, model, tmp: _idx_cut_short(model, tmp, 2 * IDX_BLOCK + 5,
+                                                12 * (2 * IDX_BLOCK + 5) - 7)),
+    "idx-piped-cut-after-first-block": (
+        "TruncatedFile", f"pipe: expected {12 * (2 * IDX_BLOCK + 5)} more bytes, "
+        f"got {12 * IDX_BLOCK}",
+        lambda data, model, tmp: _idx_cut_short(model, tmp, 2 * IDX_BLOCK + 5,
+                                                12 * IDX_BLOCK, piped=True)),
+    # a black image ranks above a pixel count other than the model's D = 12
+    "idx-black-image-and-wrong-d": (
+        "RankDeficient", "images.idx: image 1 is all black (rank 0 < 1)",
+        lambda data, model, tmp: _idx_eval(model, tmp, black=1, shape=(3, 5))),
     "idx-no-images": (
         "EmptySet", "images.idx: no images",
         lambda data, model, tmp: _raw_idx_eval(model, tmp, (0, 2 ** 31 - 1, 2 ** 31 - 1), 0)),
@@ -1456,6 +1540,9 @@ MALFORMED_INPUTS = {
         "CorruptModel", "unrecognized header", lambda data, model, tmp: _with_header(
             data, model, tmp, b"NOTAMODEL v2 mode=grlgq D=12 d=2 labels=1,2")),
     "model-ends-after-header": ("CorruptModel", "missing length prefix", _header_only),
+    "model-bytes-after-checksum": (
+        "CorruptModel", "joined.bin: 4 bytes after the checksum",
+        lambda data, model, tmp: _with_bytes_after(model, tmp, b"junk")),
     "class-without-sets": ("EmptySet", "no image-set directories",
                            lambda data, model, tmp: _eval(
                                model, _black_frames(tmp / "root" / "c1", 0).parent)),

@@ -608,6 +608,33 @@ class TestModelPersistence:
         assert loaded.stack.tobytes() == np.stack([basis] * 4).tobytes()
         assert peak < 2.5 * size, peak / size
 
+    def test_load_holds_the_stack_and_one_prototype(self, tmp_path):
+        # 10 prototypes of D = 4000, d = 10: a 3.2 MB stack, read through
+        # one 320 kB prototype buffer; reading the file whole made it 2.0x
+        rng = np.random.default_rng(12)
+        protos = [Prototype(random_subspace(rng, 4000, 10), label)
+                  for label in range(1, 11)]
+        model = ModelState(protos, np.full(10, 0.1), "grlgq", 10, 4000)
+        path = tmp_path / "model.bin"
+        dataio.save_model(model, path)
+        tracemalloc.start()
+        try:
+            loaded = dataio.load_model(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert loaded.pixel_stack.tobytes() == model.pixel_stack.tobytes()
+        assert peak < 1.2 * model.pixel_stack.nbytes, peak / model.pixel_stack.nbytes
+
+    def test_two_models_joined_end_to_end(self, tmp_path):
+        # a file that goes on after its CRC is not the model it starts with
+        path = tmp_path / "model.bin"
+        dataio.save_model(two_class_model(np.random.default_rng(2), 12, 2), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw + raw)
+        with pytest.raises(CorruptModel, match=f"{len(raw)} bytes after the checksum$"):
+            dataio.load_model(path)
+
     def test_save_copies_one_prototype_at_a_time(self, tmp_path):
         # 8 prototypes of D = 20000, d = 10: a 12.8 MB model; the file is
         # the bytes of the whole model, concatenated and checksummed at once
