@@ -46,6 +46,25 @@ def unit_columns(X, out=None):
     return np.divide(rows, norms[:, None], out=rows).T
 
 
+def check_orthonormal(bases) -> None:
+    """Raise ValueError unless every D x d basis of a (k, D, d) float64 stack
+    is finite with B^T B within ORTHO_TOL of I, entrywise.
+
+    One isfinite pass and one batched Gram product cover the stack. Bases
+    are judged in order, each for non-finite entries first, so the error is
+    the one ``Subspace`` raises for the first bad basis; no Gram matrix is
+    formed from a non-finite basis.
+    """
+    finite = np.isfinite(bases).all(axis=(1, 2))
+    k = len(bases) if finite.all() else int(np.argmin(finite))
+    gram = np.swapaxes(bases[:k], 1, 2) @ bases[:k]
+    for err in np.abs(gram - np.eye(bases.shape[2])).max(axis=(1, 2)):
+        if err > ORTHO_TOL:
+            raise ValueError(f"columns not orthonormal (max |B^T B - I| = {err:.3g})")
+    if k < len(bases):
+        raise ValueError("non-finite entries")
+
+
 @dataclass(frozen=True, eq=False)
 class Subspace:
     """An orthonormal basis for a d-dimensional subspace of R^D."""
@@ -53,13 +72,10 @@ class Subspace:
     basis: np.ndarray  # (D, d), orthonormal columns
 
     def __post_init__(self):
-        basis = _as_f64(self.basis)
+        basis = np.asarray(self.basis, dtype=np.float64)
         if basis.ndim != 2 or basis.shape[1] > basis.shape[0]:
             raise ValueError(f"basis must be D x d with d <= D, got {basis.shape}")
-        gram = basis.T @ basis
-        err = np.max(np.abs(gram - np.eye(basis.shape[1])))
-        if err > ORTHO_TOL:
-            raise ValueError(f"columns not orthonormal (max |B^T B - I| = {err:.3g})")
+        check_orthonormal(basis[None])
         object.__setattr__(self, "basis", basis)
 
     @property

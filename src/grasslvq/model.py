@@ -7,13 +7,21 @@ Two training modes are supported:
   prototypes with a (smaller) learning rate gamma.
 
 Training is sequential stochastic gradient descent. For each sample one
-batched product ranks all prototypes, and one batched principal
-decomposition covers the two winners. Both winners then take a step in their
-rotated frames V = W Q_W, whose columns stay orthogonal, as one (2, D, d)
-array, and are re-orthonormalized by a column rescale; both steps are checked
-before either prototype is written. In grlgq mode the relevance vector
-follows its own gradient step, is clipped to be nonnegative, and
-renormalized onto the simplex.
+batched product ranks all prototypes, the winners are taken from per-label
+index arrays the model builds once, and one batched principal decomposition
+covers the two winners. Both winners then take a step in their rotated
+frames V = W Q_W, whose columns stay orthogonal, as one (2, D, d) array
+formed in the decomposition's own U buffer, and are re-orthonormalized by a
+column rescale; one batched check (finite gradient, rank, finite entries,
+orthonormality) covers both steps before either prototype is written, each
+with one slice assignment. In grlgq mode the relevance vector follows its
+own gradient step, is clipped to be nonnegative, and renormalized onto the
+simplex.
+
+``train_step`` runs on these arrays alone. ``find_winners``,
+``prototype_gradient``, ``relevance_gradient`` and
+``apply_prototype_update`` expose the same steps one at a time, built on the
+same private helpers, for callers that want the decomposition.
 """
 
 from collections.abc import Mapping
@@ -35,6 +43,7 @@ from .manifold import (
     PrincipalDecomposition,
     Subspace,
     angles_from_products,
+    check_orthonormal,
     g_matrix_diagonal,
     principal_angles_to_stack,
     principal_decomposition,
@@ -67,18 +76,27 @@ class ModelState:
     as one D x (P d) matrix without a copy. ``prototypes`` returns Prototype
     items built on read-only views of it, so the items change when the model
     trains; a caller who needs a snapshot must copy the bases.
+
+    ``labels`` is read-only: the winner search takes each label's prototype
+    indices, and those of every other label, from index arrays built once
+    here.
     """
 
     def __init__(self, prototypes: list[Prototype], relevance, mode: str,
                  subspace_dim: int, ambient_dim: int):
         self.pixel_stack = np.empty((ambient_dim, len(prototypes), subspace_dim))
         self.stack = self.pixel_stack.transpose(1, 0, 2)
-        self.labels = np.empty(len(prototypes), dtype=np.int64)
+        labels = np.empty(len(prototypes), dtype=np.int64)
         # first, so a basis load_model streams in is checked before the mode and relevance
         for i, p in enumerate(prototypes):
             if p.subspace.basis.shape != self.stack.shape[1:]:
                 raise ConfigError("prototype shape inconsistent with model dims")
-            self.stack[i], self.labels[i] = p.subspace.basis, p.label
+            self.stack[i], labels[i] = p.subspace.basis, p.label
+        labels.flags.writeable = False
+        self._labels = labels
+        self._groups = {label: (np.flatnonzero(labels == label),
+                                np.flatnonzero(labels != label))
+                        for label in set(labels.tolist())}
         if mode not in MODES:
             raise ConfigError(f"unknown mode {mode!r}")
         self.mode = mode
@@ -91,6 +109,20 @@ class ModelState:
             raise ConfigError("relevance weights must be nonnegative and finite")
         if mode == "glgq" and not np.all(self.relevance == 1.0):
             raise ConfigError("glgq mode fixes the relevance vector at all-ones")
+
+    @property
+    def labels(self) -> np.ndarray:
+        return self._labels
+
+    def _winner_groups(self, label) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending indices of the prototypes with ``label`` and of all
+        others; MissingClassPrototype when either is empty."""
+        groups = self._groups.get(label)
+        if groups is None:
+            raise MissingClassPrototype(f"no prototype with label {label}")
+        if not len(groups[1]):
+            raise MissingClassPrototype(f"no prototype with label != {label}")
+        return groups
 
     @property
     def prototypes(self) -> list[Prototype]:
@@ -137,6 +169,9 @@ class SampleOutcome:
 
     ``pair`` decomposes the sample against both winners at once; its leading
     axis of 2 holds the same-label winner (plus) first, then the other (minus).
+    ``find_winners`` fills it. ``train_step`` returns ``pair=None``: it forms
+    its update in the decomposition's U buffer, so a caller who wants the
+    decomposition calls ``find_winners`` before the step.
     """
 
     winner_same: int
@@ -144,7 +179,7 @@ class SampleOutcome:
     d_plus: float
     d_minus: float
     mu: float
-    pair: PrincipalDecomposition
+    pair: PrincipalDecomposition | None
 
     @property
     def pd_plus(self) -> PrincipalDecomposition:
@@ -168,44 +203,67 @@ def _check_shape(name: str, shape, want) -> None:
     raise ValueError(f"{name} has d = {shape[-1]}, model has d = {want[1]}")
 
 
-def find_winners(model: ModelState, sample: Subspace, label: int) -> SampleOutcome:
-    """Closest same-label and closest different-label prototypes to the sample.
+def _winner_pair(model: ModelState, sample: Subspace, label: int):
+    """(winners, d+, d-, mu, pair) of one sample: the ranking behind
+    ``find_winners`` and ``train_step``.
 
-    All prototypes are ranked by relevance-weighted squared distances from one
-    batched product basis^T W_p; ties break to the lowest prototype index.
-    Only the two winners are decomposed, in one principal_decomposition call
-    on their stack entries and products from that batch, which gives d+, d-,
-    mu and the gradients. The entries are read as raw arrays, gathered
-    through the pixel-major stack: every write to the stack passed Subspace.
+    All prototypes are ranked by relevance-weighted squared distances from
+    one batched product basis^T W_p; the winners are the nearest of the
+    model's index arrays for ``label`` and for every other label (ties break
+    to the lowest prototype index). Only the two winners are decomposed, in
+    one principal_decomposition call on their stack entries and products
+    from that batch. The entries are read as raw arrays, through a view of
+    the stack: every write to the stack passed the orthonormality check.
     """
     _check_shape("sample", sample.basis.shape, model.stack.shape[1:])
     products = sample.basis.T @ model.stack
     dists = angles_from_products(products) ** 2 @ model.relevance
-    same = model.labels == label
-    if not same.any():
-        raise MissingClassPrototype(f"no prototype with label {label}")
-    if same.all():
-        raise MissingClassPrototype(f"no prototype with label != {label}")
-    winners = [int(np.flatnonzero(mask)[np.argmin(dists[mask])]) for mask in (same, ~same)]
-    pair = principal_decomposition(sample, model.pixel_stack[:, winners].transpose(1, 0, 2),
+    winners = [int(group[np.argmin(dists[group])])
+               for group in model._winner_groups(label)]
+    # both winners as one (2, D, d) view, no copy: the slice from the first
+    # that steps to the second
+    first, second = winners
+    pair = principal_decomposition(sample, model.stack[first::second - first][:2],
                                    products[winners])
-    d_same, d_other = np.sum(model.relevance * pair.angles ** 2, axis=1).tolist()
-    denom = d_same + d_other
-    mu = (d_same - d_other) / denom if denom >= DEGENERATE_EPS else np.nan
-    return SampleOutcome(*winners, d_same, d_other, mu, pair)
+    d_plus, d_minus = np.sum(model.relevance * pair.angles ** 2, axis=1).tolist()
+    denom = d_plus + d_minus
+    mu = (d_plus - d_minus) / denom if denom >= DEGENERATE_EPS else np.nan
+    return winners, d_plus, d_minus, mu, pair
 
 
-def _gradient_coefficients(outcome: SampleOutcome, weights) -> np.ndarray:
+def find_winners(model: ModelState, sample: Subspace, label: int) -> SampleOutcome:
+    """Closest same-label and closest different-label prototypes to the sample,
+    with d+, d-, mu and the decomposition of both winners (``pair``), which
+    the gradients read. MissingClassPrototype when no prototype has
+    ``label``, or none has another label.
+    """
+    winners, d_plus, d_minus, mu, pair = _winner_pair(model, sample, label)
+    return SampleOutcome(*winners, d_plus, d_minus, mu, pair)
+
+
+def _denominator(d_plus: float, d_minus: float) -> float:
+    denom = d_plus + d_minus
+    if denom < DEGENERATE_EPS:
+        raise DegenerateSample("sample coincides with prototypes of both polarities")
+    return denom
+
+
+def _gradient_coefficients(d_plus, d_minus, pair, weights) -> np.ndarray:
     """(2, d) column coefficients c of both winners' gradients U c (plus, minus).
 
     For the same-label winner c = -(2 d- / (d+ + d-)^2) G+;
     for the other-label winner c = +(2 d+ / (d+ + d-)^2) G-.
     """
-    denom = outcome.d_plus + outcome.d_minus
-    if denom < DEGENERATE_EPS:
-        raise DegenerateSample("sample coincides with prototypes of both polarities")
-    scale = np.array([[-2.0 * outcome.d_minus], [2.0 * outcome.d_plus]]) / denom ** 2
-    return scale * g_matrix_diagonal(outcome.pair, weights)
+    denom = _denominator(d_plus, d_minus)
+    scale = np.array([[-2.0 * d_minus], [2.0 * d_plus]]) / denom ** 2
+    return scale * g_matrix_diagonal(pair, weights)
+
+
+def _relevance_gradient(d_plus, d_minus, angles) -> np.ndarray:
+    """Component k is [2/(d+ + d-)^2] (d- (theta_k+)^2 - d+ (theta_k-)^2)."""
+    denom = _denominator(d_plus, d_minus)
+    angles_plus, angles_minus = angles
+    return (2.0 / denom ** 2) * (d_minus * angles_plus ** 2 - d_plus * angles_minus ** 2)
 
 
 def prototype_gradient(outcome: SampleOutcome, weights, which: str) -> np.ndarray:
@@ -213,24 +271,53 @@ def prototype_gradient(outcome: SampleOutcome, weights, which: str) -> np.ndarra
 
     For the same-label winner: -(2 d- / (d+ + d-)^2) U+ G+;
     for the other-label winner: +(2 d+ / (d+ + d-)^2) U- G-.
+    ``outcome`` must hold its decomposition (``find_winners``).
     """
     if which not in WINNERS:
         raise ValueError("which must be 'plus' or 'minus'")
     i = WINNERS.index(which)
-    return outcome.pair.principal_left[i] * _gradient_coefficients(outcome, weights)[i]
+    coeffs = _gradient_coefficients(outcome.d_plus, outcome.d_minus, outcome.pair, weights)
+    return outcome.pair.principal_left[i] * coeffs[i]
 
 
 def relevance_gradient(outcome: SampleOutcome) -> np.ndarray:
     """Gradient of the sample cost w.r.t. the relevance weights.
 
     Component k is [2/(d+ + d-)^2] (d- (theta_k+)^2 - d+ (theta_k-)^2).
+    ``outcome`` must hold its decomposition (``find_winners``).
     """
-    denom = outcome.d_plus + outcome.d_minus
-    if denom < DEGENERATE_EPS:
-        raise DegenerateSample("sample coincides with prototypes of both polarities")
-    angles_plus, angles_minus = outcome.pair.angles
-    return (2.0 / denom ** 2) * (
-        outcome.d_minus * angles_plus ** 2 - outcome.d_plus * angles_minus ** 2)
+    return _relevance_gradient(outcome.d_plus, outcome.d_minus, outcome.pair.angles)
+
+
+def _step_winners(model: ModelState, winners, coeffs, pair, eta: float, out=None) -> None:
+    """Write V - eta U diag(c) of both winners, columns rescaled to unit norm.
+
+    The update is formed in ``out`` (a fresh array when None; ``train_step``
+    passes the pair's own U, which it no longer needs). Checks, in order,
+    before either winner is written: a finite gradient, then the rank of
+    each update, then ``check_orthonormal`` on both at once. Each winner is
+    then written with one slice assignment.
+    """
+    # |U| <= 1 entrywise, so U c is finite wherever c is
+    for which, idx, finite in zip(WINNERS, winners, np.isfinite(coeffs).all(axis=1)):
+        if not finite:
+            raise FloatingPointError(f"non-finite prototype gradient for winner "
+                                     f"{which} (index {idx})")
+    updated = np.multiply(pair.principal_left, coeffs[:, None, :], out=out)  # U c
+    with np.errstate(over="ignore"):
+        # V - eta U c in place; an overflow gives an infinite norm, which the
+        # rank test rejects
+        updated *= -eta
+        updated += pair.principal_right
+        norms = np.sqrt(np.einsum("kij,kij->kj", updated, updated))
+    for which, idx, low in zip(WINNERS, winners,
+                               norms.min(axis=1) <= RANK_TOL * norms.max(axis=1)):
+        if low:
+            raise RankDeficient(f"update of winner {which} (index {idx}) is rank deficient")
+    updated /= norms[:, None, :]
+    check_orthonormal(updated)
+    for idx, basis in zip(winners, updated):
+        model.stack[idx] = basis
 
 
 def apply_prototype_update(model: ModelState, outcome: SampleOutcome, eta: float) -> None:
@@ -240,32 +327,16 @@ def apply_prototype_update(model: ModelState, outcome: SampleOutcome, eta: float
     V - eta * U diag(c) keeps the columns orthogonal, and dividing them by
     their norms (the update's singular values) is a Grassmann retraction; no
     SVD is needed. Both winners are stepped as one (2, D, d) array and both
-    are checked (finite gradient, then rank) before either is written, so a
-    raise leaves the model unchanged. A RankDeficient error here means eta is
-    large enough to collapse a prototype.
+    are checked (finite gradient, rank, then finite and orthonormal columns)
+    before either is written, so a raise leaves the model unchanged. A
+    RankDeficient error here means eta is large enough to collapse a
+    prototype. ``outcome`` must hold its decomposition (``find_winners``),
+    which is left as it is.
     """
-    winners = (outcome.winner_same, outcome.winner_other)
-    coeffs = _gradient_coefficients(outcome, model.relevance)
-    # |U| <= 1 entrywise, so U c is finite wherever c is
-    for which, idx, finite in zip(WINNERS, winners, np.isfinite(coeffs).all(axis=1)):
-        if not finite:
-            raise FloatingPointError(f"non-finite prototype gradient for winner "
-                                     f"{which} (index {idx})")
-    pair = outcome.pair
-    updated = pair.principal_left * coeffs[:, None, :]  # the gradients U c
-    with np.errstate(over="ignore"):
-        # V - eta U c in place; an overflow gives an infinite norm, which the
-        # rank test rejects
-        updated *= -eta
-        updated += pair.principal_right
-        norms = np.sqrt(np.einsum("kij,kij->kj", updated, updated))
-    for which, idx, n in zip(WINNERS, winners, norms):
-        if n.min() <= RANK_TOL * n.max():
-            raise RankDeficient(f"update of winner {which} (index {idx}) is rank deficient")
-    updated /= norms[:, None, :]
-    for basis in updated:
-        Subspace(basis)  # the orthonormality check, before either is written
-    model.pixel_stack[:, list(winners)] = updated.transpose(1, 0, 2)
+    coeffs = _gradient_coefficients(outcome.d_plus, outcome.d_minus, outcome.pair,
+                                    model.relevance)
+    _step_winners(model, (outcome.winner_same, outcome.winner_other), coeffs,
+                  outcome.pair, eta)
 
 
 def apply_relevance_update(model: ModelState, grad, gamma: float) -> np.ndarray:
@@ -285,19 +356,25 @@ def train_step(model: ModelState, sample: Subspace, label: int,
                config: TrainConfig) -> SampleOutcome:
     """One stochastic update: winners, gradients, prototype (and relevance) step.
 
-    Returns the outcome with the pre-update cost mu for logging. With gamma = 0
-    the relevance vector is left untouched (no clipping or renormalization), so
-    a grlgq run with frozen weights follows the glgq trajectory exactly. A
-    sample that coincides with prototypes of both polarities raises
-    DegenerateSample from the first gradient, before anything mutates.
+    The steps of ``find_winners``, ``relevance_gradient`` and
+    ``apply_prototype_update`` on plain arrays, with the same bits: the
+    update is formed in the decomposition's U buffer, so the returned
+    outcome, which carries the pre-update cost mu for logging, has
+    ``pair=None``. With gamma = 0 the relevance vector is left untouched
+    (no clipping or renormalization), so a grlgq run with frozen weights
+    follows the glgq trajectory exactly. Every prototype check runs before
+    either winner is written; a sample that coincides with prototypes of
+    both polarities raises DegenerateSample before anything is written.
     """
-    outcome = find_winners(model, sample, label)
+    winners, d_plus, d_minus, mu, pair = _winner_pair(model, sample, label)
+    coeffs = _gradient_coefficients(d_plus, d_minus, pair, model.relevance)
     relevance_step = model.mode == "grlgq" and config.gamma > 0
-    grad_rel = relevance_gradient(outcome) if relevance_step else None
-    apply_prototype_update(model, outcome, config.eta)
+    if relevance_step:
+        grad_rel = _relevance_gradient(d_plus, d_minus, pair.angles)
+    _step_winners(model, winners, coeffs, pair, config.eta, out=pair.principal_left)
     if relevance_step:
         apply_relevance_update(model, grad_rel, config.gamma)
-    return outcome
+    return SampleOutcome(*winners, d_plus, d_minus, mu, None)
 
 
 def init_prototypes(dataset, d: int, strategy: str, rng,

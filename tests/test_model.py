@@ -38,7 +38,7 @@ from grasslvq.errors import (
 )
 from grasslvq import dataio
 from grasslvq import model as model_module
-from grasslvq.manifold import unit_columns
+from grasslvq.manifold import check_orthonormal, unit_columns
 from grasslvq.model import EVAL_BLOCK_BYTES
 from helpers import (
     make_outcome,
@@ -314,10 +314,10 @@ class TestPrototypeUpdate:
         assert out.winner_other == 1 and out.pd_minus.angles[0] < 1e-12
         grad = prototype_gradient(out, model.relevance, "minus")
         eta = 1.0 / (out.pd_minus.principal_left[:, 0] @ grad[:, 0])
-        return model, out, grad, eta
+        return model, out, grad, eta, sample
 
     def test_collapsed_column_raises(self):
-        model, out, grad, eta = self._collapsing_step()
+        model, out, grad, eta, _ = self._collapsing_step()
         with pytest.raises(RankDeficient):
             subspace_from_set(out.pd_minus.principal_right - eta * grad, 3)
         with pytest.raises(RankDeficient, match="winner minus"):
@@ -326,7 +326,7 @@ class TestPrototypeUpdate:
     def test_rank_deficient_update_writes_neither_winner(self):
         # the plus winner's step is valid, but it must not land when the
         # minus winner's step collapses
-        model, out, _, eta = self._collapsing_step()
+        model, out, _, eta, _ = self._collapsing_step()
         before = model.stack.copy()
         with pytest.raises(RankDeficient, match="winner minus"):
             apply_prototype_update(model, out, eta)
@@ -439,6 +439,194 @@ class TestTrainStep:
             train_step(model, random_subspace(rng, 8, 2), 1, config)
             assert abs(model.relevance.sum() - 1.0) < 1e-12
             assert np.all(model.relevance >= 0)
+
+
+def _copy(model):
+    """An independent ModelState with the same prototypes and relevance."""
+    return ModelState(model.prototypes, model.relevance.copy(), model.mode,
+                      model.subspace_dim, model.ambient_dim)
+
+
+def _public_step(model, sample, label, config):
+    """train_step's update through the public one-at-a-time functions."""
+    out = find_winners(model, sample, label)
+    relevance_step = model.mode == "grlgq" and config.gamma > 0
+    grad = relevance_gradient(out) if relevance_step else None
+    apply_prototype_update(model, out, config.eta)
+    if relevance_step:
+        apply_relevance_update(model, grad, config.gamma)
+    return out
+
+
+def _near_pair_step():
+    # the sample is within 5e-3 rad of both winners, so d+ + d- is 2.5e-5 and
+    # the coefficients about 1e5: eta = 1e308 overflows the step
+    rng = np.random.default_rng(35)
+    frame = random_subspace(rng, 8, 6).basis
+    a, b, c = frame[:, :2], frame[:, 2:4], frame[:, 4:]
+    t = np.array([1e-3, 2e-3])
+    protos = [Prototype(Subspace(a * np.cos(t) + b * np.sin(t)), 1),
+              Prototype(Subspace(a * np.cos(2 * t) + c * np.sin(2 * t)), 2)]
+    model = ModelState(protos, np.ones(2), "glgq", 2, 8)
+    config = TrainConfig(eta=1e308, gamma=0.0, epochs=1, seed=0, mode="glgq")
+    return model, Subspace(a), 1, config
+
+
+def _collapsing_train_step():
+    # an eta that removes the other-label winner's first column
+    model, _, _, eta, sample = TestPrototypeUpdate._collapsing_step()
+    config = TrainConfig(eta=eta, gamma=0.0, epochs=1, seed=0, mode="glgq")
+    return model, sample, 1, config
+
+
+def _nan_gradient_step(monkeypatch):
+    # a NaN in the minus winner's G matrix, as the test of the public path
+    # puts a NaN in its angles
+    rng = np.random.default_rng(32)
+    model = two_class_model(rng, 8, 2)
+    g_matrix = model_module.g_matrix_diagonal
+
+    def with_nan(pd, weights):
+        g = g_matrix(pd, weights)
+        g[1, 0] = np.nan
+        return g
+
+    monkeypatch.setattr(model_module, "g_matrix_diagonal", with_nan)
+    config = TrainConfig(eta=0.05, gamma=0.0, epochs=1, seed=0, mode="glgq")
+    return model, random_subspace(rng, 8, 2), 1, config
+
+
+def _degenerate_step():
+    rng = np.random.default_rng(5)
+    sample = random_subspace(rng, 8, 2)
+    protos = [Prototype(Subspace(sample.basis.copy()), label) for label in (1, 2)]
+    model = ModelState(protos, np.array([0.25, 0.75]), "grlgq", 2, 8)
+    config = TrainConfig(eta=0.05, gamma=1e-3, epochs=1, seed=0, mode="grlgq")
+    return model, sample, 1, config
+
+
+class TestStepEntryPoints:
+    """train_step runs on arrays; find_winners, relevance_gradient,
+    apply_prototype_update and apply_relevance_update take the same step
+    one function at a time, and must land on the same bits."""
+
+    @pytest.mark.parametrize("mode, gamma, per_class", [
+        ("glgq", 0.0, 1), ("grlgq", 1e-3, 1), ("grlgq", 1e-3, 2)])
+    def test_trajectory_bitwise_equal(self, mode, gamma, per_class):
+        rng = np.random.default_rng(60)
+        dataset = synthetic_subspace_dataset(rng, classes=3, D=20, d=4,
+                                             per_class=10, noise=0.3)
+        config = TrainConfig(eta=0.05, gamma=gamma, epochs=1, seed=0, mode=mode)
+        model, _ = fit(dataset[::5], config, init="example",
+                       prototypes_per_class=per_class)
+        ref = _copy(model)
+        for step in range(300):
+            sample, label = dataset[rng.integers(len(dataset))]
+            out = train_step(model, sample, label, config)
+            ref_out = _public_step(ref, sample, label, config)
+            assert out.pair is None
+            assert ((out.winner_same, out.winner_other, out.d_plus, out.d_minus, out.mu)
+                    == (ref_out.winner_same, ref_out.winner_other, ref_out.d_plus,
+                        ref_out.d_minus, ref_out.mu)), step
+            assert np.array_equal(model.stack, ref.stack), step
+            assert np.array_equal(model.relevance, ref.relevance), step
+
+    @pytest.mark.parametrize("case, error, match", [
+        ("collapsed-column", RankDeficient, "winner minus"),
+        ("overflowing-eta", RankDeficient, "winner plus"),
+        ("non-finite-gradient", FloatingPointError, "winner minus"),
+        ("degenerate-sample", DegenerateSample, "both polarities"),
+    ])
+    def test_errors_match_and_write_nothing(self, case, error, match, monkeypatch):
+        model, sample, label, config = {
+            "collapsed-column": _collapsing_train_step,
+            "overflowing-eta": _near_pair_step,
+            "non-finite-gradient": lambda: _nan_gradient_step(monkeypatch),
+            "degenerate-sample": _degenerate_step,
+        }[case]()
+        stack, relevance = model.stack.copy(), model.relevance.copy()
+        for step in (_public_step, train_step):
+            target = _copy(model) if step is _public_step else model
+            with pytest.raises(error, match=match) as info:
+                step(target, sample, label, config)
+            assert type(info.value) is error
+            assert np.array_equal(target.stack, stack)
+            assert np.array_equal(target.relevance, relevance)
+
+
+class TestWinnerGroups:
+    @pytest.mark.parametrize("labels, label, message", [
+        ((1, 2), 9, "no prototype with label 9"),
+        ((3, 3), 3, "no prototype with label != 3"),
+    ], ids=["label-without-prototype", "every-prototype-has-the-label"])
+    def test_missing_class_on_every_call(self, labels, label, message):
+        rng = np.random.default_rng(61)
+        model = ModelState([Prototype(random_subspace(rng, 6, 2), y) for y in labels],
+                           np.ones(2), "glgq", 2, 6)
+        config = TrainConfig(eta=0.05, gamma=0.0, epochs=1, seed=0, mode="glgq")
+        sample, stack = random_subspace(rng, 6, 2), model.stack.copy()
+        for _ in range(2):
+            for call in (lambda: find_winners(model, sample, label),
+                         lambda: train_step(model, sample, label, config)):
+                with pytest.raises(MissingClassPrototype) as info:
+                    call()
+                assert str(info.value) == message
+        assert np.array_equal(model.stack, stack)
+
+    def test_labels_read_only(self):
+        model = two_class_model(np.random.default_rng(62), 6, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            model.labels[0] = 2
+        with pytest.raises(AttributeError):
+            model.labels = np.array([2, 1])
+        assert model.labels.tolist() == [1, 2]
+        assert find_winners(model, model.subspace(0), 1).winner_same == 0
+
+
+class TestOrthonormalityCheck:
+    @staticmethod
+    def _skewed(basis):
+        """basis with its second column tilted 1e-7 towards its first."""
+        skewed = basis.copy()
+        skewed[:, 1] += 1e-7 * basis[:, 0]
+        skewed[:, 1] /= np.linalg.norm(skewed[:, 1])
+        return skewed
+
+    @staticmethod
+    def _with_nan(basis):
+        bad = basis.copy()
+        bad[3, 1] = np.nan
+        return bad
+
+    @pytest.mark.parametrize("corrupt", ["_skewed", "_with_nan"])
+    def test_write_path_raises_the_subspace_error(self, corrupt):
+        rng = np.random.default_rng(63)
+        model = two_class_model(rng, 8, 2)
+        out = find_winners(model, random_subspace(rng, 8, 2), 1)
+        bad = getattr(self, corrupt)(out.pair.principal_right[1])
+        with pytest.raises(ValueError) as expected:
+            Subspace(bad)
+        with pytest.raises(ValueError) as batched:
+            check_orthonormal(np.stack([out.pair.principal_right[0], bad]))
+        assert str(batched.value) == str(expected.value)
+        # eta = 0 writes V itself, its columns rescaled to unit norm
+        out.pair = dataclasses.replace(
+            out.pair, principal_right=np.stack([out.pair.principal_right[0], bad]))
+        stack = model.stack.copy()
+        with pytest.raises(ValueError) as written:
+            apply_prototype_update(model, out, 0.0)
+        assert str(written.value) == str(expected.value)
+        assert np.array_equal(model.stack, stack)
+
+    def test_first_bad_basis_decides(self):
+        rng = np.random.default_rng(64)
+        good = random_subspace(rng, 8, 2).basis
+        skewed = self._skewed(good)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            check_orthonormal(np.stack([good, skewed, self._with_nan(good)]))
+        with pytest.raises(ValueError, match="non-finite entries"):
+            check_orthonormal(np.stack([good, self._with_nan(good), skewed]))
+        check_orthonormal(np.stack([good, good]))
 
 
 class TestFit:
