@@ -8,10 +8,9 @@ File formats:
     little-endian payload, trailing CRC32 of the bytes before it).
 
 Every reader, and ``iter_idx_blocks``'s vector blocks, give 8-bit pixels;
-``unit_columns`` alone L2-normalizes them, in ``subspace_from_set``,
-``class_image_matrices`` and ``score_blocks``, so every column entering a
-subspace construction or a score has unit norm, except that an all-black
-image stays zero.
+``unit_columns`` alone L2-normalizes them, in ``subspace_from_set`` and
+``class_image_matrices``, for every subspace construction (an all-black
+image stays zero), and ``score_blocks`` scores them by their norms.
 """
 
 import math
@@ -339,7 +338,7 @@ def build_classwise_subspace_dataset(images, labels, d, m, sets_per_class, seed)
         raise ConfigError(f"d={d} must satisfy 1 <= d <= D = {D}")
     if m < d:
         raise InsufficientImages(f"m={m} images per subspace < d={d}")
-    classes = [(label, np.flatnonzero(labels == label)) for label in np.unique(labels)]
+    classes = [(y, np.flatnonzero(labels == y)) for y in sorted(set(labels.tolist()))]
     for label, idx in classes:
         if len(idx) < m:
             raise InsufficientImages(f"class {label}: {len(idx)} images < m={m}")
@@ -393,7 +392,7 @@ def iter_imageset_blocks(root, D, d, block):
 def iter_idx_blocks(images_path, labels_path, D, block):
     """(N,) int64 labels and a generator of pixel-major (D, B, 1) uint8 views
     of ``block`` rows, each one read of the payload, dropped before the next
-    read; ``score_blocks`` normalises them. The image header and the labels
+    read; ``score_blocks`` scores the pixels. The image header and the labels
     are checked first. A count fault, the first black image, then a D other
     than ``D``, in that order, is held, with no block yielded after it, and
     raised once the payload is read: a pipe cut short is TruncatedFile."""
@@ -449,8 +448,8 @@ def class_image_matrices(images, labels):
     normalised by ``unit_columns`` (so the gather is freed before the pca
     factorisation), only when its label is read."""
     labels = np.asarray(labels)
-    return _ClassMatrices({int(lab): np.flatnonzero(labels == lab)
-                           for lab in np.unique(labels)},
+    return _ClassMatrices({lab: np.flatnonzero(labels == lab)
+                           for lab in sorted(set(labels.tolist()))},
                           lambda rows: unit_columns(np.vstack([images[i] for i in rows]).T))
 
 

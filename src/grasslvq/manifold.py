@@ -29,18 +29,14 @@ def _as_f64(a) -> np.ndarray:
     return a
 
 
-def unit_columns(X, out=None):
-    """The D x n matrix X for a subspace, a class matrix or a block of
-    vectors to score: uint8 columns are pixels, L2-normalised row by row on
-    X^T into float64, so a column has the bits it has in the normalised
-    whole; an all-zero (black) column stays zero. Float columns are used as
-    they are. Pixels are normalised into ``out`` if given, a D x n float64
-    array whose transpose is C-contiguous (a caller scoring blocks reuses
-    one buffer)."""
+def unit_columns(X):
+    """The D x n matrix X for a subspace or a class matrix: uint8 columns
+    are pixels, L2-normalised row by row on X^T into float64, so a column
+    has the bits it has in the normalised whole; an all-zero (black) column
+    stays zero. Float columns are used as they are."""
     if X.dtype != np.uint8:
         return X
-    rows = np.empty_like(X.T, dtype=np.float64) if out is None else out.T
-    rows[...] = X.T
+    rows = X.T.astype(np.float64)
     norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
     norms[norms == 0] = 1.0
     return np.divide(rows, norms[:, None], out=rows).T
@@ -212,11 +208,11 @@ def adaptive_squared_distance(pd: PrincipalDecomposition, weights) -> float:
     return float(np.sum(weights * pd.angles ** 2))
 
 
-def principal_angles_to_stack(samples, stack) -> np.ndarray:
+def principal_angles_to_stack(samples, stack, norms=None) -> np.ndarray:
     """Principal angles between each sample subspace and every subspace of a stack.
 
     Both arguments are pixel-major: ``samples`` is a (D, B, k) array of B
-    orthonormal D x k bases (k = 1 for unit vectors) and ``stack`` a (D, P, d)
+    orthonormal D x k bases (k = 1 for vectors) and ``stack`` a (D, P, d)
     array of P orthonormal D x d bases. All B x P products basis^T W_p come
     from one GEMM, of the samples side by side, D x (B k), transposed, by
     the stack side by side, D x (P d). Returns ascending angles,
@@ -226,10 +222,9 @@ def principal_angles_to_stack(samples, stack) -> np.ndarray:
     the angles their arccosines. arccos is ill-conditioned near 1, but theta^2
     is not: d(theta^2)/dc -> -2 as theta -> 0, so squared angles, and every
     distance built from them, are accurate to about 2 eps each. For k = 1
-    every column is checked to be finite and of unit norm; the cosine is the
-    norm of the coefficient vector c, and only where it exceeds 0.9 (arccos is
-    accurate below) is the residual formed, giving atan2(||x - W c||, ||c||).
-    Raises InconsistentDims when D differs.
+    each column x is checked to be finite and of unit norm, or, given the
+    (B,) ``norms`` of pixel columns, to be nonzero; its cosine to W_p is
+    ||W_p^T x|| / ||x||. Raises InconsistentDims when D differs.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.shape[0] != stack.shape[0]:
@@ -237,17 +232,19 @@ def principal_angles_to_stack(samples, stack) -> np.ndarray:
             f"sample has D = {samples.shape[0]} pixels, prototypes have "
             f"D = {stack.shape[0]}")
     (D, B, k), (_, P, d) = samples.shape, stack.shape
-    if k == 1:
+    if k == 1 and norms is None:
         # einsum sums the squares with no B x D temporary
-        norms = np.sqrt(np.einsum("ij,ij->j", samples[:, :, 0], samples[:, :, 0]))
-        if not np.abs(norms - 1.0).max(initial=0.0) <= 1e-8:
+        unit = np.sqrt(np.einsum("ij,ij->j", samples[:, :, 0], samples[:, :, 0]))
+        if not np.abs(unit - 1.0).max(initial=0.0) <= 1e-8:
             # a NaN or infinite entry fails the norm test too
             if not np.all(np.isfinite(samples)):
                 raise ValueError("non-finite entries")
             raise ValueError("x must be a unit vector")
+    elif k == 1 and not norms.all():
+        raise ValueError("x must be a unit vector")
     products = (samples.reshape(D, B * k).T @ stack.reshape(D, P * d)).reshape(B, k, P, d)
     if k == 1:
-        return _vector_angles(samples[:, :, 0], products[:, 0], stack)[:, :, None]
+        return _vector_angles(samples[:, :, 0], products[:, 0], stack, norms)[:, :, None]
     return angles_from_products(products.swapaxes(1, 2))
 
 
@@ -258,21 +255,21 @@ def angles_from_products(products) -> np.ndarray:
     return np.arccos(np.clip(cosines, 0.0, 1.0))
 
 
-def _vector_angles(x, coeffs, stack) -> np.ndarray:
-    """(B, P) angles between the unit columns of x (D, B) and a (D, P, d)
-    stack, given their (B, P, d) coefficients x^T W_p.
-
-    The small-angle refinement runs once per prototype, over all its flagged
-    columns at once.
-    """
-    cosines = np.linalg.norm(coeffs, axis=2)
+def _vector_angles(x, coeffs, stack, norms) -> np.ndarray:
+    """(B, P) angles between the columns of x (D, B) and a (D, P, d) stack,
+    given their (B, P, d) coefficients c = x^T W_p and, unless x has unit
+    columns, their (B,) ``norms``: cos = ||c|| / ||x||. Above 0.9, where
+    arccos loses accuracy, atan2(||x - W c||, ||c||), unchanged by any scale
+    of x, refines it, once per prototype over all its flagged columns."""
+    lengths = np.sqrt(np.einsum("ijk,ijk->ij", coeffs, coeffs))
+    cosines = lengths if norms is None else lengths / norms[:, None]
     angles = np.arccos(np.minimum(cosines, 1.0))
     flagged = cosines > 0.9
     for p in np.flatnonzero(flagged.any(axis=0)):
         rows = flagged[:, p]
         residual = x[:, rows].T - coeffs[rows, p] @ stack[:, p].T
         sines = np.sqrt(np.einsum("ij,ij->i", residual, residual))
-        angles[rows, p] = np.arctan2(sines, cosines[rows, p])
+        angles[rows, p] = np.arctan2(sines, lengths[rows, p])
     return angles
 
 

@@ -48,7 +48,6 @@ from .manifold import (
     principal_angles_to_stack,
     principal_decomposition,
     subspace_from_set,
-    unit_columns,
 )
 
 MODES = ("glgq", "grlgq")
@@ -478,10 +477,10 @@ def score_blocks(model: ModelState, blocks, kind: str) -> np.ndarray:
 
     ``blocks`` is any iterable of (D, B, k) arrays: B vectors (k = 1) for
     "vectors", B orthonormal D x d bases (k = d) for "sets". uint8 vectors
-    are pixels, which ``unit_columns`` normalises into one (B, D) float64
-    buffer, replaced only for a longer block. Each block is scored in one
+    are pixels, cast into one (B, D) float64 buffer that only a longer block
+    replaces; their B norms divide the kernel's cosines. Each block is one
     kernel call, against ``model.pixel_stack`` as it is (no copy of the
-    model), and dropped before the next one is pulled. A block with another
+    model), and is dropped before the next one is pulled. A block with another
     k raises ValueError; the kernel raises InconsistentDims for another D.
     """
     vectors, rows, buffer = kind == "vectors", [], np.empty((0, 0))
@@ -489,12 +488,16 @@ def score_blocks(model: ModelState, blocks, kind: str) -> np.ndarray:
     for samples in blocks:
         if samples.ndim != 3 or samples.shape[2] != k:
             raise ValueError(f"block of shape {samples.shape}, not (D, B, {k})")
+        pixel_norms = {}  # the kernel's norms= keyword, for pixels only
         if vectors and samples.dtype == np.uint8:
             B, D = samples.shape[1::-1]
             if buffer[:B].shape != (B, D):  # buffer[:B] clamps B to its length
                 buffer = np.empty((B, D))
-            samples = unit_columns(samples[:, :, 0], out=buffer[:B].T)[:, :, None]
-        angles = principal_angles_to_stack(samples, model.pixel_stack)
+            pixels = buffer[:B]
+            pixels[...] = samples[:, :, 0].T
+            pixel_norms["norms"] = np.sqrt(np.einsum("ij,ij->i", pixels, pixels))
+            samples = pixels.T[:, :, None]
+        angles = principal_angles_to_stack(samples, model.pixel_stack, **pixel_norms)
         del samples  # the next block is pulled with this one dropped
         # a vector is labelled by its first principal angle alone
         rows.append(angles[:, :, 0] if vectors else angles ** 2 @ model.relevance)
@@ -534,10 +537,11 @@ def scores(model: ModelState, samples, kind: str) -> np.ndarray:
 def confusion_from_scores(model: ModelState, table, truth):
     """Accuracy and C x C confusion matrix of the row argmins of an (N, P)
     ``scores`` table against the N true labels ``truth``. Labels index the
-    matrix in sorted order of the union of true and prototype labels."""
+    matrix in sorted order of the union of true and prototype labels, formed
+    without np.union1d, which imports numpy.ma."""
     truth = np.asarray(truth, dtype=np.int64)
     pred = model.labels[np.argmin(table, axis=1)]
-    labels = np.union1d(model.labels, truth)
+    labels = np.array(sorted({*model.labels.tolist(), *truth.tolist()}), dtype=np.int64)
     confusion = np.zeros((len(labels), len(labels)), dtype=np.int64)
     np.add.at(confusion, tuple(np.searchsorted(labels, [truth, pred])), 1)
     accuracy = float(np.trace(confusion) / max(confusion.sum(), 1))

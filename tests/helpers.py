@@ -119,13 +119,13 @@ def track_kernel_blocks(monkeypatch, owners_die=True):
         alive = [i for i, ref in enumerate(refs) if ref() is not None]
         assert not alive, f"kernel blocks {alive} outlive their call"
 
-    def tracked(samples, stack):
+    def tracked(samples, stack, *args, **kwargs):
         all_dead()
         calls.shapes.append(samples.shape)
         calls.stacks.append(stack)
         blocks.append(weakref.ref(samples))
         calls.owners.append(weakref.ref(samples if samples.base is None else samples.base))
-        return kernel(samples, stack)
+        return kernel(samples, stack, *args, **kwargs)
 
     calls.all_dead = all_dead
     monkeypatch.setattr(model_module, "principal_angles_to_stack", tracked)

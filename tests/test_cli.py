@@ -3,6 +3,8 @@
 import os
 import shutil
 import struct
+import subprocess
+import sys
 import threading
 import tracemalloc
 import weakref
@@ -553,9 +555,9 @@ class TestEval:
     def _eval_in_one_buffer(self, workspace, tmp_path, monkeypatch, capsys,
                             full, rest):
         """eval --images on ``full`` blocks and one of ``rest`` images: each
-        block views one (eval_block_size, D) buffer, filled by one
-        unit_columns call while no scored block is alive, and the output
-        and score table equal evaluate's and scores' bitwise."""
+        block the kernel scores views one (eval_block_size, D) float64
+        buffer, no scored block is alive when the kernel gets the next, and
+        the output and score table equal evaluate's and scores' bitwise."""
         _, _, model, _ = workspace
         state = dataio.load_model(model)
         block = model_module.eval_block_size(state, "vectors")
@@ -567,28 +569,25 @@ class TestEval:
         table = score_blocks(state, blocks, "vectors")
         assert table.tobytes() == scores(state, images, "vectors").tobytes()
         calls = track_kernel_blocks(monkeypatch, owners_die=False)
-        unit, outs = model_module.unit_columns, []
+        tracked, owners = model_module.principal_angles_to_stack, []
 
-        def checked(pixels, out=None):
-            calls.all_dead()  # no scored block is alive while the next is made
-            outs.append(out)  # keeps the buffer alive for the checks below
-            return unit(pixels, out=out)
+        def kept(samples, stack, **kwargs):
+            owners.append(samples.base)  # keeps the buffer alive for the checks below
+            return tracked(samples, stack, **kwargs)
 
         # the name score_blocks looks up
-        monkeypatch.setattr(model_module, "unit_columns", checked)
+        monkeypatch.setattr(model_module, "principal_angles_to_stack", kept)
         capsys.readouterr()
         assert main(["eval", "--model", str(model), "--images", str(paths[0]),
                      "--labels", str(paths[1]),
                      "--confusion-out", str(tmp_path / "got.csv")]) == 0
         assert capsys.readouterr().out == f"accuracy={accuracy!r}\n"
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-        shapes = [(12, block, 1)] * full + [(12, rest, 1)]
-        assert calls.shapes == shapes
-        # unit_columns ran once per block, each time into the one buffer
-        assert [out.shape for out in outs] == [shape[:2] for shape in shapes]
-        buffer = outs[0].base
-        assert buffer.shape == (block, 12)
-        assert all(owner() is buffer for owner in calls.owners)
+        assert calls.shapes == [(12, block, 1)] * full + [(12, rest, 1)]
+        calls.all_dead()
+        buffer = owners[0]
+        assert buffer.shape == (block, 12) and buffer.dtype == np.float64
+        assert all(owner is buffer for owner in owners)
 
     def test_idx_eval_matches_evaluate_without_scores(self, workspace, tmp_path,
                                                       monkeypatch, capsys):
@@ -752,6 +751,36 @@ class TestEval:
                    "--data", str(data / "test")])
         assert rc == 1
         assert "error: ModelNotFound" in capsys.readouterr().err
+
+
+# main in a fresh interpreter, which prints whether numpy.ma was imported
+_MASKED_PROBE = ("import sys; from grasslvq.cli import main; rc = main(sys.argv[1:]); "
+                 "print('numpy.ma' in sys.modules); sys.exit(rc)")
+
+
+@pytest.mark.parametrize("command", ["eval --images", "eval --data",
+                                     "train --task idx", "train --init pca"])
+def test_command_imports_no_masked_arrays(command, workspace, tmp_path):
+    """numpy.ma, which np.unique and np.union1d import lazily (numpy 2.4),
+    adds about 12 ms of import time to a fresh process, and to train about
+    1 MB of VmHWM: no command imports it."""
+    _, data, model, _ = workspace
+    images = TestEval._idx_files(tmp_path, 7)
+    argv = {
+        "eval --images": ["eval", "--model", model, "--images", images[0],
+                          "--labels", images[1]],
+        "eval --data": ["eval", "--model", model, "--data", data / "test"],
+        "train --task idx": ["train", "--task", "idx", "--d", "2", "--m", "5",
+                             "--sets-per-class", "2", "--epochs", "1",
+                             *_idx_flags(tmp_path), "--model-out", tmp_path / "m.bin"],
+        "train --init pca": ["train", "--data", data / "train", "--d", "2", "--epochs", "1",
+                             "--init", "pca", "--model-out", tmp_path / "m.bin"],
+    }[command]
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    result = subprocess.run([sys.executable, "-c", _MASKED_PROBE, *map(str, argv)],
+                            env=dict(os.environ, PYTHONPATH=src),
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.splitlines()[-1] == "False", result.stdout
 
 
 class TestPredict:

@@ -1050,19 +1050,61 @@ class TestStreaming:
         assert len(calls.stacks) == 3
         assert all(stack is model.pixel_stack for stack in calls.stacks)
 
+    @staticmethod
+    def _pixel_and_unit_tables(model, rows):
+        """score_blocks of uint8 (B, D) pixel row blocks, as (D, B, 1) views
+        as eval --images makes them, and of their unit_columns."""
+        table = score_blocks(model, (r.T[:, :, None] for r in rows), "vectors")
+        unit = score_blocks(model, (unit_columns(r.T)[:, :, None] for r in rows), "vectors")
+        return table, unit
+
     @pytest.mark.parametrize("sizes", [[4, 4], [4, 4, 1], [1, 4, 2]])
     def test_uint8_vector_blocks_score_as_their_unit_columns(self, sizes):
         """Full blocks, a short last block, and a short block before a longer
-        one, which replaces the buffer: score_blocks normalises uint8 pixel
-        blocks, (D, B, 1) views of (B, D) rows as eval --images makes them,
-        and scores them bitwise as the unit_columns of those rows."""
+        one, which replaces the buffer: score_blocks scores uint8 pixel rows
+        on their raw pixels, their norms dividing the cosines, within 4e-15
+        rad of the unit_columns of those rows, for dim rows (pixels 0 and 1),
+        bright rows (up to 255) and rows of one nonzero pixel."""
         rng = np.random.default_rng(43)
         model = TestEvaluate._model(rng, 60, 3)
-        rows = [rng.integers(1, 256, (n, 60), np.uint8) for n in sizes]
-        table = score_blocks(model, (r.T[:, :, None] for r in rows), "vectors")
-        unit = score_blocks(model, (unit_columns(r.T)[:, :, None] for r in rows), "vectors")
-        assert table.shape == (sum(sizes), 3)
-        assert table.tobytes() == unit.tobytes()
+        bright = [rng.integers(1, 256, (n, 60), np.uint8) for n in sizes]
+        dim = [(rng.random(r.shape) < 0.5).astype(np.uint8) for r in bright]
+        for r in dim:
+            r[:, 0] = 1  # no black row
+        one = [r * (np.arange(60) == rng.integers(60, size=(len(r), 1))) for r in bright]
+        for rows in (dim, bright, one):
+            table, unit = self._pixel_and_unit_tables(model, rows)
+            assert table.shape == (sum(sizes), 3)
+            assert np.abs(table - unit).max() <= 4e-15
+
+    def test_uint8_vector_rows_in_a_prototype_span(self):
+        """Pixel rows in prototype 0's span, and rows one pixel off it, have
+        cos > 0.9 to it, so their angles take the atan2 refinement: still
+        within 4e-15 rad of their unit_columns rows."""
+        rng = np.random.default_rng(44)
+        span = rng.integers(0, 4, (60, 3)).astype(np.uint8)
+        model = TestEvaluate._model(rng, 60, 3)
+        model.stack[0] = subspace_from_set(span, 3).basis
+        rows = (span @ rng.integers(1, 20, (3, 8))).T.astype(np.uint8)
+        rows[4:, 7] += 1
+        table, unit = self._pixel_and_unit_tables(model, [rows[:5], rows[5:]])
+        assert np.all(table[:, 0] < np.arccos(0.9))
+        assert np.abs(table - unit).max() <= 4e-15
+
+    def test_black_uint8_row_is_not_scored(self):
+        """A black pixel row through scores raises the unit-vector
+        ValueError before the kernel's GEMM reads the stack."""
+
+        class Unread(np.ndarray):
+            def reshape(self, *shape):
+                raise AssertionError("the GEMM ran")
+
+        model = TestEvaluate._model(np.random.default_rng(45), 60, 3)
+        model.pixel_stack = model.pixel_stack.view(Unread)
+        rows = np.random.default_rng(46).integers(1, 256, (3, 60)).astype(np.uint8)
+        rows[1] = 0
+        with pytest.raises(ValueError, match="x must be a unit vector"):
+            scores(model, rows, "vectors")
 
     @pytest.mark.parametrize("kind", ["sets", "vectors"])
     def test_scoring_copies_no_model(self, kind, monkeypatch):
