@@ -6,22 +6,20 @@ Two training modes are supported:
 * ``"grlgq"`` -- relevance weights on the simplex, learned alongside the
   prototypes with a (smaller) learning rate gamma.
 
-Training is sequential stochastic gradient descent. For each sample one
-batched product ranks all prototypes, the winners are taken from per-label
-index arrays the model builds once, and one batched principal decomposition
-covers the two winners. Both winners then take a step in their rotated
-frames V = W Q_W, whose columns stay orthogonal, as one (2, D, d) array
-formed in the decomposition's own U buffer, and are re-orthonormalized by a
-column rescale; one batched check (finite gradient, rank, finite entries,
-orthonormality) covers both steps before either prototype is written, each
-with one slice assignment. In grlgq mode the relevance vector follows its
-own gradient step, is clipped to be nonnegative, and renormalized onto the
-simplex.
+Training is sequential stochastic gradient descent, one ``train_step`` per
+sample, made of four public steps in turn:
 
-``train_step`` runs on these arrays alone. ``find_winners``,
-``prototype_gradient``, ``relevance_gradient`` and
-``apply_prototype_update`` expose the same steps one at a time, built on the
-same private helpers, for callers that want the decomposition.
+1. ``find_winners`` ranks all prototypes with one batched product, takes
+   the winners from per-label index arrays the model builds once, and
+   decomposes both in one batched principal decomposition;
+2. ``relevance_gradient`` (grlgq with gamma > 0 only);
+3. ``apply_prototype_update`` steps both winners in their rotated frames
+   V = W Q_W, whose columns stay orthogonal, as one (2, D, d) array formed
+   in the decomposition's own U buffer, and re-orthonormalizes them by a
+   column rescale; one batched check (finite gradient, rank, finite
+   entries, orthonormality) covers both before either is written;
+4. ``apply_relevance_update`` (grlgq with gamma > 0 only) steps the
+   relevance vector, clips it at zero and renormalizes it onto the simplex.
 """
 
 from collections.abc import Mapping
@@ -168,9 +166,9 @@ class SampleOutcome:
 
     ``pair`` decomposes the sample against both winners at once; its leading
     axis of 2 holds the same-label winner (plus) first, then the other (minus).
-    ``find_winners`` fills it. ``train_step`` returns ``pair=None``: it forms
-    its update in the decomposition's U buffer, so a caller who wants the
-    decomposition calls ``find_winners`` before the step.
+    ``find_winners`` fills it; ``apply_prototype_update`` forms its update
+    in the pair's U buffer and sets ``pair`` to None, so a spent outcome
+    (and the one ``train_step`` returns) holds no decomposition.
     """
 
     winner_same: int
@@ -202,9 +200,11 @@ def _check_shape(name: str, shape, want) -> None:
     raise ValueError(f"{name} has d = {shape[-1]}, model has d = {want[1]}")
 
 
-def _winner_pair(model: ModelState, sample: Subspace, label: int):
-    """(winners, d+, d-, mu, pair) of one sample: the ranking behind
-    ``find_winners`` and ``train_step``.
+def find_winners(model: ModelState, sample: Subspace, label: int) -> SampleOutcome:
+    """Closest same-label and closest different-label prototypes to the sample,
+    with d+, d-, mu and the decomposition of both winners (``pair``), which
+    the gradients read. MissingClassPrototype when no prototype has
+    ``label``, or none has another label.
 
     All prototypes are ranked by relevance-weighted squared distances from
     one batched product basis^T W_p; the winners are the nearest of the
@@ -227,16 +227,6 @@ def _winner_pair(model: ModelState, sample: Subspace, label: int):
     d_plus, d_minus = np.sum(model.relevance * pair.angles ** 2, axis=1).tolist()
     denom = d_plus + d_minus
     mu = (d_plus - d_minus) / denom if denom >= DEGENERATE_EPS else np.nan
-    return winners, d_plus, d_minus, mu, pair
-
-
-def find_winners(model: ModelState, sample: Subspace, label: int) -> SampleOutcome:
-    """Closest same-label and closest different-label prototypes to the sample,
-    with d+, d-, mu and the decomposition of both winners (``pair``), which
-    the gradients read. MissingClassPrototype when no prototype has
-    ``label``, or none has another label.
-    """
-    winners, d_plus, d_minus, mu, pair = _winner_pair(model, sample, label)
     return SampleOutcome(*winners, d_plus, d_minus, mu, pair)
 
 
@@ -247,22 +237,15 @@ def _denominator(d_plus: float, d_minus: float) -> float:
     return denom
 
 
-def _gradient_coefficients(d_plus, d_minus, pair, weights) -> np.ndarray:
+def _gradient_coefficients(outcome: SampleOutcome, weights) -> np.ndarray:
     """(2, d) column coefficients c of both winners' gradients U c (plus, minus).
 
     For the same-label winner c = -(2 d- / (d+ + d-)^2) G+;
     for the other-label winner c = +(2 d+ / (d+ + d-)^2) G-.
     """
-    denom = _denominator(d_plus, d_minus)
-    scale = np.array([[-2.0 * d_minus], [2.0 * d_plus]]) / denom ** 2
-    return scale * g_matrix_diagonal(pair, weights)
-
-
-def _relevance_gradient(d_plus, d_minus, angles) -> np.ndarray:
-    """Component k is [2/(d+ + d-)^2] (d- (theta_k+)^2 - d+ (theta_k-)^2)."""
-    denom = _denominator(d_plus, d_minus)
-    angles_plus, angles_minus = angles
-    return (2.0 / denom ** 2) * (d_minus * angles_plus ** 2 - d_plus * angles_minus ** 2)
+    denom = _denominator(outcome.d_plus, outcome.d_minus)
+    scale = np.array([[-2.0 * outcome.d_minus], [2.0 * outcome.d_plus]]) / denom ** 2
+    return scale * g_matrix_diagonal(outcome.pair, weights)
 
 
 def prototype_gradient(outcome: SampleOutcome, weights, which: str) -> np.ndarray:
@@ -275,8 +258,7 @@ def prototype_gradient(outcome: SampleOutcome, weights, which: str) -> np.ndarra
     if which not in WINNERS:
         raise ValueError("which must be 'plus' or 'minus'")
     i = WINNERS.index(which)
-    coeffs = _gradient_coefficients(outcome.d_plus, outcome.d_minus, outcome.pair, weights)
-    return outcome.pair.principal_left[i] * coeffs[i]
+    return outcome.pair.principal_left[i] * _gradient_coefficients(outcome, weights)[i]
 
 
 def relevance_gradient(outcome: SampleOutcome) -> np.ndarray:
@@ -285,27 +267,39 @@ def relevance_gradient(outcome: SampleOutcome) -> np.ndarray:
     Component k is [2/(d+ + d-)^2] (d- (theta_k+)^2 - d+ (theta_k-)^2).
     ``outcome`` must hold its decomposition (``find_winners``).
     """
-    return _relevance_gradient(outcome.d_plus, outcome.d_minus, outcome.pair.angles)
+    denom = _denominator(outcome.d_plus, outcome.d_minus)
+    angles_plus, angles_minus = outcome.pair.angles
+    return (2.0 / denom ** 2) * (outcome.d_minus * angles_plus ** 2
+                                 - outcome.d_plus * angles_minus ** 2)
 
 
-def _step_winners(model: ModelState, winners, coeffs, pair, eta: float, out=None) -> None:
-    """Write V - eta U diag(c) of both winners, columns rescaled to unit norm.
+def apply_prototype_update(model: ModelState, outcome: SampleOutcome, eta: float) -> None:
+    """Gradient step on both winners in their rotated frames, then re-orthonormalize.
 
-    The update is formed in ``out`` (a fresh array when None; ``train_step``
-    passes the pair's own U, which it no longer needs). Checks, in order,
-    before either winner is written: a finite gradient, then the rank of
-    each update, then ``check_orthonormal`` on both at once. Each winner is
-    then written with one slice assignment.
+    Principal vectors satisfy U^T V = diag(cos theta), so the step
+    V - eta * U diag(c) keeps the columns orthogonal, and dividing them by
+    their norms (the update's singular values) is a Grassmann retraction; no
+    SVD is needed. Both winners are stepped as one (2, D, d) array, formed in
+    the decomposition's own U buffer, so the step consumes ``outcome.pair``
+    (``find_winners``) and sets it to None. Checks, in order, before either
+    winner is written: a finite gradient, then the rank of each update, then
+    ``check_orthonormal`` on both at once; a raise leaves the model
+    unchanged. A RankDeficient error here means eta is large enough to
+    collapse a prototype. Each winner is written with one slice assignment.
     """
+    coeffs = _gradient_coefficients(outcome, model.relevance)
+    winners = (outcome.winner_same, outcome.winner_other)
     # |U| <= 1 entrywise, so U c is finite wherever c is
     for which, idx, finite in zip(WINNERS, winners, np.isfinite(coeffs).all(axis=1)):
         if not finite:
             raise FloatingPointError(f"non-finite prototype gradient for winner "
                                      f"{which} (index {idx})")
-    updated = np.multiply(pair.principal_left, coeffs[:, None, :], out=out)  # U c
+    pair, outcome.pair = outcome.pair, None  # U is overwritten from here on
+    updated = pair.principal_left
     with np.errstate(over="ignore"):
         # V - eta U c in place; an overflow gives an infinite norm, which the
         # rank test rejects
+        updated *= coeffs[:, None, :]
         updated *= -eta
         updated += pair.principal_right
         norms = np.sqrt(np.einsum("kij,kij->kj", updated, updated))
@@ -317,25 +311,6 @@ def _step_winners(model: ModelState, winners, coeffs, pair, eta: float, out=None
     check_orthonormal(updated)
     for idx, basis in zip(winners, updated):
         model.stack[idx] = basis
-
-
-def apply_prototype_update(model: ModelState, outcome: SampleOutcome, eta: float) -> None:
-    """Gradient step on both winners in their rotated frames, then re-orthonormalize.
-
-    Principal vectors satisfy U^T V = diag(cos theta), so the step
-    V - eta * U diag(c) keeps the columns orthogonal, and dividing them by
-    their norms (the update's singular values) is a Grassmann retraction; no
-    SVD is needed. Both winners are stepped as one (2, D, d) array and both
-    are checked (finite gradient, rank, then finite and orthonormal columns)
-    before either is written, so a raise leaves the model unchanged. A
-    RankDeficient error here means eta is large enough to collapse a
-    prototype. ``outcome`` must hold its decomposition (``find_winners``),
-    which is left as it is.
-    """
-    coeffs = _gradient_coefficients(outcome.d_plus, outcome.d_minus, outcome.pair,
-                                    model.relevance)
-    _step_winners(model, (outcome.winner_same, outcome.winner_other), coeffs,
-                  outcome.pair, eta)
 
 
 def apply_relevance_update(model: ModelState, grad, gamma: float) -> np.ndarray:
@@ -353,27 +328,26 @@ def apply_relevance_update(model: ModelState, grad, gamma: float) -> np.ndarray:
 
 def train_step(model: ModelState, sample: Subspace, label: int,
                config: TrainConfig) -> SampleOutcome:
-    """One stochastic update: winners, gradients, prototype (and relevance) step.
+    """One stochastic update: ``find_winners``, ``relevance_gradient``,
+    ``apply_prototype_update``, then ``apply_relevance_update``.
 
-    The steps of ``find_winners``, ``relevance_gradient`` and
-    ``apply_prototype_update`` on plain arrays, with the same bits: the
-    update is formed in the decomposition's U buffer, so the returned
-    outcome, which carries the pre-update cost mu for logging, has
-    ``pair=None``. With gamma = 0 the relevance vector is left untouched
-    (no clipping or renormalization), so a grlgq run with frozen weights
-    follows the glgq trajectory exactly. Every prototype check runs before
-    either winner is written; a sample that coincides with prototypes of
-    both polarities raises DegenerateSample before anything is written.
+    The relevance gradient is taken before the prototype step consumes the
+    decomposition, so the returned outcome, which carries the pre-update
+    cost mu for logging, has ``pair=None``. With gamma = 0 the relevance
+    vector is left untouched (no clipping or renormalization), so a grlgq
+    run with frozen weights follows the glgq trajectory exactly. Every
+    prototype check runs before either winner is written; a sample that
+    coincides with prototypes of both polarities raises DegenerateSample
+    before anything is written.
     """
-    winners, d_plus, d_minus, mu, pair = _winner_pair(model, sample, label)
-    coeffs = _gradient_coefficients(d_plus, d_minus, pair, model.relevance)
+    outcome = find_winners(model, sample, label)
     relevance_step = model.mode == "grlgq" and config.gamma > 0
     if relevance_step:
-        grad_rel = _relevance_gradient(d_plus, d_minus, pair.angles)
-    _step_winners(model, winners, coeffs, pair, config.eta, out=pair.principal_left)
+        grad = relevance_gradient(outcome)
+    apply_prototype_update(model, outcome, config.eta)
     if relevance_step:
-        apply_relevance_update(model, grad_rel, config.gamma)
-    return SampleOutcome(*winners, d_plus, d_minus, mu, None)
+        apply_relevance_update(model, grad, config.gamma)
+    return outcome
 
 
 def init_prototypes(dataset, d: int, strategy: str, rng,
@@ -424,6 +398,7 @@ def fit(dataset, config: TrainConfig, init: str = "random",
     deterministic. Epoch stats are (epoch, mean pre-update cost, training
     accuracy); a sample counts as correct when its pre-update mu < 0. A
     given ``model`` trains in place and must have config.mode (ConfigError).
+    A failing step's error names its epoch and its sample, counted from 0.
     """
     items = [(s, int(y)) for s, y in dataset]
     if not items:
@@ -451,7 +426,11 @@ def fit(dataset, config: TrainConfig, init: str = "random",
         correct = 0
         for pos, j in enumerate(order):
             sample, label = items[j]
-            outcome = train_step(model, sample, label, config)
+            try:
+                outcome = train_step(model, sample, label, config)
+            except Exception as exc:
+                exc.args = (f"epoch {epoch}, sample {j} (label {label}): {exc}",)
+                raise
             costs[pos] = outcome.mu
             correct += outcome.mu < 0
         stats.append((epoch, float(costs.mean()), correct / n))

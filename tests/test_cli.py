@@ -1316,7 +1316,9 @@ MALFORMED_INPUTS = {
                     lambda data, model, tmp: _train(data, tmp, "--epochs", "0")),
     "eta-nan": ("ConfigError", "eta must be positive and finite, got nan",
                 lambda data, model, tmp: _train(data, tmp, "--eta", "nan")),
-    "eta-overflow": ("RankDeficient", "rank deficient",
+    # the step's error names its epoch and its sample, counted from 0
+    "eta-overflow": ("RankDeficient", "epoch 1, sample 4 (label 1): update of winner "
+                     "plus (index 0) is rank deficient",
                      lambda data, model, tmp: _train(
                          data, tmp, "--mode", "glgq", "--gamma", "0", "--eta", "1e200")),
     "eta-inf": ("ConfigError", "eta must be positive and finite, got inf",

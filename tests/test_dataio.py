@@ -539,6 +539,16 @@ class TestModelPersistence:
         dataio.save_model(model, path)
         assert np.array_equal(dataio.load_model(path).relevance, model.relevance)
 
+    def test_zero_relevance_weight_reloads(self, tmp_path):
+        # clipping leaves a weight at exactly 0, which is still on the simplex
+        model = two_class_model(np.random.default_rng(7), 8, 3, mode="grlgq",
+                                relevance=np.array([0.0, 0.25, 0.75]))
+        path = tmp_path / "model.bin"
+        dataio.save_model(model, path)
+        loaded = dataio.load_model(path)
+        assert np.array_equal(loaded.relevance, model.relevance)
+        assert np.array_equal(loaded.stack, model.stack)
+
     def test_path_that_is_no_file_is_model_not_found(self, tmp_path):
         # load_model checks the path itself, before opening anything
         for path in (tmp_path / "nothere.bin", tmp_path):

@@ -15,7 +15,12 @@ from grasslvq import (
     single_vector_angle,
     subspace_from_set,
 )
-from grasslvq.errors import InconsistentDims, RankDeficient, SingularFactor
+from grasslvq.errors import (
+    InconsistentDims,
+    InsufficientImages,
+    RankDeficient,
+    SingularFactor,
+)
 from grasslvq.manifold import _factor_set, unit_columns
 from helpers import pair_with_angles, random_orthogonal, random_subspace
 
@@ -202,6 +207,18 @@ class TestWideSets:
             warnings.simplefilter("error")
             with pytest.raises(RankDeficient):
                 subspace_from_set(np.zeros((5, 8)), 2)
+
+    def test_full_dimension(self):
+        # d = D is in range: a square or wide set spans all of R^D, and a
+        # tall one is short of frames, not of dimensions
+        rng = np.random.default_rng(12)
+        D = 12
+        for m in (D, 30):
+            basis = subspace_from_set(rng.standard_normal((D, m)), D).basis
+            assert basis.shape == (D, D)
+            assert np.max(np.abs(basis.T @ basis - np.eye(D))) <= 1e-14
+        with pytest.raises(InsufficientImages, match=f"9 frames < d={D}"):
+            subspace_from_set(rng.standard_normal((D, 9)), D)
 
     def test_contribution_recovers_principal_vectors(self):
         rng = np.random.default_rng(21)
@@ -558,6 +575,12 @@ INPUT_CHECKS = {
         IndexError, "angle index -1 out of range [0, 2)",
         lambda: pixel_influence(_pair_decomposition(), -1)),
 }
+
+
+def test_square_basis_is_a_subspace():
+    # d = D: the whole space, in any orthonormal basis
+    basis = random_orthogonal(np.random.default_rng(17), 5)
+    assert Subspace(basis).dim == Subspace(basis).ambient_dim == 5
 
 
 @pytest.mark.parametrize("case", sorted(INPUT_CHECKS))

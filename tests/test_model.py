@@ -422,6 +422,25 @@ class TestPrototypeUpdate:
             b = p.subspace.basis
             assert np.max(np.abs(b.T @ b - np.eye(3))) < 1e-8
 
+    def test_step_consumes_the_decomposition(self):
+        # the update is formed in the pair's U buffer, so the step leaves the
+        # outcome without a decomposition, and a spent outcome cannot step again
+        rng = np.random.default_rng(65)
+        model = two_class_model(rng, 8, 3)
+        out, eta = find_winners(model, random_subspace(rng, 8, 3), 1), 0.05
+        winners = (out.winner_same, out.winner_other)
+        steps = [out.pair.principal_right[i] - eta * prototype_gradient(out, model.relevance, w)
+                 for i, w in enumerate(("plus", "minus"))]
+        apply_prototype_update(model, out, eta)
+        assert out.pair is None
+        for idx, step in zip(winners, steps):
+            np.testing.assert_allclose(model.stack[idx], step / np.linalg.norm(step, axis=0),
+                                       rtol=0, atol=1e-15)
+        stack = model.stack.copy()
+        with pytest.raises(AttributeError):
+            apply_prototype_update(model, out, eta)
+        assert np.array_equal(model.stack, stack)
+
 
 class TestTrainStep:
     def test_glgq_leaves_relevance(self):
@@ -506,9 +525,9 @@ def _degenerate_step():
 
 
 class TestStepEntryPoints:
-    """train_step runs on arrays; find_winners, relevance_gradient,
-    apply_prototype_update and apply_relevance_update take the same step
-    one function at a time, and must land on the same bits."""
+    """train_step is find_winners, relevance_gradient, apply_prototype_update
+    and apply_relevance_update in turn; called one at a time by hand, they
+    must land on the same bits and raise the same errors."""
 
     @pytest.mark.parametrize("mode, gamma, per_class", [
         ("glgq", 0.0, 1), ("grlgq", 1e-3, 1), ("grlgq", 1e-3, 2)])
@@ -661,6 +680,18 @@ class TestFit:
         for pg, pr in zip(model_g.prototypes, model_r.prototypes):
             assert np.array_equal(pg.subspace.basis, pr.subspace.basis)
         assert np.array_equal(model_g.relevance, model_r.relevance)
+
+    def test_grlgq_starts_on_the_uniform_simplex(self, tmp_path):
+        # with gamma = 0 the relevance vector keeps its initial value, which
+        # the saved model must carry through load_model's simplex check
+        rng = np.random.default_rng(15)
+        dataset = synthetic_subspace_dataset(rng, classes=2, D=10, d=4, per_class=3)
+        config = TrainConfig(eta=0.05, gamma=0.0, epochs=1, seed=0, mode="grlgq")
+        model, _ = fit(dataset, config, init="example")
+        assert np.array_equal(model.relevance, np.full(4, 1 / 4))
+        dataio.save_model(model, tmp_path / "model.bin")
+        loaded = dataio.load_model(tmp_path / "model.bin")
+        assert np.array_equal(loaded.relevance, model.relevance)
 
     def test_given_model_of_another_mode_rejected(self):
         rng = np.random.default_rng(14)
