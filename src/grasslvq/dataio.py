@@ -8,7 +8,7 @@ File formats:
     little-endian payload, trailing CRC32 of the bytes before it).
 
 Every reader, and ``iter_idx_blocks``'s vector blocks, give 8-bit pixels;
-``unit_columns`` alone L2-normalizes them, in ``subspace_from_set`` and
+``unit_columns`` alone L2-normalizes them, in ``_factor_set`` and
 ``class_image_matrices``, for every subspace construction (an all-black
 image stays zero), and ``score_blocks`` scores them by their norms.
 """
@@ -38,8 +38,8 @@ from .errors import (
     UnsupportedFormat,
     VersionMismatch,
 )
-from .manifold import (Subspace, pixel_influence, principal_angles_to_stack,
-                       subspace_from_set, unit_columns)
+from .manifold import (Subspace, _factor_set, check_orthonormal, pixel_influence,
+                       principal_angles_to_stack, unit_columns)
 from .model import ModelState, Prototype, _check_shape
 
 IDX_IMAGES_MAGIC = 0x00000803
@@ -345,24 +345,42 @@ def build_classwise_subspace_dataset(images, labels, d, m, sets_per_class, seed)
     rng = np.random.default_rng(seed)
     draws = ((images[rng.choice(idx, size=m, replace=False)].T, label)
              for label, idx in classes for _ in range(sets_per_class))
-    return build_per_set_subspace_dataset(draws, d)
+    return build_per_set_subspace_dataset(draws, d, len(classes) * sets_per_class)
 
 
-def build_per_set_subspace_dataset(sets, d, start=0):
-    """One d-dimensional subspace per (D x m matrix, label) item of ``sets``,
-    built by ``subspace_from_set``, which normalises uint8 pixel columns.
+def build_per_set_subspace_dataset(sets, d, count=None):
+    """(Subspace, label) pairs of the ``count`` (None: ``len(sets)``) (D x m
+    matrix, label) items of ``sets``: the d-dimensional spans that
+    ``subspace_from_set`` builds, on read-only views of one ``_stack_sets`` stack."""
+    stack, labels = _stack_sets(sets, d, len(sets) if count is None else count)
+    return [(Subspace._view(basis), label) for basis, label in zip(stack, labels)]
 
-    Returns (Subspace, label) pairs; errors name the offending set by its
-    index counted from ``start``.
-    """
-    dataset = []
-    for i, (X, label) in enumerate(sets, start):
+
+def _stack_sets(sets, d, count, start=0, pixel_major=False):
+    """(stack, labels): ``_factor_set`` writes the bases of the first ``count``
+    (D x m matrix, label) items of ``sets``, D the first's, into one read-only
+    (count, D, d) stack (pixel_major: a (D, count, d) array's transpose),
+    checked once. Errors name a set by its index counted from ``start``."""
+    stack, labels = np.empty((0, 0, d)), []
+    for i, (X, label) in enumerate(islice(sets, count)):
         try:
-            dataset.append((subspace_from_set(X, d), int(label)))
+            if i and len(X) != D:
+                raise InconsistentDims(f"D = {len(X)} pixels, set {start} has D = {D}")
+            basis = _factor_set(X, d, stack[i] if i else None)[0]
+            if not i:  # the stack is made after the first basis, so their peaks do not add
+                D = len(basis)
+                stack = (np.empty((D, count, d)).transpose(1, 0, 2) if pixel_major
+                         else np.empty((count, D, d)))
+                stack[0] = basis
+            labels.append(int(label))
         except Exception as exc:
-            exc.args = (f"set {i} (label {label}): {exc}",)
+            exc.args = (f"set {start + i} (label {label}): {exc}",)
             raise
-    return dataset
+    if len(labels) != count:
+        raise ValueError(f"{len(labels)} sets, not {count}")
+    check_orthonormal(stack, lambda i: f"set {start + i} (label {labels[i]}): ")
+    stack.flags.writeable = False
+    return stack, labels
 
 
 def iter_imageset_blocks(root, D, d, block):
@@ -371,8 +389,7 @@ def iter_imageset_blocks(root, D, d, block):
     checked, and the labels taken, before any frame is read; the first set's
     pixel count is checked against ``D`` as it is read. ``blocks`` reads
     ``block`` sets at a time from one ``_read_sets`` generator, then builds
-    their subspaces (errors name a set by its index in the tree) and stacks
-    their bases."""
+    them into the block (``_stack_sets``, by index in the tree)."""
     set_dirs = _set_dirs(root)
 
     def sets():
@@ -382,9 +399,9 @@ def iter_imageset_blocks(root, D, d, block):
 
     def blocks(pending):
         for start in range(0, len(set_dirs), block):
-            # no name here holds the block's Subspaces or its stack once it is yielded
-            yield np.stack([s.basis for s, _ in build_per_set_subspace_dataset(
-                list(islice(pending, block)), d, start)], axis=1)
+            # no name here holds the block or its frames once it is yielded
+            yield _stack_sets(list(islice(pending, block)), d, min(block, len(set_dirs) - start),
+                              start, pixel_major=True)[0].transpose(1, 0, 2)
 
     return np.array([label for _, label in set_dirs], dtype=np.int64), blocks(sets())
 

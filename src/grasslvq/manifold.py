@@ -42,23 +42,23 @@ def unit_columns(X):
     return np.divide(rows, norms[:, None], out=rows).T
 
 
-def check_orthonormal(bases) -> None:
+def check_orthonormal(bases, name=lambda i: "") -> None:
     """Raise ValueError unless every D x d basis of a (k, D, d) float64 stack
     is finite with B^T B within ORTHO_TOL of I, entrywise.
 
     One isfinite pass and one batched Gram product cover the stack. Bases
     are judged in order, each for non-finite entries first, so the error is
-    the one ``Subspace`` raises for the first bad basis; no Gram matrix is
-    formed from a non-finite basis.
+    the one ``Subspace`` raises for the first bad basis, i, led by
+    ``name(i)``; no Gram matrix is formed from a non-finite basis.
     """
     finite = np.isfinite(bases).all(axis=(1, 2))
     k = len(bases) if finite.all() else int(np.argmin(finite))
     gram = np.swapaxes(bases[:k], 1, 2) @ bases[:k]
-    for err in np.abs(gram - np.eye(bases.shape[2])).max(axis=(1, 2)):
+    for i, err in enumerate(np.abs(gram - np.eye(bases.shape[2])).max(axis=(1, 2))):
         if err > ORTHO_TOL:
-            raise ValueError(f"columns not orthonormal (max |B^T B - I| = {err:.3g})")
+            raise ValueError(f"{name(i)}columns not orthonormal (max |B^T B - I| = {err:.3g})")
     if k < len(bases):
-        raise ValueError("non-finite entries")
+        raise ValueError(f"{name(k)}non-finite entries")
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,6 +73,12 @@ class Subspace:
             raise ValueError(f"basis must be D x d with d <= D, got {basis.shape}")
         check_orthonormal(basis[None])
         object.__setattr__(self, "basis", basis)
+
+    @classmethod
+    def _view(cls, basis):  # of a read-only stack, checked as it was written
+        subspace = object.__new__(cls)
+        object.__setattr__(subspace, "basis", basis)
+        return subspace
 
     @property
     def ambient_dim(self) -> int:
@@ -134,10 +140,10 @@ def subspace_from_set(X, d: int) -> Subspace:
     return Subspace(_factor_set(X, d)[0])
 
 
-def _factor_set(X, d: int):
+def _factor_set(X, d: int, out=None):
     """(basis, s_d, V_d) of subspace_from_set: the orthonormal (D, d) basis,
-    the first d singular values of X and its first d right singular vectors
-    as an (m, d) array, of X's columns as ``unit_columns`` takes them."""
+    written into ``out`` if given, the first d singular values and the first
+    d right singular vectors, (m, d), of X's columns as ``unit_columns`` takes them."""
     X = _as_f64(unit_columns(np.asarray(X)))
     D, m = X.shape
     if d < 1 or d > D:
@@ -153,7 +159,7 @@ def _factor_set(X, d: int):
     a_right = vt[:d].T.copy()
     a_left = (A @ a_right) / s[:d]
     u, right = (a_right, a_left) if wide else (a_left, a_right)
-    basis = u @ np.linalg.inv(np.linalg.cholesky(u.T @ u)).T
+    basis = np.matmul(u, np.linalg.inv(np.linalg.cholesky(u.T @ u)).T, out=out)
     return basis, s[:d], right
 
 

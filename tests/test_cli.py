@@ -698,27 +698,36 @@ class TestEval:
         assert calls.shapes == [(12, 3, 2), (12, 3, 2), (12, 2, 2)]
 
     def test_set_eval_scores_with_no_subspace_alive(self, yaleb_tree, monkeypatch):
+        # eval holds one block: each block the reader yields, and the array
+        # it views, is gone while the next one is scored
         data, model = yaleb_tree
-        built = []
-        build = dataio.subspace_from_set
+        reader, yielded = dataio.iter_imageset_blocks, []
 
-        def recorded(X, d):
-            subspace = build(X, d)
-            built.append(weakref.ref(subspace))
-            return subspace
+        def recorded(*args):
+            labels, blocks = reader(*args)
 
-        kernel, blocks = model_module.principal_angles_to_stack, []
+            def tracked():
+                for block in blocks:
+                    owner = block if block.base is None else block.base
+                    yielded.append((weakref.ref(block), weakref.ref(owner)))
+                    yield block
+                    del block
+            return labels, tracked()
+
+        kernel, sizes = model_module.principal_angles_to_stack, []
 
         def checked(samples, stack):
-            alive = [i for i, ref in enumerate(built) if ref() is not None]
-            assert not alive, f"subspaces {alive} alive while block {len(blocks)} is scored"
-            blocks.append(samples.shape[1])
+            alive = [k for k, refs in enumerate(yielded[:-1])
+                     if any(ref() is not None for ref in refs)]
+            assert not alive, f"blocks {alive} alive while block {len(sizes)} is scored"
+            assert samples is yielded[-1][0]()
+            sizes.append(samples.shape[1])
             return kernel(samples, stack)
 
-        monkeypatch.setattr(dataio, "subspace_from_set", recorded)
+        monkeypatch.setattr(dataio, "iter_imageset_blocks", recorded)
         monkeypatch.setattr(model_module, "principal_angles_to_stack", checked)
         assert main(["eval", "--model", str(model), "--data", str(data)]) == 0
-        assert blocks == [13, 13, 10] and len(built) == 36
+        assert sizes == [13, 13, 10] and len(yielded) == 3
 
     def test_error_order_follows_the_reads(self, workspace, tmp_path,
                                            monkeypatch, capsys):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from grasslvq import dataio
+from grasslvq import manifold
 from grasslvq.errors import (
     BadMagic,
     ConfigError,
@@ -21,7 +22,8 @@ from grasslvq.errors import (
     UnsupportedFormat,
     VersionMismatch,
 )
-from grasslvq.manifold import Subspace, adaptive_squared_distance, principal_decomposition
+from grasslvq.manifold import (Subspace, adaptive_squared_distance, principal_decomposition,
+                               subspace_from_set)
 from grasslvq.model import ModelState, Prototype, TrainConfig, evaluate, fit
 from helpers import (
     random_subspace,
@@ -409,6 +411,96 @@ class TestSubspaceDatasets:
         assert np.allclose(np.abs(dataset[0][0].basis[:, 0]), frame)
 
 
+def count_orthonormality_checks(monkeypatch):
+    """Count check_orthonormal calls, by dataio and by Subspace, in a list."""
+    calls, check = [], manifold.check_orthonormal
+
+    def counted(bases, *args):
+        calls.append(len(bases))
+        return check(bases, *args)
+
+    monkeypatch.setattr(manifold, "check_orthonormal", counted)
+    monkeypatch.setattr(dataio, "check_orthonormal", counted, raising=False)
+    return calls
+
+
+class TestSampleStack:
+    """The builders write every basis into one array, check it once and
+    make it read-only."""
+
+    def _sets(self, n=7, D=8, m=5):
+        rng = np.random.default_rng(50)
+        return [(rng.standard_normal((D, m)), 10 + i) for i in range(n)]
+
+    def test_one_check_for_all_sets(self, monkeypatch):
+        sets = self._sets()
+        calls = count_orthonormality_checks(monkeypatch)
+        dataset = dataio.build_per_set_subspace_dataset(sets, 2)
+        assert calls == [7]
+        for (sample, label), (X, y) in zip(dataset, sets):
+            assert label == y
+            assert sample.basis.tobytes() == subspace_from_set(X, 2).basis.tobytes()
+
+    def test_classwise_draws_fill_one_stack(self, monkeypatch):
+        rng = np.random.default_rng(51)
+        images = rng.integers(0, 256, (60, 16), dtype=np.uint8)
+        labels = np.repeat([1, 2, 3], 20)
+        calls = count_orthonormality_checks(monkeypatch)
+        dataset = dataio.build_classwise_subspace_dataset(images, labels, 2, 6, 4, 0)
+        assert calls == [12] and len(dataset) == 12
+        assert all(sample.basis.base is dataset[0][0].basis.base for sample, _ in dataset)
+
+    def test_items_share_one_read_only_array(self):
+        dataset = dataio.build_per_set_subspace_dataset(self._sets(), 3)
+        stack = dataset[0][0].basis.base
+        assert stack.shape == (7, 8, 3) and stack.flags.c_contiguous
+        assert not stack.flags.writeable
+        for i, (sample, _) in enumerate(dataset):
+            assert sample.basis.base is stack
+            assert np.shares_memory(sample.basis, stack[i])
+            assert sample.basis.flags.c_contiguous and not sample.basis.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            dataset[2][0].basis[0, 0] = 1.0
+
+    def test_generator_of_sets_with_its_count(self):
+        sets = self._sets()
+        built = dataio.build_per_set_subspace_dataset(iter(sets), 2, len(sets))
+        listed = dataio.build_per_set_subspace_dataset(sets, 2)
+        assert [y for _, y in built] == [y for _, y in listed]
+        assert built[0][0].basis.base.tobytes() == listed[0][0].basis.base.tobytes()
+        assert dataio.build_per_set_subspace_dataset([], 2) == []
+        with pytest.raises(ValueError, match="^7 sets, not 8$"):
+            dataio.build_per_set_subspace_dataset(iter(sets), 2, 8)
+
+    def test_set_of_another_dimension_is_named(self):
+        sets = self._sets()
+        sets[4] = (np.random.default_rng(52).standard_normal((9, 5)), 14)
+        with pytest.raises(InconsistentDims) as info:
+            dataio.build_per_set_subspace_dataset(sets, 2)
+        assert str(info.value) == "set 4 (label 14): D = 9 pixels, set 0 has D = 8"
+
+    @pytest.mark.parametrize("spoil, detail", [
+        (lambda basis: basis.__imul__(1.01), "columns not orthonormal"),
+        (lambda basis: basis.fill(np.nan), "non-finite entries"),
+    ])
+    def test_basis_failing_the_batched_check_is_named(self, monkeypatch, spoil, detail):
+        # sets 3 and 5 come out of _factor_set spoiled; the one check over
+        # the stack names the first by index and label
+        factor = dataio._factor_set
+
+        def spoiled(X, d, out=None):
+            result = factor(X, d, out)
+            if X[0, 0] in (sets[3][0][0, 0], sets[5][0][0, 0]):
+                spoil(result[0])
+            return result
+
+        sets = self._sets()
+        monkeypatch.setattr(dataio, "_factor_set", spoiled)
+        with pytest.raises(ValueError) as info:
+            dataio.build_per_set_subspace_dataset(sets, 2)
+        assert str(info.value).startswith(f"set 3 (label 13): {detail}")
+
+
 class TestStreamedSubspaces:
     """iter_imageset_blocks reads, builds and stacks one block of sets at a time."""
 
@@ -427,6 +519,16 @@ class TestStreamedSubspaces:
         stacked = np.stack([s.basis for s, _ in listed], axis=1)
         assert streamed.shape == (6, 6, 2)
         assert streamed.tobytes() == stacked.tobytes()
+
+    def test_one_check_per_block_into_the_block(self, tmp_path, monkeypatch):
+        build_imageset_fixture(tmp_path, classes=2, sets=3, frames=4)
+        calls = count_orthonormality_checks(monkeypatch)
+        _, blocks = dataio.iter_imageset_blocks(tmp_path, 6, 2, 4)
+        for block in blocks:
+            # the pixel-major block the kernel reads, written in place
+            assert block.flags.c_contiguous and not block.flags.writeable
+            assert block.base.shape == block.shape
+        assert calls == [4, 2]
 
     def test_tree_checked_before_any_set_is_read(self, tmp_path, monkeypatch):
         def unread(name, *args):

@@ -673,3 +673,43 @@ class TestPixelsIntoSubspaces:
         # the span of the raw 0-255 columns is another subspace
         raw = subspace_from_set(pixels.astype(np.float64), 3)
         assert largest_angle_sine(raw.basis, sample.basis) > 1e-3
+
+
+class TestToleranceEdges:
+    """Each tolerance is pinned by an input between it and twice it, so a
+    doubled constant fails a test."""
+
+    def test_basis_off_by_one_and_a_half_ortho_tol_is_rejected(self):
+        basis = np.eye(5)[:, :2]
+        basis[:, 0] *= np.sqrt(1 + 1.5e-8)  # B^T B - I = 1.5e-8 at (0, 0)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Subspace(basis)
+        basis[:, 0] = np.sqrt(1 + 0.5e-8) * e(0, 5)
+        Subspace(basis)
+
+    def test_set_at_one_and_a_half_rank_tol_builds(self):
+        # exact singular values 1, 1.5e-12 and 0: s_2 / s_1 is above
+        # RANK_TOL, s_3 / s_1 is not
+        X = np.zeros((5, 3))
+        X[0, 0], X[1, 1] = 1.0, 1.5e-12
+        basis = subspace_from_set(X, 2).basis
+        assert np.allclose(np.abs(basis[:2]), np.eye(2)) and not basis[2:].any()
+        with pytest.raises(RankDeficient):
+            subspace_from_set(X, 3)
+
+    def test_vector_off_unit_norm_by_one_and_a_half_1e8_is_rejected(self):
+        stack = random_subspace(np.random.default_rng(41), 4, 2).basis[:, None]
+        with pytest.raises(ValueError, match="unit vector"):
+            principal_angles_to_stack((1 + 1.5e-8) * e(0, 4)[:, None, None], stack)
+        principal_angles_to_stack((1 + 0.5e-8) * e(0, 4)[:, None, None], stack)
+
+    def test_contribution_of_a_set_at_one_and_a_half_1e12(self):
+        # singular values 1.5e-12 each: above the SingularFactor floor
+        rng = np.random.default_rng(42)
+        X = 1.5e-12 * random_orthogonal(rng, 6)[:, :3]
+        sample = subspace_from_set(X, 3)
+        pd = principal_decomposition(sample, random_subspace(rng, 6, 3))
+        M = image_contribution(X, pd)
+        assert np.max(np.abs(X @ M - sample.basis @ pd.rot_left)) < 1e-8
+        with pytest.raises(SingularFactor):
+            image_contribution(X / 3, pd)

@@ -84,6 +84,21 @@ class TestFindWinners:
         out = find_winners(model, base, 1)
         assert out.winner_same == int(np.argmin(dists))
 
+    def test_pair_at_one_and_a_half_degenerate_eps_has_a_cost(self):
+        # d+ + d- = alpha^2 / 2 = 1.5e-15, between DEGENERATE_EPS and twice it:
+        # mu is a number, and the gradients take it
+        alpha = np.sqrt(3e-15)
+        line = lambda t: Subspace(np.array([[np.cos(t)], [np.sin(t)], [0.0]]))
+        model = ModelState([Prototype(line(0.0), 1), Prototype(line(alpha), 2)],
+                           np.ones(1), "glgq", 1, 3)
+        out = find_winners(model, line(alpha / 2), 1)
+        assert 1.4e-15 < out.d_plus + out.d_minus < 1.6e-15
+        assert abs(out.mu) < 1e-6
+        assert np.isfinite(relevance_gradient(out)).all()
+        out.d_plus = out.d_minus = 0.25e-15
+        with pytest.raises(DegenerateSample):
+            relevance_gradient(out)
+
     def test_missing_class_prototype(self):
         rng = np.random.default_rng(3)
         protos = [Prototype(random_subspace(rng, 6, 2), 1)]
@@ -1179,6 +1194,10 @@ INPUT_CHECKS = {
         ConfigError, "relevance length must equal the subspace dimension",
         lambda model, dataset: ModelState(
             [Prototype(dataset[0][0], 1)], np.full(3, 1 / 3), "grlgq", 2, 8)),
+    "model-infinite-relevance": (
+        ConfigError, "relevance weights must be nonnegative and finite",
+        lambda model, dataset: ModelState(
+            [Prototype(dataset[0][0], 1)], [np.inf, 0.5], "grlgq", 2, 8)),
     "config-unknown-mode": (
         ConfigError, "unknown mode 'bogus'", lambda model, dataset: _config("bogus")),
     "gradient-of-neither-winner": (
